@@ -13,7 +13,6 @@ from .closedtest import (
     CombinationConfig,
     CombineResult,
     HypothesisFamily,
-    chi_square_4_quantile,
     clamp_pvalue,
     closed_test,
     combine,
@@ -54,21 +53,17 @@ from .simmodel import (
     ScoreModel,
     StageStatistics,
     build_score_model,
-    cumulative_correlation,
     effect_to_expectation,
     larger_is_better,
     resolve_prevalence,
     sample_replication,
 )
 from .statdist import (
-    CorrelationSpec,
     NotPositiveSemidefiniteError,
     bvn_cdf,
     cholesky_psd,
     equicorr_max_cdf,
     equicorrelated_matrix,
-    norm_cdf,
-    norm_quantile,
     replication_stream,
 )
 
@@ -77,13 +72,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # statdist
-    "norm_cdf",
-    "norm_quantile",
     "bvn_cdf",
     "equicorr_max_cdf",
     "equicorrelated_matrix",
     "cholesky_psd",
-    "CorrelationSpec",
     "NotPositiveSemidefiniteError",
     "replication_stream",
     # simmodel
@@ -101,7 +93,6 @@ __all__ = [
     "larger_is_better",
     "sample_replication",
     "resolve_prevalence",
-    "cumulative_correlation",
     # selection
     "SelectionRule",
     "SelectionOutcome",
@@ -119,7 +110,6 @@ __all__ = [
     "stage_pvalue",
     "clamp_pvalue",
     "spending_boundaries",
-    "chi_square_4_quantile",
     "fisher_critical_value",
     "INTERSECTION_METHODS",
     "P_CLAMP",

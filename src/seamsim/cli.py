@@ -79,10 +79,11 @@ _SUBPOP_SELECT = {
     "threshold": "threshold-pair",
     "futility": "futility-pair",
 }
+# config spelling (matched case-insensitively) -> intersection test
 _SUBPOP_METHODS = {
-    "ct-sd": "spiessens-debois",
-    "ct-simes": "simes",
-    "ct-bonferroni": "bonferroni",
+    "CT-SD": "spiessens-debois",
+    "CT-Simes": "simes",
+    "CT-Bonferroni": "bonferroni",
 }
 _TREAT_METHODS = {"invnorm": "inverse-normal", "fisher": "fisher"}
 
@@ -291,9 +292,10 @@ def parse_config(document, design: str) -> Scenario:
         method = str(doc.get("method", "CT-SD"))
         if method.lower() == "cef":
             raise ConfigError("key 'method': the conditional error function method is not supported")
-        if method.lower() not in _SUBPOP_METHODS:
+        matches = [test for name, test in _SUBPOP_METHODS.items() if name.lower() == method.lower()]
+        if not matches:
             raise ConfigError("key 'method': expected 'CT-SD', 'CT-Simes' or 'CT-Bonferroni'")
-        intersection = _SUBPOP_METHODS[method.lower()]
+        intersection = matches[0]
         combination = "inverse-normal"
         if "sprev" not in doc:
             raise ConfigError("missing required key 'sprev'")
@@ -397,11 +399,7 @@ def scenario_to_config(scenario: Scenario) -> dict:
     else:
         doc["select"] = "thresh" if rule.kind == "threshold-pair" else "futility"
         doc["selim"] = list(rule.limits)
-        doc["method"] = {
-            "spiessens-debois": "CT-SD",
-            "simes": "CT-Simes",
-            "bonferroni": "CT-Bonferroni",
-        }[scenario.test.intersection]
+        doc["method"] = {v: k for k, v in _SUBPOP_METHODS.items()}[scenario.test.intersection]
         doc["sprev"] = scenario.prevalence
         doc["sprev_fixed"] = scenario.prevalence_fixed
     return doc

@@ -20,8 +20,9 @@ from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
+from scipy.special import chdtri, ndtr, ndtri
 
+from .simmodel import MAX_COMPARISONS
 from .statdist import bvn_cdf, equicorr_max_cdf
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "intersection_pvalue",
     "combine",
     "spending_boundaries",
-    "chi_square_4_quantile",
     "fisher_critical_value",
     "closed_test",
     "INTERSECTION_METHODS",
@@ -41,8 +41,6 @@ __all__ = [
 
 P_CLAMP = 1e-15
 INTERSECTION_METHODS = ("dunnett", "simes", "bonferroni", "spiessens-debois")
-
-MAX_FAMILY = 8
 
 
 @dataclass(frozen=True)
@@ -52,8 +50,8 @@ class HypothesisFamily:
     k: int
 
     def __post_init__(self):
-        if not 1 <= self.k <= MAX_FAMILY:
-            raise ValueError(f"family size must be between 1 and {MAX_FAMILY}")
+        if not 1 <= self.k <= MAX_COMPARISONS:
+            raise ValueError(f"family size must be between 1 and {MAX_COMPARISONS}")
 
     @property
     def intersections(self) -> tuple:
@@ -186,29 +184,16 @@ def intersection_pvalue(
     return float(np.min(m * p / ranks))
 
 
-def chi_square_4_quantile(q: float) -> float:
-    """Quantile of the chi-square distribution with four degrees of freedom.
-
-    Uses the closed-form CDF 1 - exp(-x/2) (1 + x/2) and bisection to
-    absolute error 1e-10.
-    """
-    if not 0.0 < q < 1.0:
-        raise ValueError("quantile level must lie in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while 1.0 - math.exp(-hi / 2.0) * (1.0 + hi / 2.0) < q:
-        hi *= 2.0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if 1.0 - math.exp(-mid / 2.0) * (1.0 + mid / 2.0) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def fisher_critical_value(alpha: float) -> float:
-    """Critical value for the product p1*p2 of two independent p-values."""
-    return math.exp(-chi_square_4_quantile(1.0 - alpha) / 2.0)
+    """Critical value for the product p1*p2 of two independent p-values.
+
+    Under the null -2 ln(p1 p2) is chi-square with four degrees of freedom,
+    so the level-alpha critical value is exp(-q/2) with q the upper-alpha
+    quantile of that distribution.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    return math.exp(-chdtri(4, alpha) / 2.0)
 
 
 def combine(p1: float, p2: float, config: CombinationConfig) -> CombineResult:
@@ -250,7 +235,8 @@ def spending_boundaries(config: CombinationConfig) -> tuple:
     under the null joint law where the standardized stage statistics are
     bivariate normal with correlation w1. With no stage-1 spending this
     reduces exactly to u2 = Phi^-1(1 - alpha); spending everything at stage 1
-    leaves u2 = +inf. The root is located by bisection to error below 1e-6.
+    leaves u2 = +inf. The root is located by Brent's method with an absolute
+    tolerance of 1e-10 on u2.
     """
     if config.method != "inverse-normal":
         raise ValueError("spending boundaries are defined for the inverse-normal test")

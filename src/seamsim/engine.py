@@ -18,6 +18,7 @@ p-values are computed exactly.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -26,6 +27,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .closedtest import (
+    INTERSECTION_METHODS,
     P_CLAMP,
     CombinationConfig,
     HypothesisFamily,
@@ -41,8 +43,8 @@ from .simmodel import (
     effect_to_expectation,
     larger_is_better,
 )
-from .selection import FULL_INDEX, SUBGROUP_INDEX, SelectionRule
-from .statdist import bvn_cdf, equicorr_max_cdf, replication_stream
+from .selection import SelectionRule
+from .statdist import _MASK64, bvn_cdf, equicorr_max_cdf, replication_stream
 
 __all__ = [
     "TestSpec",
@@ -60,7 +62,6 @@ __all__ = [
 
 CHUNK_SIZE = 4096
 MAX_REPLICATIONS = 10_000_000
-_MASK64 = (1 << 64) - 1
 
 _YMIN = float(ndtri(P_CLAMP))
 _YMAX = float(ndtri(1.0 - P_CLAMP))
@@ -84,7 +85,7 @@ class TestSpec:
     config: CombinationConfig
 
     def __post_init__(self):
-        if self.intersection not in ("dunnett", "simes", "bonferroni", "spiessens-debois"):
+        if self.intersection not in INTERSECTION_METHODS:
             raise ValueError(f"unknown intersection test {self.intersection!r}")
 
 
@@ -209,20 +210,14 @@ class _Prepared:
     u1: float
     u2: float
     fisher_crit: float
-    dunnett_y: dict = field(default_factory=dict)   # m -> grid of Phi^-1(1-p)
-    sd_y: np.ndarray | None = None
+    grids: dict = field(default_factory=dict)  # member count m -> Phi^-1(1-p) on _GRID
     sub_only_mean: float = 0.0       # subgroup: stage-2 mean if only subgroup continues
     varying: bool = False
 
 
-def _quantile_grid_dunnett(m: int, r: float) -> np.ndarray:
-    p_keep = np.clip(equicorr_max_cdf(m, r, _GRID), P_CLAMP, 1.0 - P_CLAMP)
-    return ndtri(p_keep)
-
-
-def _quantile_grid_sd(root_tau: float) -> np.ndarray:
-    p_keep = np.clip(bvn_cdf(_GRID, _GRID, root_tau), P_CLAMP, 1.0 - P_CLAMP)
-    return ndtri(p_keep)
+def _keep_quantile(p_keep):
+    """Phi^-1(1 - p) from the probability 1 - p of keeping an intersection."""
+    return ndtri(np.clip(p_keep, P_CLAMP, 1.0 - P_CLAMP))
 
 
 @lru_cache(maxsize=8192)
@@ -259,11 +254,12 @@ def _prepare(scenario: Scenario) -> _Prepared:
         cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
         pre.sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
         if scenario.test.intersection == "spiessens-debois" and not pre.varying:
-            pre.sd_y = _quantile_grid_sd(math.sqrt(scenario.prevalence))
+            root_tau = math.sqrt(scenario.prevalence)
+            pre.grids[2] = _keep_quantile(bvn_cdf(_GRID, _GRID, root_tau))
     if scenario.test.intersection == "dunnett":
         r = plan.arm_correlation
         for m in range(2, k + 1):
-            pre.dunnett_y[m] = _quantile_grid_dunnett(m, r)
+            pre.grids[m] = _keep_quantile(equicorr_max_cdf(m, r, _GRID))
     return pre
 
 
@@ -395,17 +391,11 @@ def _stage_quantiles(pre: _Prepared, z, members, contrib, taus):
                 y[rows] = _YMIN  # no stage data: p = 1 by convention
             elif m == 1:
                 y[rows] = np.clip(cmax[rows], _YMIN, _YMAX)
-            elif method == "dunnett":
-                y[rows] = np.interp(cmax[rows], _GRID, pre.dunnett_y[m])
-            elif pre.sd_y is not None:
-                y[rows] = np.interp(cmax[rows], _GRID, pre.sd_y)
+            elif m in pre.grids:
+                y[rows] = np.interp(cmax[rows], _GRID, pre.grids[m])
             else:
                 # varying prevalence: evaluate the bivariate CDF directly
-                c = cmax[rows]
-                p_keep = np.clip(
-                    _bvn_equal_coords(c, np.sqrt(taus[rows])), P_CLAMP, 1.0 - P_CLAMP
-                )
-                y[rows] = ndtri(p_keep)
+                y[rows] = _keep_quantile(_bvn_equal_coords(cmax[rows], np.sqrt(taus[rows])))
         return y
 
     p_elem = 1.0 - ndtr(zm)  # -inf entries give p = 1, ignored below
@@ -420,20 +410,13 @@ def _stage_quantiles(pre: _Prepared, z, members, contrib, taus):
     return ndtri(1.0 - np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
-
-
 def _bvn_equal_coords(c, rho):
-    """P(Z1 <= c, Z2 <= c) under per-element correlations rho >= 0."""
-    lo, clip = -9.75, 9.5
-    hi = np.clip(c, -clip, clip)
-    half = 0.5 * (hi - lo)
-    nodes, weights = _GL_NODES, _GL_WEIGHTS
-    u = (0.5 * (hi + lo))[:, None] + half[:, None] * nodes
-    s = np.sqrt(1.0 - rho * rho)[:, None]
-    dens = np.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-    vals = dens * ndtr((c[:, None] - rho[:, None] * u) / s)
-    return np.clip(half * (vals @ weights), 0.0, 1.0)
+    """P(Z1 <= c, Z2 <= c) under per-element correlations rho.
+
+    A name of its own so that per-row evaluations (perfbench's
+    ``engine.closedtest.bvn_rows``) are traced apart from the grid builds.
+    """
+    return bvn_cdf(c, c, rho)
 
 
 def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
@@ -525,32 +508,16 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     return tally
 
 
-def _merge_tallies(design: str, tallies: list) -> dict:
-    total = tallies[0]
-    for t in tallies[1:]:
-        total = _merge_two(design, total, t)
+def _merge_tallies(tallies: list) -> dict:
+    """Key-wise sum of chunk tallies; nested dicts (subgroup branches) sum per key."""
+    total = {}
+    for key, value in tallies[0].items():
+        parts = [t[key] for t in tallies]
+        if isinstance(value, dict):
+            total[key] = {name: sum(p[name] for p in parts) for name in value}
+        else:
+            total[key] = sum(parts)
     return total
-
-
-def _merge_two(design: str, a: dict, b: dict) -> dict:
-    out = {
-        "n": a["n"] + b["n"],
-        "futility": a["futility"] + b["futility"],
-        "redraws": a["redraws"] + b["redraws"],
-        "clamps": a["clamps"] + b["clamps"],
-    }
-    if design == TREATMENT:
-        for key in ("size_hist", "arm_counts", "hyp_counts"):
-            out[key] = a[key] + b[key]
-        out["any"] = a["any"] + b["any"]
-        if "ptest" in a:
-            out["ptest"] = a["ptest"] + b["ptest"]
-    else:
-        out["branches"] = {
-            name: a["branches"][name] + b["branches"][name] for name in a["branches"]
-        }
-        out["union"] = a["union"] + b["union"]
-    return out
 
 
 def _chunk_task(args):
@@ -558,12 +525,24 @@ def _chunk_task(args):
     return _simulate_chunk(pre, start, stop)
 
 
+def _pool_size(threads: int, cpus: int, chunks: int) -> int:
+    """Worker processes worth starting: no more than requested, CPUs usable or chunks."""
+    return max(1, min(threads, cpus, chunks))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristics:
     """Simulate a scenario and aggregate its operating characteristics.
 
     Args:
         scenario: the design, effects, rule and testing configuration.
-        threads: worker processes; the result is identical for any value.
+        threads: worker processes, capped at the CPUs usable by this process
+            and at the number of chunks; the result is identical for any value.
 
     Returns:
         OperatingCharacteristics with integer tallies and the expected total
@@ -574,12 +553,13 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
         (start, min(start + CHUNK_SIZE, scenario.replications))
         for start in range(0, scenario.replications, CHUNK_SIZE)
     ]
-    if threads <= 1 or len(bounds) == 1:
+    workers = _pool_size(threads, _usable_cpus(), len(bounds))
+    if workers == 1:
         tallies = [_simulate_chunk(pre, a, b) for a, b in bounds]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(_chunk_task, [(pre, a, b) for a, b in bounds]))
-    total = _merge_tallies(scenario.design, tallies)
+    total = _merge_tallies(tallies)
 
     common = dict(
         design=scenario.design,

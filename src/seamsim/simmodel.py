@@ -24,7 +24,7 @@ are negative for beneficial effects); the engine re-orients internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +43,6 @@ __all__ = [
     "build_score_model",
     "sample_replication",
     "resolve_prevalence",
-    "cumulative_correlation",
     "larger_is_better",
 ]
 
@@ -293,17 +292,16 @@ class ScoreModel:
 
     The vector is laid out endpoint-major: the early-outcome stage-1 block,
     the final-outcome stage-1 block, then the final-outcome block for the
-    cohort recruited in stage 2 (independent of the first two). Subgroup
-    models carry the "both populations continue" stage-2 means; the engine
-    re-centres the subgroup entry when only the subgroup continues.
+    cohort recruited in stage 2 (independent of the first two). Each block
+    holds the K comparisons in arm order, or (subgroup, full population) for
+    subgroup designs. Subgroup models carry the "both populations continue"
+    stage-2 means; the engine re-centres the subgroup entry when only the
+    subgroup continues.
 
     Attributes:
         design: "treatment" or "subgroup".
         mean: expected statistics, natural sign conventions.
         covariance: correlation-scale covariance matrix.
-        index_map: (endpoint, stage, comparison-index) -> vector position,
-            with comparisons numbered from 1 (subgroup designs: 1=subgroup,
-            2=full population).
         cholesky: cached lower-triangular factor of the covariance.
         prevalence: subgroup prevalence the model was built with, if any.
     """
@@ -311,7 +309,6 @@ class ScoreModel:
     design: str
     mean: np.ndarray
     covariance: np.ndarray
-    index_map: dict
     cholesky: np.ndarray
     prevalence: float | None = None
 
@@ -322,12 +319,6 @@ class ScoreModel:
     @property
     def comparisons(self) -> int:
         return self.dimension // 3
-
-    def block(self, endpoint: str, stage: int) -> slice:
-        """Slice of the statistic vector holding one (endpoint, stage) block."""
-        k = self.comparisons
-        start = self.index_map[(endpoint, stage, 1)]
-        return slice(start, start + k)
 
 
 def build_score_model(
@@ -383,15 +374,10 @@ def build_score_model(
             [zero, zero, unit],
         ]
     )
-    index_map = {}
-    for b, (endpoint, stage) in enumerate((("early", 1), ("final", 1), ("final", 2))):
-        for i in range(k):
-            index_map[(endpoint, stage, i + 1)] = b * k + i
     return ScoreModel(
         design=spec.design,
         mean=mean,
         covariance=cov,
-        index_map=index_map,
         cholesky=cholesky_psd(cov),
         prevalence=prevalence,
     )
@@ -403,21 +389,6 @@ class StageStatistics:
 
     values: np.ndarray
     model: ScoreModel
-
-    def get(self, endpoint: str, stage: int, comparison: int) -> float:
-        return float(self.values[self.model.index_map[(endpoint, stage, comparison)]])
-
-    @property
-    def early(self) -> np.ndarray:
-        return self.values[self.model.block("early", 1)]
-
-    @property
-    def final_stage1(self) -> np.ndarray:
-        return self.values[self.model.block("final", 1)]
-
-    @property
-    def final_stage2(self) -> np.ndarray:
-        return self.values[self.model.block("final", 2)]
 
 
 def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
@@ -464,50 +435,3 @@ def resolve_prevalence(
         if 0 < count < total_stage1:
             return count / total_stage1, redraws
         redraws += 1
-
-
-def cumulative_correlation(
-    info_early: np.ndarray,
-    info_final: np.ndarray,
-    rho: float,
-    unit: np.ndarray,
-) -> np.ndarray:
-    """Correlation matrix of cumulative statistics across looks and endpoints.
-
-    On the score scale the looks of one endpoint have covariance
-    min(I_j, I_j') and the cross-endpoint block is rho * min(I12_j, I12_j')
-    with I12 = sqrt(I_early * I_final) elementwise. Standardizing gives,
-    within an endpoint, corr = sqrt(I_j / I_j') for j <= j'; across
-    endpoints at a common look, rho; and across endpoints and looks,
-    rho * min(I12) / sqrt(I_early_j * I_final_j'). The result is the
-    Kronecker product of this 2J-pattern with the between-comparison matrix.
-
-    Args:
-        info_early / info_final: strictly increasing positive information.
-        rho: early/final outcome correlation.
-        unit: between-comparison correlation matrix.
-
-    Returns:
-        Correlation matrix of dimension 2 * J * unit.shape[0], ordered
-        endpoint-major then look then comparison.
-    """
-    i1 = np.asarray(info_early, dtype=float)
-    i2 = np.asarray(info_final, dtype=float)
-    if i1.shape != i2.shape or i1.ndim != 1:
-        raise ValueError("information sequences must be 1-d with equal length")
-    if np.any(i1 <= 0) or np.any(i2 <= 0) or np.any(np.diff(i1) <= 0) or np.any(np.diff(i2) <= 0):
-        raise ValueError("information sequences must be positive and strictly increasing")
-    i12 = np.sqrt(i1 * i2)
-
-    def gs(info):
-        return np.minimum.outer(info, info)
-
-    cov = np.block(
-        [
-            [gs(i1), rho * gs(i12)],
-            [rho * gs(i12), gs(i2)],
-        ]
-    )
-    d = np.sqrt(np.diag(cov))
-    corr = cov / np.outer(d, d)
-    return np.kron(corr, np.asarray(unit, dtype=float))

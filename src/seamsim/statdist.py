@@ -9,19 +9,14 @@ replication its own reproducible generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtr
 
 __all__ = [
-    "norm_cdf",
-    "norm_quantile",
     "bvn_cdf",
     "equicorr_max_cdf",
     "cholesky_psd",
     "NotPositiveSemidefiniteError",
-    "CorrelationSpec",
     "equicorrelated_matrix",
     "replication_stream",
 ]
@@ -46,27 +41,6 @@ _BVN_LO = -9.75
 _BVN_CLIP = 9.5
 
 
-def norm_cdf(x):
-    """Standard normal CDF, vectorised, absolute error below 1e-12."""
-    return ndtr(x)
-
-
-def norm_quantile(p):
-    """Standard normal quantile function.
-
-    Args:
-        p: probability in the open interval (0, 1); scalars or arrays.
-
-    Raises:
-        ValueError: if any value lies outside (0, 1).
-    """
-    arr = np.asarray(p, dtype=float)
-    if np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError("norm_quantile requires probabilities strictly inside (0, 1)")
-    out = ndtri(arr)
-    return float(out) if np.ndim(p) == 0 else out
-
-
 def _phi(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
 
@@ -81,32 +55,37 @@ def bvn_cdf(z1, z2, rho):
 
     Args:
         z1, z2: upper limits; broadcastable scalars or arrays.
-        rho: scalar correlation in [-1, 1].
+        rho: correlation broadcastable with (z1, z2). A scalar may take any
+            value in [-1, 1]; array entries must lie in (-1, 1).
 
     Returns:
-        Probability with the broadcast shape of (z1, z2); python float for
-        scalar input.
+        Probability with the broadcast shape of (z1, z2, rho); python float
+        for scalar input.
     """
-    if not -1.0 <= rho <= 1.0:
+    fixed = np.ndim(rho) == 0
+    if fixed and not -1.0 <= rho <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
-    scalar = np.ndim(z1) == 0 and np.ndim(z2) == 0
+    if not fixed and not np.all(np.abs(rho) < 1.0):
+        raise ValueError("per-element correlations must lie in (-1, 1)")
+    scalar = fixed and np.ndim(z1) == 0 and np.ndim(z2) == 0
     a = np.asarray(z1, dtype=float)
     b = np.asarray(z2, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
+    a, b, r = np.broadcast_arrays(a, b, np.asarray(rho, dtype=float))
 
-    if rho == 1.0:
+    if fixed and rho == 1.0:
         out = ndtr(np.minimum(a, b))
-    elif rho == -1.0:
+    elif fixed and rho == -1.0:
         out = np.maximum(ndtr(a) + ndtr(b) - 1.0, 0.0)
-    elif rho == 0.0:
+    elif fixed and rho == 0.0:
         out = ndtr(a) * ndtr(b)
     else:
         hi = np.clip(a, -_BVN_CLIP, _BVN_CLIP)
         half = 0.5 * (hi - _BVN_LO)
         mid = 0.5 * (hi + _BVN_LO)
         u = mid[..., None] + half[..., None] * _GL_NODES
-        s = np.sqrt(1.0 - rho * rho)
-        integrand = _phi(u) * ndtr((b[..., None] - rho * u) / s)
+        r = r[..., None]
+        s = np.sqrt(1.0 - r * r)
+        integrand = _phi(u) * ndtr((b[..., None] - r * u) / s)
         out = half * (integrand @ _GL_WEIGHTS)
         out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
@@ -200,44 +179,6 @@ def cholesky_psd(matrix, tol: float = 1e-10) -> np.ndarray:
         L[j, j] = np.sqrt(d)
         L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
     return L
-
-
-@dataclass(frozen=True)
-class CorrelationSpec:
-    """A correlation matrix given either by a common off-diagonal value or in full.
-
-    Attributes:
-        dim: matrix dimension.
-        common: common off-diagonal correlation (exchangeable structure).
-        matrix: explicit matrix as a nested tuple; overrides ``common``.
-    """
-
-    dim: int
-    common: float | None = None
-    matrix: tuple = field(default=None)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        if (self.common is None) == (self.matrix is None):
-            raise ValueError("give exactly one of common or matrix")
-        if self.common is not None and not -1.0 <= self.common <= 1.0:
-            raise ValueError("common correlation must lie in [-1, 1]")
-        if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError("matrix shape does not match dimension")
-            if not np.allclose(m, m.T, atol=1e-12):
-                raise ValueError("correlation matrix must be symmetric")
-            if not np.allclose(np.diag(m), 1.0, atol=1e-12):
-                raise ValueError("correlation matrix must have unit diagonal")
-            cholesky_psd(m)  # raises if not PSD
-
-    def materialize(self) -> np.ndarray:
-        """Return the correlation matrix as an ndarray."""
-        if self.matrix is not None:
-            return np.asarray(self.matrix, dtype=float)
-        return equicorrelated_matrix(self.dim, self.common)
 
 
 def equicorrelated_matrix(dim: int, r: float) -> np.ndarray:

@@ -9,7 +9,6 @@ from scipy.special import ndtr, ndtri
 from seamsim import (
     CombinationConfig,
     HypothesisFamily,
-    chi_square_4_quantile,
     closed_test,
     combine,
     fisher_critical_value,
@@ -143,12 +142,15 @@ def test_config_validation():
 
 
 def test_chi_square_quantile_against_frozen_value():
-    x = chi_square_4_quantile(0.975)
-    assert x == pytest.approx(CHI4_975, abs=1e-8)
-    # the closed-form CDF evaluated at the quantile returns the level
-    assert 1.0 - math.exp(-x / 2.0) * (1.0 + x / 2.0) == pytest.approx(0.975, abs=1e-10)
-    with pytest.raises(ValueError):
-        chi_square_4_quantile(1.0)
+    # -2 ln c is the upper-alpha quantile of the chi-square distribution with 4 df
+    assert -2.0 * math.log(fisher_critical_value(0.025)) == pytest.approx(CHI4_975, abs=1e-8)
+    # for independent uniform p-values P(p1 p2 <= c) = c (1 - ln c)
+    for alpha in (1e-6, 0.001, 0.01, 0.025, 0.05, 0.1, 0.5, 0.9):
+        c = fisher_critical_value(alpha)
+        assert abs(c * (1.0 - math.log(c)) - alpha) <= 1e-14 * alpha
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError):
+            fisher_critical_value(alpha)
 
 
 def test_fisher_critical_value():

@@ -1,6 +1,7 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from seamsim import (
     stage_pvalue,
     sweep,
 )
+from seamsim.cli import parse_config
+from seamsim.engine import _pool_size
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def treatment_scenario(rule, method="bonferroni", reps=400, seed=777, **kw):
@@ -193,6 +198,29 @@ def test_varying_prevalence_runs_deterministically():
     assert first.prevalence_redraws > 0
     fixed = run_scenario(replace(scn, prevalence_fixed=True))
     assert fixed.prevalence_redraws == 0
+
+
+def test_varying_prevalence_subgroup_full_test_tallies_are_frozen():
+    # CT-SD with a redrawn prevalence evaluates the bivariate CDF per row;
+    # two full chunks plus a short one, tallies recorded from the engine
+    doc = (CONFIG_DIR / "oncology.yaml").read_text() + "sprev_fixed: false\n"
+    scn = replace(parse_config(doc, "subgroup"), replications=2 * 4096 + 5)
+    oc = run_scenario(scn)
+    assert (oc.futility_count, oc.prevalence_redraws, oc.clamped_pvalues) == (412, 0, 0)
+    assert oc.union_rejected_count == 6223
+    assert oc.subgroup_counts == {
+        "sub": SubgroupCounts(n=1909, hs=1830, hf=0, both=0, intersection=1831),
+        "full": SubgroupCounts(n=182, hs=0, hf=39, both=0, intersection=46),
+        "both": SubgroupCounts(n=5694, hs=4327, hf=1376, both=1349, intersection=4379),
+    }
+
+
+def test_pool_size_never_exceeds_cpus_or_chunks():
+    assert _pool_size(5000, 2, 50) == 2
+    assert _pool_size(16, 64, 3) == 3
+    assert _pool_size(4, 8, 10) == 4
+    assert _pool_size(1, 8, 10) == 1
+    assert _pool_size(0, 8, 10) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,12 @@ from seamsim.simmodel import (
     EffectSpec,
     SampleSizePlan,
     build_score_model,
-    cumulative_correlation,
     effect_to_expectation,
     larger_is_better,
     resolve_prevalence,
     sample_replication,
 )
-from seamsim.statdist import cholesky_psd, replication_stream
+from seamsim.statdist import replication_stream
 
 COPD_EARLY = (0.0, 0.68, 0.82, 0.95, 0.91)
 COPD_FINAL = (0.0, 0.13, 0.17, 0.23, 0.20)
@@ -172,7 +171,7 @@ def test_treatment_model_covariance_structure():
     k = model.comparisons
     assert model.dimension == 3 * k
     np.testing.assert_allclose(np.diag(cov), 1.0, atol=1e-14)
-    e, f1, f2 = model.block("early", 1), model.block("final", 1), model.block("final", 2)
+    e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     # shared control induces 1/(1+lambda) between arms within a block
     assert cov[e, e][0, 1] == pytest.approx(0.5)
     assert cov[f2, f2][2, 3] == pytest.approx(0.5)
@@ -189,21 +188,14 @@ def test_subgroup_model_covariance_structure():
     model = build_score_model(oncology_spec(), plan, prevalence=0.3)
     cov = model.covariance
     root_tau = math.sqrt(0.3)
-    e, f1, f2 = model.block("early", 1), model.block("final", 1), model.block("final", 2)
+    k = model.comparisons
+    e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     # nested populations correlate at sqrt(tau)
     assert cov[e, e][0, 1] == pytest.approx(root_tau)
     assert cov[f2, f2][0, 1] == pytest.approx(root_tau)
     assert cov[e, f1][0, 0] == pytest.approx(0.5)
     assert cov[e, f1][0, 1] == pytest.approx(0.5 * root_tau)
     np.testing.assert_allclose(cov[f1, f2], 0.0, atol=1e-14)
-
-
-def test_index_map_matches_blocks():
-    model = build_score_model(copd_spec(), SampleSizePlan(100, 300))
-    stats = sample_replication(model, replication_stream(3, 0))
-    for comparison in range(1, model.comparisons + 1):
-        assert stats.get("early", 1, comparison) == stats.early[comparison - 1]
-        assert stats.get("final", 2, comparison) == stats.final_stage2[comparison - 1]
 
 
 def test_perfect_correlation_ties_endpoints():
@@ -215,7 +207,7 @@ def test_perfect_correlation_ties_endpoints():
     model = build_score_model(spec, SampleSizePlan(50, 100))
     for index in range(20):
         stats = sample_replication(model, replication_stream(11, index))
-        np.testing.assert_allclose(stats.early, stats.final_stage1, atol=1e-10)
+        np.testing.assert_allclose(stats.values[:2], stats.values[2:4], atol=1e-10)
 
 
 def test_sampling_moments_match_model():
@@ -233,7 +225,7 @@ def test_subgroup_stage2_mean_uses_both_branch():
     plan = SampleSizePlan(100, 300, enrich_per_arm=200)
     model = build_score_model(oncology_spec(), plan, prevalence=0.3)
     both = effect_to_expectation(oncology_spec(), plan, "final", "stage2-full", prevalence=0.3)
-    np.testing.assert_allclose(model.mean[model.block("final", 2)], both, rtol=1e-12)
+    np.testing.assert_allclose(model.mean[4:], both, rtol=1e-12)
 
 
 def test_resolve_prevalence_fixed_passthrough():
@@ -258,38 +250,3 @@ def test_resolve_prevalence_matches_binomial_mean():
     assert np.mean(taus) == pytest.approx(0.3, abs=0.005)
     with pytest.raises(ValueError):
         resolve_prevalence(1.2, True, stream, 200)
-
-
-def test_cumulative_correlation_stage_overlap():
-    unit = np.array([[1.0, 0.5], [0.5, 1.0]])
-    info1 = np.array([10.0, 30.0])
-    info2 = np.array([20.0, 50.0])
-    corr = cumulative_correlation(info1, info2, 0.4, unit)
-    k = unit.shape[0]
-    assert corr.shape == (2 * 2 * k, 2 * 2 * k)
-    np.testing.assert_allclose(np.diag(corr), 1.0, atol=1e-14)
-    # within endpoint: sqrt(I_j / I_j') for j < j'
-    assert corr[0, k] == pytest.approx(math.sqrt(10 / 30))
-    assert corr[2 * k, 3 * k] == pytest.approx(math.sqrt(20 / 50))
-    # across endpoints at the same look: rho
-    assert corr[0, 2 * k] == pytest.approx(0.4)
-    # across endpoints and looks: score covariance rho * min(I12) standardized
-    i12 = np.sqrt(info1 * info2)
-    assert corr[0, 3 * k] == pytest.approx(0.4 * i12[0] / math.sqrt(info1[0] * info2[1]))
-    assert corr[0, 3 * k] == pytest.approx(0.4 * math.sqrt(info2[0] / info2[1]))
-    assert corr[k, 2 * k] == pytest.approx(0.4 * i12[0] / math.sqrt(info1[1] * info2[0]))
-    assert corr[k, 2 * k] == pytest.approx(0.4 * math.sqrt(info1[0] / info1[1]))
-    # comparison structure carried through the Kronecker product
-    assert corr[0, 1] == pytest.approx(0.5)
-    assert corr[0, k + 1] == pytest.approx(0.5 * math.sqrt(10 / 30))
-    cholesky_psd(corr)  # must be a valid correlation matrix
-
-
-def test_cumulative_correlation_validates_information():
-    unit = np.eye(2)
-    with pytest.raises(ValueError):
-        cumulative_correlation(np.array([10.0, 5.0]), np.array([10.0, 20.0]), 0.3, unit)
-    with pytest.raises(ValueError):
-        cumulative_correlation(np.array([-1.0, 5.0]), np.array([1.0, 2.0]), 0.3, unit)
-    with pytest.raises(ValueError):
-        cumulative_correlation(np.array([1.0, 5.0]), np.array([1.0]), 0.3, unit)

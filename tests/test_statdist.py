@@ -1,42 +1,24 @@
 """Checks for the shared normal-theory numerics.
 
-Reference values were computed independently of the implementation: normal
-CDF points with 50-digit mpmath error-function series, the bivariate and
-equicorrelated-maximum probabilities with 10^7-sample Monte Carlo draws
-(frozen together with their standard errors), and quantiles by bisecting the
-high-precision CDF.
+Reference values were computed independently of the implementation: the
+bivariate and equicorrelated-maximum probabilities with 10^7-sample Monte
+Carlo draws, frozen together with their standard errors.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from seamsim.statdist import (
-    CorrelationSpec,
     NotPositiveSemidefiniteError,
     bvn_cdf,
     cholesky_psd,
     equicorr_max_cdf,
     equicorrelated_matrix,
-    norm_cdf,
-    norm_quantile,
     replication_stream,
 )
-
-# (x, Phi(x)) from mpmath.erf at 50 decimal digits
-PHI_TABLE = [
-    (-8.0, 6.220960574271784e-16),
-    (-3.0, 0.0013498980316300946),
-    (-1.0, 0.15865525393145705),
-    (-0.5, 0.3085375387259869),
-    (0.0, 0.5),
-    (0.5, 0.6914624612740131),
-    (1.0, 0.8413447460685429),
-    (1.959964, 0.9750000009035577),
-    (3.0, 0.9986501019683699),
-    (8.0, 0.9999999999999993),
-]
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
 BVN_MC = (0.7453841, 1.38e-4)        # P(Z1 <= 1, Z2 <= 1), rho = 0.5
@@ -51,43 +33,6 @@ def _simpson(f, lo, hi, n=4000):
     return h / 3 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
 
 
-def test_norm_cdf_matches_series_reference():
-    for x, expected in PHI_TABLE:
-        assert abs(norm_cdf(x) - expected) < 1e-15 + 1e-12 * expected
-
-
-def test_norm_cdf_vectorizes():
-    xs = np.array([x for x, _ in PHI_TABLE])
-    expected = np.array([p for _, p in PHI_TABLE])
-    np.testing.assert_allclose(norm_cdf(xs), expected, rtol=1e-12, atol=1e-15)
-
-
-def test_norm_quantile_matches_bisection():
-    # invert the CDF by bisection as an implementation-independent oracle
-    for p in (0.025, 0.31, 0.5, 0.83, 0.975, 0.999):
-        lo, hi = -10.0, 10.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if norm_cdf(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        assert norm_quantile(p) == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-    assert norm_quantile(0.975) == pytest.approx(1.9599639845400543, abs=1e-12)
-
-
-def test_norm_quantile_round_trips():
-    rng = np.random.default_rng(7)
-    for p in rng.uniform(1e-6, 1 - 1e-6, size=50):
-        assert norm_cdf(norm_quantile(p)) == pytest.approx(p, abs=1e-12)
-
-
-def test_norm_quantile_rejects_boundary():
-    for p in (0.0, 1.0, -0.2, 1.4):
-        with pytest.raises(ValueError):
-            norm_quantile(p)
-
-
 def test_bvn_cdf_frozen_monte_carlo():
     value, se = BVN_MC
     assert abs(bvn_cdf(1.0, 1.0, 0.5) - value) < 3 * se
@@ -100,25 +45,43 @@ def test_bvn_cdf_against_simpson():
         s = math.sqrt(1 - rho * rho)
 
         def integrand(u):
-            return np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) * norm_cdf((b - rho * u) / s)
+            return np.exp(-0.5 * u * u) / math.sqrt(2 * math.pi) * ndtr((b - rho * u) / s)
 
         expected = _simpson(integrand, -9.0, a)
         assert bvn_cdf(a, b, rho) == pytest.approx(expected, abs=1e-9)
 
 
+def test_bvn_cdf_per_element_correlations_match_scalar_calls():
+    rng = np.random.default_rng(5)
+    # include the +-9.5 clip of the integration limit and the far tails
+    c = np.concatenate([rng.normal(scale=3.0, size=200), [-12.0, -9.5, 9.5, 12.0]])
+    rho = rng.uniform(0.05, 0.95, size=c.size)
+    got = bvn_cdf(c, c, rho)
+    # the same quadrature as a scalar-rho call over the same batch, bit for bit
+    np.testing.assert_array_equal(got, [bvn_cdf(c, c, r)[i] for i, r in enumerate(rho)])
+    # one-point calls sum the rule in another order (dot instead of matrix-vector)
+    want = np.array([bvn_cdf(ci, ci, ri) for ci, ri in zip(c, rho)])
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+    # rho broadcasts against scalar limits too
+    assert bvn_cdf(0.3, -0.2, rho[:3]).shape == (3,)
+    for bad in ([0.5, 1.0], [-1.0, 0.2], [0.3, np.nan]):
+        with pytest.raises(ValueError):
+            bvn_cdf(np.zeros(2), np.zeros(2), np.array(bad))
+
+
 def test_bvn_cdf_degenerate_correlations():
-    assert bvn_cdf(0.7, 1.3, 0.0) == pytest.approx(norm_cdf(0.7) * norm_cdf(1.3), abs=1e-14)
-    assert bvn_cdf(0.7, 1.3, 1.0) == pytest.approx(norm_cdf(0.7), abs=1e-14)
+    assert bvn_cdf(0.7, 1.3, 0.0) == pytest.approx(ndtr(0.7) * ndtr(1.3), abs=1e-14)
+    assert bvn_cdf(0.7, 1.3, 1.0) == pytest.approx(ndtr(0.7), abs=1e-14)
     assert bvn_cdf(0.7, 1.3, -1.0) == pytest.approx(
-        max(0.0, norm_cdf(0.7) + norm_cdf(1.3) - 1.0), abs=1e-14
+        max(0.0, ndtr(0.7) + ndtr(1.3) - 1.0), abs=1e-14
     )
     assert bvn_cdf(-2.0, 0.5, -1.0) == 0.0
 
 
 def test_bvn_cdf_marginalizes_far_tail():
     # a practically certain coordinate reduces the CDF to the other margin
-    assert bvn_cdf(1.0, 40.0, 0.3) == pytest.approx(norm_cdf(1.0), abs=1e-12)
-    assert bvn_cdf(40.0, 1.0, 0.3) == pytest.approx(norm_cdf(1.0), abs=1e-12)
+    assert bvn_cdf(1.0, 40.0, 0.3) == pytest.approx(ndtr(1.0), abs=1e-12)
+    assert bvn_cdf(40.0, 1.0, 0.3) == pytest.approx(ndtr(1.0), abs=1e-12)
 
 
 def test_bvn_cdf_symmetric_in_arguments():
@@ -155,7 +118,7 @@ def test_equicorr_max_cdf_against_simpson():
             return (
                 np.exp(-0.5 * u * u)
                 / math.sqrt(2 * math.pi)
-                * norm_cdf((z - math.sqrt(r) * u) / math.sqrt(1 - r)) ** m
+                * ndtr((z - math.sqrt(r) * u) / math.sqrt(1 - r)) ** m
             )
 
         expected = _simpson(integrand, -10.0, 10.0)
@@ -174,7 +137,7 @@ def test_equicorr_max_cdf_matches_bvn_for_pairs():
 def test_equicorr_max_cdf_zero_correlation_is_power():
     for m in (1, 2, 5):
         for z in (-1.0, 0.0, 1.7):
-            assert equicorr_max_cdf(m, 0.0, z) == pytest.approx(norm_cdf(z) ** m, abs=1e-14)
+            assert equicorr_max_cdf(m, 0.0, z) == pytest.approx(ndtr(z) ** m, abs=1e-14)
 
 
 def test_equicorr_max_cdf_bounds():
@@ -184,11 +147,11 @@ def test_equicorr_max_cdf_bounds():
         r = float(rng.uniform(0, 0.95))
         z = float(rng.normal() * 2)
         value = equicorr_max_cdf(m, r, z)
-        assert norm_cdf(z) ** m - 1e-12 <= value <= norm_cdf(z) + 1e-12
+        assert ndtr(z) ** m - 1e-12 <= value <= ndtr(z) + 1e-12
 
 
 def test_equicorr_max_cdf_single_margin():
-    assert equicorr_max_cdf(1, 0.6, 1.3) == pytest.approx(norm_cdf(1.3), abs=1e-12)
+    assert equicorr_max_cdf(1, 0.6, 1.3) == pytest.approx(ndtr(1.3), abs=1e-12)
 
 
 def test_equicorr_max_cdf_validates_arguments():
@@ -234,17 +197,6 @@ def test_equicorrelated_matrix_layout():
     assert np.all(np.diag(matrix) == 1.0)
     off = matrix[~np.eye(3, dtype=bool)]
     assert np.all(off == 0.4)
-
-
-def test_correlation_spec_exactly_one_source():
-    spec = CorrelationSpec(dim=3, common=0.5)
-    np.testing.assert_allclose(spec.materialize(), equicorrelated_matrix(3, 0.5))
-    explicit = CorrelationSpec(dim=2, matrix=np.array([[1.0, 0.3], [0.3, 1.0]]))
-    assert explicit.materialize()[0, 1] == 0.3
-    with pytest.raises(ValueError):
-        CorrelationSpec(dim=2)
-    with pytest.raises(ValueError):
-        CorrelationSpec(dim=2, common=0.2, matrix=np.eye(2))
 
 
 def test_replication_stream_is_keyed_deterministically():
