@@ -401,6 +401,27 @@ def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageS
     return StageStatistics(values=model.mean + model.cholesky @ eps, model=model)
 
 
+# A varying-prevalence replication keeps a binomial subgroup count only when
+# both populations are non-empty, which happens with probability
+# q = 1 - (1 - tau)^N - tau^N, so it discards (1 - q)/q draws on average.
+# Requiring q >= 0.1 caps that at nine expected redraws per replication (more
+# than 200 happen with probability below 0.9^200 ~ 7e-10), while the designs
+# it rejects almost never recruit both populations (tau = 1e-9 with N = 200
+# keeps about 2e-7 of draws: five million redraws per replication).
+_MIN_KEEP_PROBABILITY = 0.1
+
+
+def _check_redraw_rate(prevalence: float, total_stage1: int) -> None:
+    """Reject a varying prevalence whose redraw loop would rarely end."""
+    keep = -math.expm1(total_stage1 * math.log1p(-prevalence)) - prevalence**total_stage1
+    if keep < _MIN_KEEP_PROBABILITY:
+        raise ValueError(
+            f"a varying prevalence of {prevalence:g} over {total_stage1} stage-1 patients "
+            f"leaves both populations non-empty in only {keep:.3g} of draws "
+            f"(at least {_MIN_KEEP_PROBABILITY:g} needed)"
+        )
+
+
 def resolve_prevalence(
     prevalence: float,
     fixed: bool,
@@ -412,7 +433,8 @@ def resolve_prevalence(
     With ``fixed`` the configured value is used as-is. Otherwise the realised
     prevalence is a binomial draw over the total stage-1 recruitment; draws in
     which the subgroup or its complement would be empty describe a trial the
-    design cannot run, so they are discarded and redrawn.
+    design cannot run, so they are discarded and redrawn. A prevalence for
+    which fewer than one draw in ten is kept is rejected before drawing.
 
     Args:
         prevalence: configured prevalence in (0, 1).
@@ -429,6 +451,7 @@ def resolve_prevalence(
         return prevalence, 0
     if total_stage1 < 2:
         raise ValueError("total stage-1 recruitment must be at least 2")
+    _check_redraw_rate(prevalence, total_stage1)
     redraws = 0
     while True:
         count = int(stream.binomial(total_stage1, prevalence))

@@ -4,7 +4,8 @@ Everything in here is deterministic: fixed-node Gauss quadrature rules for
 the multivariate normal probabilities, a pivot-clamping Cholesky for the
 (possibly singular) correlation matrices the score model produces, and a
 counter-based random stream constructor that gives every simulated trial
-replication its own reproducible generator.
+replication its own reproducible generator (and a re-keying helper with which
+the engine walks one generator through a chunk's replications).
 """
 
 from __future__ import annotations
@@ -188,6 +189,13 @@ def equicorrelated_matrix(dim: int, r: float) -> np.ndarray:
     return m
 
 
+def _replication_key(master_seed: int, replication_index: int) -> list:
+    """Philox key of one replication's stream: ``(master_seed, replication_index)`` mod 2**64."""
+    if replication_index < 0:
+        raise ValueError("replication_index must be non-negative")
+    return [int(master_seed) & _MASK64, int(replication_index) & _MASK64]
+
+
 def replication_stream(master_seed: int, replication_index: int) -> np.random.Generator:
     """Independent random generator for one simulation replication.
 
@@ -203,10 +211,28 @@ def replication_stream(master_seed: int, replication_index: int) -> np.random.Ge
     Returns:
         numpy Generator backed by Philox.
     """
-    if replication_index < 0:
-        raise ValueError("replication_index must be non-negative")
-    key = np.array(
-        [int(master_seed) & _MASK64, int(replication_index) & _MASK64],
-        dtype=np.uint64,
-    )
+    key = np.array(_replication_key(master_seed, replication_index), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _rekey(stream: np.random.Generator, master_seed: int, replication_index: int) -> None:
+    """Reset a Philox-backed generator to the start of another replication's stream.
+
+    Afterwards ``stream`` draws exactly what
+    ``replication_stream(master_seed, replication_index)`` would: counter zero,
+    output buffer empty and no buffered 32-bit half-word, which is the state
+    ``Philox(key=...)`` starts in. (The generator's only other state, the
+    binomial sampler's setup constants, is a pure function of (n, p).) One
+    generator re-keyed per replication costs a fraction of constructing one.
+    """
+    stream.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {
+            "counter": [0, 0, 0, 0],
+            "key": _replication_key(master_seed, replication_index),
+        },
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

@@ -443,6 +443,23 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(
+    tmp_path, capsys, monkeypatch
+):
+    import seamsim.engine
+
+    def no_draws(*args):
+        raise AssertionError("the engine drew replications")
+
+    monkeypatch.setattr(seamsim.engine, "_draw_chunk", no_draws)
+    path = write_config(tmp_path, subpop_config(sprev=1e-9, sprev_fixed=False))
+    assert main(["subpop", "run", "--config", path]) == 2
+    assert "non-empty" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match="non-empty"):
+        parse_config(subpop_config(sprev=1e-9, sprev_fixed=False), "subgroup")
+    assert parse_config(subpop_config(sprev=1e-9), "subgroup").prevalence == 1e-9
+
+
 def test_main_exit_code_for_infeasible_scenarios(tmp_path, capsys):
     doc = treat_config(nsim=50, select=1)
     doc["effect"] = {"early": [0, 0.5, 0.6], "final": [0, 0.2, 0.3]}

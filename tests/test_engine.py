@@ -32,7 +32,17 @@ from seamsim import (
     sweep,
 )
 from seamsim.cli import parse_config
-from seamsim.engine import _pool_size
+from seamsim.engine import (
+    _GRID,
+    _draw_chunk,
+    _dunnett_grid,
+    _keep_quantile,
+    _pool_size,
+    _prepare,
+    _sd_grid,
+)
+from seamsim.simmodel import resolve_prevalence
+from seamsim.statdist import bvn_cdf, equicorr_max_cdf
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -99,6 +109,11 @@ def test_scenario_validation():
         treatment_scenario(SelectionRule("all"), prevalence=0.3)
     with pytest.raises(ValueError, match="ptest"):
         subgroup_scenario(SelectionRule("futility-pair", limits=(0, 0)), ptest=(1,))
+    # 200 stage-1 patients keep both populations in ~2e-7 of the draws
+    with pytest.raises(ValueError, match="non-empty"):
+        subgroup_scenario(
+            SelectionRule("futility-pair", limits=(0, 0)), prevalence=1e-9, prevalence_fixed=False
+        )
     with pytest.raises(ValueError, match="1..K"):
         treatment_scenario(SelectionRule("all"), ptest=(3, 4))
     with pytest.raises(ValueError, match="replications"):
@@ -221,6 +236,134 @@ def test_pool_size_never_exceeds_cpus_or_chunks():
     assert _pool_size(4, 8, 10) == 4
     assert _pool_size(1, 8, 10) == 1
     assert _pool_size(0, 8, 10) == 1
+
+
+# ---------------------------------------------------------------------------
+# quantile grids and the chunk's random stream
+
+
+GRID_MIDPOINTS = 0.5 * (_GRID[1:] + _GRID[:-1])
+
+
+@pytest.mark.parametrize(
+    "kind, m, corr",
+    [("dunnett", m, r) for m in range(2, 9) for r in (0.2, 0.5)]
+    + [("ct-sd", 2, tau) for tau in (0.3, 0.9)],
+)
+def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, corr):
+    # midpoints are where linear interpolation is worst
+    if kind == "dunnett":
+        grid, direct = _dunnett_grid(m, corr), equicorr_max_cdf(m, corr, GRID_MIDPOINTS)
+    else:
+        root_tau = np.sqrt(corr)
+        grid, direct = _sd_grid(root_tau), bvn_cdf(GRID_MIDPOINTS, GRID_MIDPOINTS, root_tau)
+    exact = _keep_quantile(direct)
+    inside = np.abs(exact) <= 6.0
+    assert inside.sum() > 1000
+    interpolated = np.interp(GRID_MIDPOINTS, _GRID, grid)
+    assert np.max(np.abs(interpolated - exact)[inside]) < 1e-6
+
+
+def test_cached_grids_are_read_only_fresh_builds():
+    _dunnett_grid.cache_clear()
+    _sd_grid.cache_clear()
+    dunnett, sd = _dunnett_grid(4, 0.5), _sd_grid(np.sqrt(0.3))
+    assert _dunnett_grid(4, 0.5) is dunnett and _sd_grid(np.sqrt(0.3)) is sd
+    for grid in (dunnett, sd):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0] = 0.0
+    assert dunnett.tobytes() == _keep_quantile(equicorr_max_cdf(4, 0.5, _GRID)).tobytes()
+    assert sd.tobytes() == _keep_quantile(bvn_cdf(_GRID, _GRID, np.sqrt(0.3))).tobytes()
+
+
+def _dunnett_k4(allocation_ratio):
+    effects = EffectSpec(
+        design="treatment",
+        early=(0.0, 0.2, 0.3, 0.4, 0.5),
+        final=(0.0, 0.10, 0.12, 0.15, 0.20),
+        correlation=0.4,
+    )
+    plan = SampleSizePlan(stage1_per_arm=60, stage2_per_arm=120, allocation_ratio=allocation_ratio)
+    return Scenario(
+        effects=effects,
+        plan=plan,
+        rule=SelectionRule("best-2"),
+        test=TestSpec("dunnett", CombinationConfig.from_sample_sizes(60, 120)),
+        replications=3000,
+        master_seed=31,
+    )
+
+
+def _ct_sd(prevalence):
+    return subgroup_scenario(
+        SelectionRule("futility-pair", limits=(0.0, 0.0)),
+        method="spiessens-debois",
+        reps=3000,
+        prevalence=prevalence,
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(_dunnett_k4(1.0), _dunnett_k4(3.0)), (_ct_sd(0.3), _ct_sd(0.6))],
+    ids=["dunnett-r", "ct-sd-tau"],
+)
+def test_warm_grid_cache_gives_the_cold_cache_result(first, second):
+    # the two scenarios differ in r (or tau), so a grid served under the
+    # wrong key would change the second run's tallies
+    def cold(scenario):
+        _dunnett_grid.cache_clear()
+        _sd_grid.cache_clear()
+        return run_scenario(scenario)
+
+    cold_first, cold_second = cold(first), cold(second)
+    assert cold(first) == cold_first
+    assert run_scenario(first) == cold_first  # warm: same key
+    assert run_scenario(second) == cold_second  # warm: the other key beside it
+    assert run_scenario(first) == cold_first
+
+
+def _replay_draws(scn, rep, k):
+    """One replication's draws through its own stream, in the engine's order."""
+    stream = replication_stream(scn.master_seed, rep)
+    tau = redraws = pick = None
+    if scn.design == "subgroup":
+        tau, redraws = resolve_prevalence(scn.prevalence, False, stream, 2 * scn.plan.stage1_per_arm)
+    eps = stream.standard_normal(3 * k)
+    if scn.rule.kind == "random-1":
+        pick = stream.integers(k)
+    return eps, tau, redraws, pick
+
+
+@pytest.mark.parametrize(
+    "scn",
+    [
+        treatment_scenario(SelectionRule("random-1"), reps=4301),
+        replace(
+            subgroup_scenario(
+                SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=4301, prevalence_fixed=False
+            ),
+            plan=SampleSizePlan(stage1_per_arm=5, stage2_per_arm=300, enrich_per_arm=200),
+        ),
+    ],
+    ids=["random-1", "varying-prevalence"],
+)
+def test_chunk_draws_replay_each_replication_stream(scn):
+    pre = _prepare(scn)
+    eps, taus, picks, redraws = _draw_chunk(pre, 4101, 4301)
+    total_redraws = 0
+    for row, rep in enumerate(range(4101, 4301)):
+        want_eps, tau, extra, pick = _replay_draws(scn, rep, pre.k)
+        assert eps[row].tobytes() == want_eps.tobytes()
+        if pick is not None:
+            assert picks[row] == pick
+        if tau is not None:
+            assert taus[row] == tau
+            total_redraws += extra
+    assert redraws == total_redraws
+    if scn.design == "subgroup":
+        assert redraws > 0
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,17 @@ def test_resolve_prevalence_redraws_degenerate():
     assert total_redraws > 0
 
 
+def test_resolve_prevalence_rejects_a_rarely_kept_prevalence_without_drawing():
+    stream = replication_stream(3, 0)
+    with pytest.raises(ValueError, match="non-empty"):
+        resolve_prevalence(1e-9, False, stream, 200)
+    with pytest.raises(ValueError, match="non-empty"):
+        resolve_prevalence(0.95, False, stream, 2)  # keeps 9.5 % of draws
+    assert resolve_prevalence(1e-9, True, stream, 200) == (1e-9, 0)
+    # nothing was drawn: the stream still starts where a fresh one does
+    assert stream.random() == replication_stream(3, 0).random()
+
+
 def test_resolve_prevalence_matches_binomial_mean():
     stream = replication_stream(2, 0)
     taus = [resolve_prevalence(0.3, False, stream, 200)[0] for _ in range(5000)]

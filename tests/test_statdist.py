@@ -13,6 +13,7 @@ from scipy.special import ndtr
 
 from seamsim.statdist import (
     NotPositiveSemidefiniteError,
+    _rekey,
     bvn_cdf,
     cholesky_psd,
     equicorr_max_cdf,
@@ -221,3 +222,45 @@ def test_replication_stream_mixes_across_indices():
 def test_replication_stream_rejects_negative_index():
     with pytest.raises(ValueError):
         replication_stream(1, -1)
+
+
+def _kept_binomial(n, p):
+    """Binomial draws until one lies strictly inside (0, n), then six normals."""
+    def draw(stream):
+        counts = [stream.binomial(n, p)]
+        while not 0 < counts[-1] < n:
+            counts.append(stream.binomial(n, p))
+        return [np.array(counts), stream.standard_normal(6)]
+    return draw
+
+
+# one replication's consumption, in the orders the engine draws
+REKEY_DRAWS = {
+    "normal-6": lambda g: [g.standard_normal(6)],
+    "normal-12": lambda g: [g.standard_normal(12)],
+    "normal-24": lambda g: [g.standard_normal(24)],
+    # random-1 picks its arm last: a half-used 32-bit word stays buffered
+    "normal-then-integers": lambda g: [g.standard_normal(9), np.array([g.integers(3)])],
+    "binomial-200": _kept_binomial(200, 0.3),
+    "binomial-20-redraws": _kept_binomial(20, 0.02),
+}
+
+
+@pytest.mark.parametrize("name", REKEY_DRAWS)
+def test_rekeyed_generator_replays_each_replication_stream(name):
+    draw = REKEY_DRAWS[name]
+    seed, first = 2**63 + 12345, 4101  # a chunk offset other than 0
+    shared = replication_stream(seed, first)
+    leftovers = redraws = 0
+    for rep in range(first, 4301):
+        _rekey(shared, seed, rep)
+        got = draw(shared)
+        leftovers += shared.bit_generator.state["has_uint32"]
+        if name.startswith("binomial"):
+            redraws += got[0].size - 1
+        want = draw(replication_stream(seed, rep))
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], rep
+    if name == "normal-then-integers":
+        assert leftovers > 0  # the buffered half-word reset is exercised
+    if name == "binomial-20-redraws":
+        assert redraws > 0
