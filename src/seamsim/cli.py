@@ -49,7 +49,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "parse_sweep_config",
-    "scenario_to_config",
     "render_report",
     "render_sweep",
     "export_csv",
@@ -361,48 +360,6 @@ def parse_sweep_config(document) -> tuple:
         values = [_as_float(v, f"sweep.values[{i}]") for i, v in enumerate(raw)]
     design = SUBGROUP if "sprev" in doc else TREATMENT
     return parse_config(doc, design), axis, values
-
-
-def scenario_to_config(scenario: Scenario) -> dict:
-    """Serialize a Scenario back to its config-document form.
-
-    ``parse_config(scenario_to_config(s), s.design) == s`` for every valid
-    scenario (the stage weight is emitted only when it differs from the
-    sample-size default).
-    """
-    spec, plan, rule, config = scenario.effects, scenario.plan, scenario.rule, scenario.test.config
-    doc = {
-        "n": {"stage1": plan.stage1_per_arm, "stage2": plan.stage2_per_arm},
-        "effect": {"early": list(spec.early), "final": list(spec.final)},
-        "outcome": {"early": spec.early_outcome, "final": spec.final_outcome},
-        "nsim": scenario.replications,
-        "corr": spec.correlation,
-        "seed": scenario.master_seed,
-        "level": config.alpha,
-    }
-    if plan.enrich_per_arm is not None:
-        doc["n"]["enrich"] = plan.enrich_per_arm
-    default_sq = plan.stage1_per_arm / (plan.stage1_per_arm + plan.stage2_per_arm)
-    if abs(config.w1**2 - default_sq) > 1e-12:
-        doc["weight"] = config.w1**2
-    if scenario.design == TREATMENT:
-        doc["select"] = {v: k for k, v in _TREAT_SELECT_CODES.items()}[rule.kind]
-        if rule.epsilon is not None:
-            doc["epsilon"] = rule.epsilon
-        if rule.threshold is not None:
-            doc["thresh"] = rule.threshold
-        doc["method"] = {v: k for k, v in _TREAT_METHODS.items()}[config.method]
-        if scenario.ptest is not None:
-            doc["ptest"] = list(scenario.ptest)
-        if scenario.follow_up:
-            doc["fu"] = True
-    else:
-        doc["select"] = "thresh" if rule.kind == "threshold-pair" else "futility"
-        doc["selim"] = list(rule.limits)
-        doc["method"] = {v: k for k, v in _SUBPOP_METHODS.items()}[scenario.test.intersection]
-        doc["sprev"] = scenario.prevalence
-        doc["sprev_fixed"] = scenario.prevalence_fixed
-    return doc
 
 
 # ---------------------------------------------------------------------------

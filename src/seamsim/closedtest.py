@@ -68,30 +68,38 @@ class CombinationConfig:
 
     Attributes:
         method: "inverse-normal" or "fisher".
-        w1, w2: inverse-normal stage weights with w1^2 + w2^2 = 1.
+        weight: squared stage-1 weight w1^2 of the inverse-normal
+            combination, in (0, 1); the stage weights are w1 = sqrt(weight)
+            and w2 = sqrt(1 - weight).
         alpha: one-sided overall level.
         alpha1: level spent on a stage-1 efficacy look (0 disables it; only
             supported for the inverse-normal combination).
     """
 
     method: str = "inverse-normal"
-    w1: float = math.sqrt(0.5)
-    w2: float = math.sqrt(0.5)
+    weight: float = 0.5
     alpha: float = 0.025
     alpha1: float = 0.0
 
     def __post_init__(self):
         if self.method not in ("inverse-normal", "fisher"):
             raise ValueError(f"unknown combination method {self.method!r}")
+        if not 0.0 < self.weight < 1.0:
+            raise ValueError("squared stage-1 weight must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 <= self.alpha1 <= self.alpha:
             raise ValueError("alpha1 must lie in [0, alpha]")
-        if self.method == "inverse-normal":
-            if min(self.w1, self.w2) <= 0.0 or abs(self.w1**2 + self.w2**2 - 1.0) > 1e-9:
-                raise ValueError("stage weights must be positive with w1^2 + w2^2 = 1")
-        elif self.alpha1 > 0.0:
+        if self.method == "fisher" and self.alpha1 > 0.0:
             raise ValueError("stage-1 alpha spending is only defined for the inverse-normal test")
+
+    @property
+    def w1(self) -> float:
+        return math.sqrt(self.weight)
+
+    @property
+    def w2(self) -> float:
+        return math.sqrt(1.0 - self.weight)
 
     @classmethod
     def from_sample_sizes(
@@ -108,15 +116,7 @@ class CombinationConfig:
         ``weight`` overrides the squared stage-1 weight.
         """
         sq = n1 / (n1 + n2) if weight is None else float(weight)
-        if not 0.0 < sq < 1.0:
-            raise ValueError("squared stage-1 weight must lie in (0, 1)")
-        return cls(
-            method=method,
-            w1=math.sqrt(sq),
-            w2=math.sqrt(1.0 - sq),
-            alpha=alpha,
-            alpha1=alpha1,
-        )
+        return cls(method=method, weight=sq, alpha=alpha, alpha1=alpha1)
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,7 @@ def intersection_pvalue(
         z: statistics (larger favours rejection) of the member hypotheses.
         method: "dunnett", "simes", "bonferroni" or "spiessens-debois".
         lam: allocation ratio for Dunnett's test (comparisons correlate at
-            1/(1+lam)).
+            1/(1+lam)); the simulation engine always uses 1, equal allocation.
         tau: subgroup prevalence for the bivariate subgroup/full test
             (statistics correlate at sqrt(tau)).
 

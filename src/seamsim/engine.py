@@ -10,7 +10,7 @@ run is bit-for-bit reproducible at any parallelism.
 The closed testing procedure is evaluated in vectorised form. For the
 Dunnett and subgroup/full-population intersection tests the monotone map
 from a maximum statistic to its combination-ready quantile Phi^-1(1 - p) is
-precomputed on a fine grid once per process for each (m, r) or tau and
+precomputed on a fine grid once per process for each m or tau and
 interpolated. Against direct evaluation the absolute error is below 1e-6
 (1.1e-7 measured) wherever the quantile lies in [-6, 6], i.e. for p down to
 1e-9, far inside the Monte Carlo resolution. Past that it grows: to 4.4e-5
@@ -40,6 +40,7 @@ from .closedtest import (
     spending_boundaries,
 )
 from .simmodel import (
+    ARM_CORRELATION,
     SUBGROUP,
     TREATMENT,
     EffectSpec,
@@ -74,7 +75,7 @@ _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
 # Quantile grids held per process: 64 of about 70 KB each, far more than the
-# distinct (m, r) and tau of any sweep or error-rate grid.
+# distinct m and tau of any sweep or error-rate grid.
 _GRID_CACHE_SIZE = 64
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
@@ -112,12 +113,13 @@ class Scenario:
         ptest: treatment designs only -- the arms whose union of rejections
             is reported as the primary power summary.
         prevalence: subgroup prevalence tau (subgroup designs).
-        prevalence_fixed: if false, the stage-1 prevalence is redrawn
-            binomially in every replication; a prevalence for which fewer
-            than one draw in ten keeps both populations non-empty is rejected.
-        follow_up: if true, arms dropped at the interim contribute their
-            stage-1 cohort's final-outcome statistic to stage-2 p-values
-            instead of being excluded.
+        prevalence_fixed: subgroup designs only -- if false, the stage-1
+            prevalence is redrawn binomially in every replication; a
+            prevalence for which fewer than one draw in ten keeps both
+            populations non-empty is rejected.
+        follow_up: treatment designs only -- if true, arms dropped at the
+            interim contribute their stage-1 cohort's final-outcome statistic
+            to stage-2 p-values instead of being excluded.
     """
 
     effects: EffectSpec
@@ -146,12 +148,16 @@ class Scenario:
                 raise ValueError("subgroup designs need a prevalence strictly in (0, 1)")
             if self.ptest is not None:
                 raise ValueError("ptest applies to treatment designs only")
+            if self.follow_up:
+                raise ValueError("follow_up applies to treatment designs only")
             if not self.prevalence_fixed:
                 # treatment plus control recruit the stage-1 cohort
                 _check_redraw_rate(self.prevalence, 2 * self.plan.stage1_per_arm)
         else:
             if self.prevalence is not None:
                 raise ValueError("prevalence applies to subgroup designs only")
+            if not self.prevalence_fixed:
+                raise ValueError("prevalence_fixed applies to subgroup designs only")
             k = self.effects.comparisons
             if self.ptest is not None:
                 arms = tuple(sorted({int(i) for i in self.ptest}))
@@ -239,9 +245,9 @@ def _read_only(grid):
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _dunnett_grid(m: int, r: float):
-    """Dunnett quantile grid of m arms with common correlation r (shared, read-only)."""
-    return _read_only(_keep_quantile(equicorr_max_cdf(m, r, _GRID)))
+def _dunnett_grid(m: int):
+    """Dunnett quantile grid of m equally allocated arms (shared, read-only)."""
+    return _read_only(_keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)))
 
 
 @lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -276,7 +282,7 @@ def _prepare(scenario: Scenario) -> _Prepared:
         u1=u1,
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
-        varying=spec.design == SUBGROUP and not scenario.prevalence_fixed,
+        varying=not scenario.prevalence_fixed,
     )
     if not pre.varying:
         pre.mean, pre.chol = _model_parts(spec, plan, scenario.prevalence)
@@ -287,7 +293,7 @@ def _prepare(scenario: Scenario) -> _Prepared:
             pre.grids[2] = _sd_grid(math.sqrt(scenario.prevalence))
     if scenario.test.intersection == "dunnett":
         for m in range(2, k + 1):
-            pre.grids[m] = _dunnett_grid(m, plan.arm_correlation)
+            pre.grids[m] = _dunnett_grid(m)
     return pre
 
 
@@ -458,6 +464,7 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
     contrib = np.ones_like(cont) if pre.scenario.follow_up else cont
     config = pre.scenario.test.config
     inverse_normal = config.method == "inverse-normal"
+    w1, w2 = config.w1, config.w2
 
     candidate = cont & ~futile[:, None]
     full_subset_reject = np.zeros(n, dtype=bool)
@@ -471,7 +478,7 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
         clamps += int(np.sum((y1 <= _YMIN) | (y1 >= _YMAX)))
         clamps += int(np.sum(((y2 <= _YMIN) | (y2 >= _YMAX)) & (m2 > 0)))
         if inverse_normal:
-            stat = config.w1 * y1 + config.w2 * y2
+            stat = w1 * y1 + w2 * y2
             reject = stat >= pre.u2
             if math.isfinite(pre.u1):
                 reject |= y1 >= pre.u1

@@ -53,6 +53,10 @@ COHORTS = ("stage1", "stage2-full", "stage2-subgroup-only", "stage2-enriched")
 
 MAX_COMPARISONS = 8
 
+# Comparisons sharing the control correlate at 1/(1 + lambda) for allocation
+# ratio lambda; with equal allocation (lambda = 1) that is exactly 1/2.
+ARM_CORRELATION = 0.5
+
 
 @dataclass(frozen=True)
 class EffectSpec:
@@ -119,37 +123,28 @@ def _validate_effects(design: str, code: str, effects: tuple) -> None:
 class SampleSizePlan:
     """Per-arm sample sizes for the two recruitment stages.
 
+    Every arm, control included, recruits the same number of patients in a
+    stage (equal allocation).
+
     Attributes:
         stage1_per_arm: patients per arm recruited before the interim.
         stage2_per_arm: patients per arm recruited after it (full population).
         enrich_per_arm: optional enriched stage-2 size used when a subgroup
             design continues in the subgroup only; defaults to stage2_per_arm.
-        allocation_ratio: lambda in the shared-control correlation
-            1/(1+lambda); 1 means equal allocation.
     """
 
     stage1_per_arm: int
     stage2_per_arm: int
     enrich_per_arm: int | None = None
-    allocation_ratio: float = 1.0
 
     def __post_init__(self):
-        for name in ("stage1_per_arm", "stage2_per_arm"):
+        for name in ("stage1_per_arm", "stage2_per_arm", "enrich_per_arm"):
             v = getattr(self, name)
+            if v is None and name == "enrich_per_arm":
+                continue
             if int(v) != v or v <= 0:
                 raise ValueError(f"{name} must be a positive integer")
             object.__setattr__(self, name, int(v))
-        if self.enrich_per_arm is not None:
-            if int(self.enrich_per_arm) != self.enrich_per_arm or self.enrich_per_arm <= 0:
-                raise ValueError("enrich_per_arm must be a positive integer")
-            object.__setattr__(self, "enrich_per_arm", int(self.enrich_per_arm))
-        if self.allocation_ratio <= 0.0:
-            raise ValueError("allocation_ratio must be positive")
-
-    @property
-    def arm_correlation(self) -> float:
-        """Correlation 1/(1+lambda) between comparisons sharing the control."""
-        return 1.0 / (1.0 + self.allocation_ratio)
 
 
 def larger_is_better(design: str, outcome: str) -> bool:
@@ -330,9 +325,10 @@ def build_score_model(
 
     The correlation structure is a Kronecker product of the endpoint/stage
     pattern with the between-comparison matrix: comparisons sharing a control
-    correlate at 1/(1+lambda), subgroup and full-population statistics at
-    sqrt(tau), early and final statistics on the same cohort at rho, and the
-    stage-2 cohort is independent of everything observed in stage 1.
+    correlate at 1/2 (equal allocation), subgroup and full-population
+    statistics at sqrt(tau), early and final statistics on the same cohort at
+    rho, and the stage-2 cohort is independent of everything observed in
+    stage 1.
 
     Args:
         spec: effect assumptions.
@@ -344,7 +340,7 @@ def build_score_model(
     """
     k = spec.comparisons
     if spec.design == TREATMENT:
-        unit = equicorrelated_matrix(k, plan.arm_correlation)
+        unit = equicorrelated_matrix(k, ARM_CORRELATION)
         mean = np.concatenate(
             [
                 effect_to_expectation(spec, plan, "early", "stage1"),

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from seamsim import CHUNK_SIZE, run_scenario, sweep
 from seamsim.cli import (
     ConfigError,
     export_csv,
@@ -17,8 +16,8 @@ from seamsim.cli import (
     parse_sweep_config,
     render_report,
     render_sweep,
-    scenario_to_config,
 )
+from seamsim.engine import CHUNK_SIZE, run_scenario, sweep
 
 TREAT_MINIMAL = {
     "n": {"stage1": 100, "stage2": 300},
@@ -227,18 +226,6 @@ def test_treatment_method_and_extras():
         parse_config(treat_config(method="CT-SD"), "treatment")
     with pytest.raises(ConfigError, match="fu"):
         parse_config(treat_config(fu="yes"), "treatment")
-
-
-def test_config_round_trips_through_serialization():
-    docs = [
-        (treat_config(select=4, epsilon=0.7, ptest=[2, 3], fu=True, weight=0.4, corr=0.3), "treatment"),
-        (treat_config(select=6, thresh=3.0, method="fisher", nsim=500), "treatment"),
-        (subpop_config(select="futility", method="CT-Bonferroni", sprev_fixed=False), "subgroup"),
-        (subpop_config(), "subgroup"),
-    ]
-    for doc, design in docs:
-        scn = parse_config(doc, design)
-        assert parse_config(scenario_to_config(scn), design) == scn
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from seamsim import (
+from seamsim.closedtest import (
     CombinationConfig,
     HypothesisFamily,
     closed_test,
@@ -118,6 +118,7 @@ def test_weights_follow_the_stage_sample_sizes():
     assert config.w1**2 + config.w2**2 == pytest.approx(1.0, abs=1e-12)
     half = CombinationConfig.from_sample_sizes(100, 300, weight=0.5)
     assert half.w1 == half.w2 == pytest.approx(math.sqrt(0.5))
+    assert CombinationConfig() == half  # the default is the equal-weight pair
 
 
 def test_config_validation():
@@ -128,7 +129,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CombinationConfig(alpha1=0.05)  # above alpha
     with pytest.raises(ValueError):
-        CombinationConfig(w1=0.9, w2=0.9)
+        CombinationConfig(weight=0.0)
+    with pytest.raises(ValueError):
+        CombinationConfig(weight=1.0)
     with pytest.raises(ValueError):
         CombinationConfig(method="fisher", alpha1=0.01)
     with pytest.raises(ValueError):
@@ -308,7 +311,7 @@ def test_dropped_arms_are_never_rejected():
 
 def test_closure_blocks_elementary_rejection_when_an_intersection_fails():
     # strong arm 1, flat arm 2: the pairwise intersection decides H1's fate
-    config = CombinationConfig(w1=math.sqrt(0.5), w2=math.sqrt(0.5))
+    config = CombinationConfig(weight=0.5)
     z1 = [2.5, -2.0]
     z2 = [2.5, -2.0]
     rejected = closed_test(z1, z2, {1, 2}, "bonferroni", config)
@@ -337,7 +340,7 @@ def test_rejections_are_always_a_subset_of_continued_arms():
 def test_followed_up_arms_contribute_their_stage1_final_statistics():
     # arm 2 is dropped; under complete follow-up its (poor) final-outcome
     # statistic re-enters the pairwise intersection at stage 2 and blocks H1
-    config = CombinationConfig(w1=math.sqrt(0.5), w2=math.sqrt(0.5))
+    config = CombinationConfig(weight=0.5)
     z1 = [2.5, 2.5]
     z2 = [1.0, -3.0]
     discontinued = closed_test(z1, z2, {1}, "bonferroni", config)

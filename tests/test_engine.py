@@ -6,43 +6,42 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seamsim import (
+from seamsim.cli import parse_config
+from seamsim.closedtest import (
     CombinationConfig,
-    EffectSpec,
-    InfeasibleScenarioError,
-    OperatingCharacteristics,
-    SampleSizePlan,
-    Scenario,
-    SelectionRule,
-    SubgroupCounts,
-    TestSpec,
-    build_score_model,
     closed_test,
     combine,
-    effect_to_expectation,
-    expected_sample_size,
     intersection_pvalue,
-    larger_is_better,
-    replication_stream,
-    run_scenario,
-    sample_replication,
-    select_population,
-    select_treatments,
-    stage_pvalue,
-    sweep,
 )
-from seamsim.cli import parse_config
 from seamsim.engine import (
     _GRID,
+    InfeasibleScenarioError,
+    OperatingCharacteristics,
+    Scenario,
+    SubgroupCounts,
+    TestSpec,
     _draw_chunk,
     _dunnett_grid,
     _keep_quantile,
     _pool_size,
     _prepare,
     _sd_grid,
+    expected_sample_size,
+    run_scenario,
+    sweep,
 )
-from seamsim.simmodel import resolve_prevalence
-from seamsim.statdist import bvn_cdf, equicorr_max_cdf
+from seamsim.selection import SelectionRule, select_population, select_treatments
+from seamsim.simmodel import (
+    ARM_CORRELATION,
+    EffectSpec,
+    SampleSizePlan,
+    build_score_model,
+    effect_to_expectation,
+    larger_is_better,
+    resolve_prevalence,
+    sample_replication,
+)
+from seamsim.statdist import bvn_cdf, equicorr_max_cdf, replication_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -109,6 +108,11 @@ def test_scenario_validation():
         treatment_scenario(SelectionRule("all"), prevalence=0.3)
     with pytest.raises(ValueError, match="ptest"):
         subgroup_scenario(SelectionRule("futility-pair", limits=(0, 0)), ptest=(1,))
+    # options the other design ignores are rejected, not silently dropped
+    with pytest.raises(ValueError, match="prevalence_fixed"):
+        treatment_scenario(SelectionRule("all"), prevalence_fixed=False)
+    with pytest.raises(ValueError, match="follow_up"):
+        subgroup_scenario(SelectionRule("futility-pair", limits=(0, 0)), follow_up=True)
     # 200 stage-1 patients keep both populations in ~2e-7 of the draws
     with pytest.raises(ValueError, match="non-empty"):
         subgroup_scenario(
@@ -247,13 +251,13 @@ GRID_MIDPOINTS = 0.5 * (_GRID[1:] + _GRID[:-1])
 
 @pytest.mark.parametrize(
     "kind, m, corr",
-    [("dunnett", m, r) for m in range(2, 9) for r in (0.2, 0.5)]
+    [("dunnett", m, ARM_CORRELATION) for m in range(2, 9)]
     + [("ct-sd", 2, tau) for tau in (0.3, 0.9)],
 )
 def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, corr):
     # midpoints are where linear interpolation is worst
     if kind == "dunnett":
-        grid, direct = _dunnett_grid(m, corr), equicorr_max_cdf(m, corr, GRID_MIDPOINTS)
+        grid, direct = _dunnett_grid(m), equicorr_max_cdf(m, corr, GRID_MIDPOINTS)
     else:
         root_tau = np.sqrt(corr)
         grid, direct = _sd_grid(root_tau), bvn_cdf(GRID_MIDPOINTS, GRID_MIDPOINTS, root_tau)
@@ -267,8 +271,8 @@ def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, c
 def test_cached_grids_are_read_only_fresh_builds():
     _dunnett_grid.cache_clear()
     _sd_grid.cache_clear()
-    dunnett, sd = _dunnett_grid(4, 0.5), _sd_grid(np.sqrt(0.3))
-    assert _dunnett_grid(4, 0.5) is dunnett and _sd_grid(np.sqrt(0.3)) is sd
+    dunnett, sd = _dunnett_grid(4), _sd_grid(np.sqrt(0.3))
+    assert _dunnett_grid(4) is dunnett and _sd_grid(np.sqrt(0.3)) is sd
     for grid in (dunnett, sd):
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
@@ -277,17 +281,16 @@ def test_cached_grids_are_read_only_fresh_builds():
     assert sd.tobytes() == _keep_quantile(bvn_cdf(_GRID, _GRID, np.sqrt(0.3))).tobytes()
 
 
-def _dunnett_k4(allocation_ratio):
+def _dunnett(k):
     effects = EffectSpec(
         design="treatment",
-        early=(0.0, 0.2, 0.3, 0.4, 0.5),
-        final=(0.0, 0.10, 0.12, 0.15, 0.20),
+        early=(0.0, 0.2, 0.3, 0.4, 0.5)[: k + 1],
+        final=(0.0, 0.10, 0.12, 0.15, 0.20)[: k + 1],
         correlation=0.4,
     )
-    plan = SampleSizePlan(stage1_per_arm=60, stage2_per_arm=120, allocation_ratio=allocation_ratio)
     return Scenario(
         effects=effects,
-        plan=plan,
+        plan=SampleSizePlan(stage1_per_arm=60, stage2_per_arm=120),
         rule=SelectionRule("best-2"),
         test=TestSpec("dunnett", CombinationConfig.from_sample_sizes(60, 120)),
         replications=3000,
@@ -306,12 +309,13 @@ def _ct_sd(prevalence):
 
 @pytest.mark.parametrize(
     "first, second",
-    [(_dunnett_k4(1.0), _dunnett_k4(3.0)), (_ct_sd(0.3), _ct_sd(0.6))],
-    ids=["dunnett-r", "ct-sd-tau"],
+    [(_dunnett(2), _dunnett(4)), (_ct_sd(0.3), _ct_sd(0.6))],
+    ids=["dunnett-m", "ct-sd-tau"],
 )
 def test_warm_grid_cache_gives_the_cold_cache_result(first, second):
-    # the two scenarios differ in r (or tau), so a grid served under the
-    # wrong key would change the second run's tallies
+    # the second run needs grids the first did not build (member counts 3
+    # and 4 beside the shared 2, or another tau), so a grid served under the
+    # wrong key would change its tallies
     def cold(scenario):
         _dunnett_grid.cache_clear()
         _sd_grid.cache_clear()

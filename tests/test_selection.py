@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from seamsim import (
+from seamsim.selection import (
     FULL_INDEX,
     SUBGROUP_INDEX,
     SelectionOutcome,

@@ -152,8 +152,6 @@ def test_sample_size_plan_validation():
         SampleSizePlan(100, -1)
     with pytest.raises(ValueError):
         SampleSizePlan(100, 300, enrich_per_arm=0)
-    assert SampleSizePlan(100, 300).arm_correlation == pytest.approx(0.5)
-    assert SampleSizePlan(100, 300, allocation_ratio=2.0).arm_correlation == pytest.approx(1 / 3)
 
 
 def test_larger_is_better_orientation():
@@ -172,7 +170,7 @@ def test_treatment_model_covariance_structure():
     assert model.dimension == 3 * k
     np.testing.assert_allclose(np.diag(cov), 1.0, atol=1e-14)
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
-    # shared control induces 1/(1+lambda) between arms within a block
+    # a shared, equally allocated control induces 1/2 between arms within a block
     assert cov[e, e][0, 1] == pytest.approx(0.5)
     assert cov[f2, f2][2, 3] == pytest.approx(0.5)
     # early and stage-1 final share patients: rho on the diagonal, rho/2 off
