@@ -219,7 +219,7 @@ def _parse_treat_rule(doc: dict) -> SelectionRule:
     try:
         return SelectionRule(kind, epsilon=epsilon, threshold=threshold)
     except ValueError as exc:
-        raise ConfigError(f"key 'select': {exc}") from exc
+        raise ConfigError(f"key '{'thresh' if epsilon is None else 'epsilon'}': {exc}") from exc
 
 
 def _parse_subpop_rule(doc: dict) -> SelectionRule:

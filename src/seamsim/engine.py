@@ -12,11 +12,14 @@ Dunnett and subgroup/full-population intersection tests the monotone map
 from a maximum statistic to its combination-ready quantile Phi^-1(1 - p) is
 precomputed on a fine grid once per process for each m or tau and
 interpolated. Against direct evaluation the absolute error is below 1e-6
-(1.1e-7 measured) wherever the quantile lies in [-6, 6], i.e. for p down to
-1e-9, far inside the Monte Carlo resolution. Past that it grows: to 4.4e-5
-for quantiles of size 6 to 7, 6.6e-4 at the kink where p meets its
-1 - 1e-15 clamp, and 2e-2 near 7.9, where the direct value itself has lost
-most of its digits; all of these lie far beyond any critical value.
+(5e-8 measured) wherever the quantile lies in [-6, 6], i.e. for p down to
+1e-9, far inside the Monte Carlo resolution. Past that it grows: to 3e-5
+for quantiles of size 6 to 7 and 2e-2 above 7.8, where the direct value
+itself has lost most of its digits. Beyond the grid's +-8.5 the Dunnett
+grids hold the +-7.9414 of the p-value clamp, as direct evaluation does, but
+the subgroup/full-population grid plateaus at 7.809 (direct evaluation gives
+7.799 to 7.824): with that stage-1 quantile, an inverse-normal rejection at
+w1^2 = 1/4 hinges on a stage-2 quantile of -2.245 rather than -2.322.
 Bonferroni, Simes and all single-arm p-values are computed exactly.
 """
 
@@ -79,6 +82,8 @@ _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
 _GRID_CACHE_SIZE = 64
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
+# subgroup selection branches: subgroup only, full population only, both
+_BRANCHES = ("sub", "full", "both")
 
 
 class InfeasibleScenarioError(ValueError):
@@ -160,6 +165,8 @@ class Scenario:
                 raise ValueError("prevalence_fixed applies to subgroup designs only")
             k = self.effects.comparisons
             if self.ptest is not None:
+                if not all(float(i).is_integer() for i in self.ptest):
+                    raise ValueError("ptest arms must be whole numbers")
                 arms = tuple(sorted({int(i) for i in self.ptest}))
                 if not arms or arms[0] < 1 or arms[-1] > k:
                     raise ValueError("ptest arms must be a non-empty subset of 1..K")
@@ -204,9 +211,8 @@ class OperatingCharacteristics:
 
     def __post_init__(self):
         if self.design == TREATMENT:
-            non_futile = self.replications - self.futility_count
-            if sum(self.selected_size_counts) != non_futile:
-                raise ValueError("selection histogram must cover every non-futile replication")
+            if sum(self.selected_size_counts) + self.futility_count != self.replications:
+                raise ValueError("selection histogram plus futility must cover every replication")
         else:
             branch_total = sum(c.n for c in self.subgroup_counts.values())
             if branch_total + self.futility_count != self.replications:
@@ -354,11 +360,14 @@ def _statistics(pre: _Prepared, eps, taus):
 
 
 def _select_chunk(pre: _Prepared, z_native):
-    """Vectorised interim selection. Returns (continued mask, futile flags)."""
+    """Vectorised interim selection: the (n, k) continued mask.
+
+    A row with no comparison continued is the decision to stop for futility,
+    in both designs.
+    """
     scenario = pre.scenario
     n = z_native.shape[0]
     k = pre.k
-    futile = np.zeros(n, dtype=bool)
     if scenario.design == TREATMENT:
         z = pre.orient_early * z_native[:, :k]
         rule = scenario.rule
@@ -375,25 +384,14 @@ def _select_chunk(pre: _Prepared, z_native):
                 cont = z >= z.max(axis=1, keepdims=True) - rule.epsilon
         elif rule.kind == "threshold":
             cont = z > rule.threshold
-            futile = ~cont.any(axis=1)
-        return cont, futile
+        return cont
     # subgroup rules act on the scale where smaller is better
     s = -pre.orient_early * z_native[:, :2]
     l1, l2 = scenario.rule.limits
-    cont = np.zeros((n, 2), dtype=bool)
     if scenario.rule.kind == "threshold-pair":
-        diff = s[:, 0] - s[:, 1]
-        sub_only = diff <= l1
-        full_only = diff > l2
-        cont[:, 0] = ~full_only
-        cont[:, 1] = ~sub_only
-    else:
-        sub_go = s[:, 0] < l1
-        full_go = s[:, 1] < l2
-        cont[:, 0] = sub_go
-        cont[:, 1] = full_go
-        futile = ~sub_go & ~full_go
-    return cont, futile
+        diff = (s[:, 0] - s[:, 1])[:, None]  # d <= l1 drops the full population, d > l2 the subgroup
+        return ~np.hstack([diff > l2, diff <= l1])
+    return s < [l1, l2]
 
 
 def _random_pick_mask(cont, rand_pick):
@@ -458,7 +456,7 @@ def _bvn_equal_coords(c, rho):
     return bvn_cdf(c, c, rho)
 
 
-def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
+def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
     contrib = np.ones_like(cont) if pre.scenario.follow_up else cont
@@ -466,7 +464,7 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
     inverse_normal = config.method == "inverse-normal"
     w1, w2 = config.w1, config.w2
 
-    candidate = cont & ~futile[:, None]
+    candidate = cont.copy()
     full_subset_reject = np.zeros(n, dtype=bool)
     clamps = 0
     for members in pre.subsets:
@@ -485,18 +483,19 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, futile, taus):
         else:
             reject = ndtr(-y1) * ndtr(-y2) <= pre.fisher_crit
         if len(members) == k:
-            full_subset_reject = reject & ~futile
+            full_subset_reject = reject & cont.any(axis=1)
         candidate[:, list(members)] &= reject[:, None]
-    return candidate & cont, full_subset_reject, clamps
+    return candidate, full_subset_reject, clamps
 
 
 def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
+    """One chunk's tallies, keyed by the OperatingCharacteristics fields they sum into."""
     scenario = pre.scenario
     k = pre.k
     eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
     z, mean_sub2, taus = _statistics(pre, eps, taus)
 
-    cont, futile = _select_chunk(pre, z)
+    cont = _select_chunk(pre, z)
     if rand_pick is not None:
         cont = _random_pick_mask(cont, rand_pick)
 
@@ -510,54 +509,35 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     if scenario.follow_up:
         z2 = np.where(cont, z2, z1)
 
-    rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, futile, taus)
+    rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, taus)
 
     tally = {
-        "n": stop - start,
-        "futility": int(futile.sum()),
-        "redraws": redraws,
-        "clamps": clamps,
+        "replications": stop - start,
+        "futility_count": int((~cont.any(axis=1)).sum()),
+        "prevalence_redraws": redraws,
+        "clamped_pvalues": clamps,
     }
     if scenario.design == TREATMENT:
-        sizes = cont.sum(axis=1)
-        tally["size_hist"] = np.bincount(sizes[~futile], minlength=k + 1)[1:]
-        tally["arm_counts"] = cont.sum(axis=0)
-        tally["hyp_counts"] = rejected.sum(axis=0)
-        tally["any"] = int(rejected.any(axis=1).sum())
+        tally["selected_size_counts"] = np.bincount(cont.sum(axis=1), minlength=k + 1)[1:]
+        tally["arm_selected_counts"] = cont.sum(axis=0)
+        tally["hypothesis_rejected_counts"] = rejected.sum(axis=0)
+        tally["any_rejected_count"] = int(rejected.any(axis=1).sum())
         if scenario.ptest is not None:
             cols = [i - 1 for i in scenario.ptest]
-            tally["ptest"] = int(rejected[:, cols].any(axis=1).sum())
+            tally["ptest_rejected_count"] = int(rejected[:, cols].any(axis=1).sum())
     else:
-        sub_only = cont[:, 0] & ~cont[:, 1]
-        full_only = cont[:, 1] & ~cont[:, 0]
-        both = cont[:, 0] & cont[:, 1]
-        rows = {}
-        for name, mask in (("sub", sub_only), ("full", full_only), ("both", both)):
-            rows[name] = np.array(
-                [
-                    mask.sum(),
-                    (rejected[:, 0] & mask).sum(),
-                    (rejected[:, 1] & mask).sum(),
-                    (rejected[:, 0] & rejected[:, 1] & mask).sum(),
-                    (full_reject & mask).sum(),
-                ],
-                dtype=np.int64,
-            )
-        tally["branches"] = rows
-        tally["union"] = int((rejected[:, 0] | rejected[:, 1]).sum())
+        sub, full = cont[:, 0], cont[:, 1]
+        rej_sub, rej_full = rejected[:, 0], rejected[:, 1]
+        branches = np.array([sub & ~full, full & ~sub, sub & full])  # _BRANCHES order
+        events = np.array([sub | full, rej_sub, rej_full, rej_sub & rej_full, full_reject])
+        tally["subgroup_counts"] = (branches[:, None, :] & events[None, :, :]).sum(axis=2)
+        tally["union_rejected_count"] = int((rej_sub | rej_full).sum())
     return tally
 
 
 def _merge_tallies(tallies: list) -> dict:
-    """Key-wise sum of chunk tallies; nested dicts (subgroup branches) sum per key."""
-    total = {}
-    for key, value in tallies[0].items():
-        parts = [t[key] for t in tallies]
-        if isinstance(value, dict):
-            total[key] = {name: sum(p[name] for p in parts) for name in value}
-        else:
-            total[key] = sum(parts)
-    return total
+    """Key-wise sum of chunk tallies."""
+    return {key: sum(t[key] for t in tallies) for key in tallies[0]}
 
 
 def _chunk_task(args):
@@ -600,34 +580,14 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
         with ProcessPoolExecutor(max_workers=workers) as pool:
             tallies = list(pool.map(_chunk_task, [(pre, a, b) for a, b in bounds]))
     total = _merge_tallies(tallies)
-
-    common = dict(
-        design=scenario.design,
-        replications=scenario.replications,
-        futility_count=total["futility"],
-        prevalence_redraws=total["redraws"],
-        clamped_pvalues=total["clamps"],
-        expected_total_sample_size=0.0,
+    for key, value in total.items():
+        if np.ndim(value) == 2:  # subgroup branches, one row each
+            total[key] = {name: SubgroupCounts(*map(int, row)) for name, row in zip(_BRANCHES, value)}
+        elif np.ndim(value) == 1:
+            total[key] = tuple(map(int, value))
+    oc = OperatingCharacteristics(
+        design=scenario.design, expected_total_sample_size=0.0, ptest=scenario.ptest, **total
     )
-    if scenario.design == TREATMENT:
-        oc = OperatingCharacteristics(
-            **common,
-            selected_size_counts=tuple(int(c) for c in total["size_hist"]),
-            arm_selected_counts=tuple(int(c) for c in total["arm_counts"]),
-            hypothesis_rejected_counts=tuple(int(c) for c in total["hyp_counts"]),
-            any_rejected_count=total["any"],
-            ptest=scenario.ptest,
-            ptest_rejected_count=total.get("ptest"),
-        )
-    else:
-        oc = OperatingCharacteristics(
-            **common,
-            subgroup_counts={
-                name: SubgroupCounts(*(int(v) for v in vals))
-                for name, vals in total["branches"].items()
-            },
-            union_rejected_count=total["union"],
-        )
     return replace(oc, expected_total_sample_size=expected_sample_size(scenario, oc))
 
 

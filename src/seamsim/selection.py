@@ -55,19 +55,21 @@ class SelectionRule:
         if self.kind not in _TREATMENT_KINDS + _SUBGROUP_KINDS:
             raise ValueError(f"unknown selection rule {self.kind!r}")
         if self.kind == "epsilon":
-            if self.epsilon is None or self.epsilon < 0.0:
-                raise ValueError("epsilon rule needs a non-negative epsilon")
+            if self.epsilon is None or not self.epsilon >= 0.0:
+                raise ValueError("epsilon rule needs a non-negative epsilon, not NaN")
         elif self.epsilon is not None:
             raise ValueError("epsilon only applies to the epsilon rule")
         if self.kind == "threshold":
-            if self.threshold is None:
-                raise ValueError("threshold rule needs a threshold")
+            if self.threshold is None or np.isnan(self.threshold):
+                raise ValueError("threshold rule needs a threshold, not NaN")
         elif self.threshold is not None:
             raise ValueError("threshold only applies to the threshold rule")
         if self.kind in _SUBGROUP_KINDS:
             if self.limits is None or len(self.limits) != 2:
                 raise ValueError(f"{self.kind} needs a (subgroup, full) limit pair")
             object.__setattr__(self, "limits", (float(self.limits[0]), float(self.limits[1])))
+            if np.isnan(self.limits).any():
+                raise ValueError(f"{self.kind} limits must be numbers, not NaN")
             if self.kind == "threshold-pair" and self.limits[0] > self.limits[1]:
                 raise ValueError("threshold-pair limits must satisfy l1 <= l2")
         elif self.limits is not None:
@@ -89,17 +91,18 @@ class SelectionOutcome:
     """Result of the interim look.
 
     ``continued`` holds 1-based comparison indices (treatment arms, or
-    SUBGROUP_INDEX / FULL_INDEX for subgroup designs). Exactly one of
-    "continued non-empty" and "stopped_for_futility" holds.
+    SUBGROUP_INDEX / FULL_INDEX for subgroup designs). In both designs an
+    empty selection is the decision to stop for futility.
     """
 
     continued: frozenset
-    stopped_for_futility: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "continued", frozenset(int(i) for i in self.continued))
-        if bool(self.continued) == self.stopped_for_futility:
-            raise ValueError("outcome must either continue arms or stop for futility")
+
+    @property
+    def stopped_for_futility(self) -> bool:
+        return not self.continued
 
 
 def select_treatments(
@@ -128,24 +131,19 @@ def select_treatments(
         raise ValueError("need at least one arm")
 
     if rule.kind == "all":
-        return SelectionOutcome(frozenset(range(1, k + 1)))
-    if rule.kind.startswith("best-"):
-        m = min(rule.best_count, k)
-        order = np.argsort(-z, kind="stable")
-        return SelectionOutcome(frozenset(int(i) + 1 for i in order[:m]))
-    if rule.kind == "epsilon":
-        if rule.epsilon == 0.0:
-            return SelectionOutcome(frozenset({int(np.argmax(z)) + 1}))
+        keep = range(k)
+    elif rule.kind.startswith("best-"):
+        keep = np.argsort(-z, kind="stable")[: rule.best_count]
+    elif rule.kind == "epsilon" and rule.epsilon == 0.0:
+        keep = [np.argmax(z)]
+    elif rule.kind == "epsilon":
         keep = np.nonzero(z >= z.max() - rule.epsilon)[0]
-        return SelectionOutcome(frozenset(int(i) + 1 for i in keep))
-    if rule.kind == "random-1":
+    elif rule.kind == "random-1":
         if stream is None:
             raise ValueError("random-1 selection needs a random stream")
-        return SelectionOutcome(frozenset({int(stream.integers(k)) + 1}))
-    # threshold
-    keep = np.nonzero(z > rule.threshold)[0]
-    if keep.size == 0:
-        return SelectionOutcome(frozenset(), stopped_for_futility=True)
+        keep = [stream.integers(k)]
+    else:  # threshold
+        keep = np.nonzero(z > rule.threshold)[0]
     return SelectionOutcome(frozenset(int(i) + 1 for i in keep))
 
 
@@ -160,25 +158,17 @@ def select_population(z_sub: float, z_full: float, rule: SelectionRule) -> Selec
         d <= l1 continues the subgroup only, d > l2 the full population only,
         otherwise both.
     futility-pair: with limits (l1, l2), each population continues if its
-        statistic is strictly below its limit; if neither qualifies the trial
-        stops for futility.
+        statistic is strictly below its limit; if neither qualifies the
+        selection is empty and the trial stops for futility.
     """
     if not rule.is_subgroup_rule:
         raise ValueError(f"{rule.kind} is a treatment rule")
     l1, l2 = rule.limits
     if rule.kind == "threshold-pair":
-        diff = z_sub - z_full
-        if diff <= l1:
-            return SelectionOutcome(frozenset({SUBGROUP_INDEX}))
-        if diff > l2:
-            return SelectionOutcome(frozenset({FULL_INDEX}))
-        return SelectionOutcome(frozenset({SUBGROUP_INDEX, FULL_INDEX}))
-    sub_go = z_sub < l1
-    full_go = z_full < l2
-    if sub_go and full_go:
-        return SelectionOutcome(frozenset({SUBGROUP_INDEX, FULL_INDEX}))
-    if sub_go:
-        return SelectionOutcome(frozenset({SUBGROUP_INDEX}))
-    if full_go:
-        return SelectionOutcome(frozenset({FULL_INDEX}))
-    return SelectionOutcome(frozenset(), stopped_for_futility=True)
+        diff = z_sub - z_full  # d <= l1 drops the full population, d > l2 the subgroup
+        sub_go, full_go = not diff > l2, not diff <= l1
+    else:
+        sub_go, full_go = z_sub < l1, z_full < l2
+    return SelectionOutcome(
+        frozenset(i for i, go in ((SUBGROUP_INDEX, sub_go), (FULL_INDEX, full_go)) if go)
+    )

@@ -111,6 +111,8 @@ class EffectSpec:
 
 
 def _validate_effects(design: str, code: str, effects: tuple) -> None:
+    if not all(math.isfinite(v) for v in effects):
+        raise ValueError("effects must be finite numbers")
     if design == TREATMENT and code == "B":
         if any(not 0.0 < v < 1.0 for v in effects):
             raise ValueError("binary effects are event rates and must lie strictly in (0, 1)")
@@ -338,29 +340,10 @@ def build_score_model(
     Returns:
         ScoreModel with mean, covariance and cached Cholesky factor.
     """
-    k = spec.comparisons
-    if spec.design == TREATMENT:
-        unit = equicorrelated_matrix(k, ARM_CORRELATION)
-        mean = np.concatenate(
-            [
-                effect_to_expectation(spec, plan, "early", "stage1"),
-                effect_to_expectation(spec, plan, "final", "stage1"),
-                effect_to_expectation(spec, plan, "final", "stage2-full"),
-            ]
-        )
-    else:
-        if prevalence is None:
-            raise ValueError("subgroup models need a prevalence")
-        root_tau = math.sqrt(prevalence)
-        unit = np.array([[1.0, root_tau], [root_tau, 1.0]])
-        mean = np.concatenate(
-            [
-                effect_to_expectation(spec, plan, "early", "stage1", prevalence),
-                effect_to_expectation(spec, plan, "final", "stage1", prevalence),
-                effect_to_expectation(spec, plan, "final", "stage2-full", prevalence),
-            ]
-        )
-
+    blocks = (("early", "stage1"), ("final", "stage1"), ("final", "stage2-full"))
+    mean = np.concatenate([effect_to_expectation(spec, plan, *b, prevalence) for b in blocks])
+    r = ARM_CORRELATION if spec.design == TREATMENT else math.sqrt(prevalence)
+    unit = equicorrelated_matrix(spec.comparisons, r)
     rho = spec.correlation
     zero = np.zeros_like(unit)
     cov = np.block(

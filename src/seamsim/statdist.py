@@ -86,8 +86,8 @@ def bvn_cdf(z1, z2, rho):
         u = mid[..., None] + half[..., None] * _GL_NODES
         r = r[..., None]
         s = np.sqrt(1.0 - r * r)
-        integrand = _phi(u) * ndtr((b[..., None] - r * u) / s)
-        out = half * (integrand @ _GL_WEIGHTS)
+        integrand = _phi(u) * ndtr((b[..., None] - r * u) / s) * _GL_WEIGHTS
+        out = half * integrand.sum(axis=-1)  # a row's sum never depends on its batch
         out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 
@@ -122,7 +122,7 @@ def equicorr_max_cdf(m, r, z):
         out = ndtr(zz) ** m
     else:
         arg = (zz[..., None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
-        out = (ndtr(arg) ** int(m)) @ _GH_WEIGHTS * _INV_SQRT_PI
+        out = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
         out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 

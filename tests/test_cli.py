@@ -428,6 +428,9 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, treat_config(select=9))
     assert main(["treatsel", "run", "--config", path]) == 2
     assert "error:" in capsys.readouterr().err
+    path = write_config(tmp_path, treat_config(select=4, epsilon=float("nan")))
+    assert main(["treatsel", "run", "--config", path]) == 2
+    assert "key 'epsilon'" in capsys.readouterr().err
 
 
 def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(

@@ -2,9 +2,10 @@
 
 Hypothesis draws accepted scenarios -- any number of arms, every selection
 rule, the exactly evaluated intersection tests, both combinations, stage-1
-spending, follow-up, power subsets, replication counts across a chunk's edge
-cases and arbitrary seeds -- and every tally ``run_scenario`` reports must
-equal the replication-by-replication replay of ``test_engine`` exactly.
+spending, follow-up, power subsets, fixed or redrawn subgroup prevalence,
+replication counts across a chunk's edge cases and arbitrary seeds -- and
+every tally ``run_scenario`` reports must equal the replication-by-replication
+replay of ``test_engine`` exactly.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -102,6 +103,7 @@ def subgroup_scenarios(draw):
         replications=draw(replications),
         master_seed=draw(seeds),
         prevalence=draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)),
+        prevalence_fixed=draw(st.booleans()),
     )
 
 
@@ -122,8 +124,8 @@ def test_engine_tallies_equal_the_treatment_replay(scn):
 @given(subgroup_scenarios())
 def test_engine_tallies_equal_the_subgroup_replay(scn):
     oc = run_scenario(scn)
-    futility, branches, union = _manual_subgroup(scn)
-    assert oc.futility_count == futility
+    futility, branches, union, redraws = _manual_subgroup(scn)
+    assert (oc.futility_count, oc.prevalence_redraws) == (futility, redraws)
     assert oc.union_rejected_count == union
     for name, row in branches.items():
         got = oc.subgroup_counts[name]

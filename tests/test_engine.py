@@ -15,6 +15,8 @@ from seamsim.closedtest import (
 )
 from seamsim.engine import (
     _GRID,
+    _YMAX,
+    _YMIN,
     InfeasibleScenarioError,
     OperatingCharacteristics,
     Scenario,
@@ -120,6 +122,8 @@ def test_scenario_validation():
         )
     with pytest.raises(ValueError, match="1..K"):
         treatment_scenario(SelectionRule("all"), ptest=(3, 4))
+    with pytest.raises(ValueError, match="whole"):
+        treatment_scenario(SelectionRule("all"), ptest=(1.5,))
     with pytest.raises(ValueError, match="replications"):
         treatment_scenario(SelectionRule("all"), reps=0)
     with pytest.raises(ValueError, match="replications"):
@@ -266,6 +270,35 @@ def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, c
     assert inside.sum() > 1000
     interpolated = np.interp(GRID_MIDPOINTS, _GRID, grid)
     assert np.max(np.abs(interpolated - exact)[inside]) < 1e-6
+
+
+TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
+
+
+@pytest.mark.parametrize(
+    "kind, m, corr",
+    [("dunnett", m, ARM_CORRELATION) for m in range(2, 9)]
+    + [("ct-sd", 2, tau) for tau in (0.3, 0.9)],
+)
+def test_grid_tails_beyond_8_5_match_direct_evaluation(kind, m, corr):
+    # np.interp holds the end values past the grid's +-8.5
+    if kind == "dunnett":
+        grid, direct = _dunnett_grid(m), equicorr_max_cdf(m, corr, TAIL_POINTS)
+    else:
+        root_tau = np.sqrt(corr)
+        grid, direct = _sd_grid(root_tau), bvn_cdf(TAIL_POINTS, TAIL_POINTS, root_tau)
+    exact = _keep_quantile(direct)
+    interpolated = np.interp(TAIL_POINTS, _GRID, grid)
+    if kind == "dunnett":
+        # both sit at the p-value clamp
+        np.testing.assert_array_equal(interpolated, exact)
+        np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
+    else:
+        # the upper plateau (7.809) lies below the clamp: bvn_cdf stops a few
+        # ulps short of 1, and direct evaluation scatters over 7.799-7.824
+        np.testing.assert_array_equal(interpolated[:4], _YMIN)
+        assert np.all(interpolated[4:] < _YMAX - 0.1)
+        np.testing.assert_allclose(interpolated, exact, rtol=0.0, atol=2e-2)
 
 
 def test_cached_grids_are_read_only_fresh_builds():
@@ -439,16 +472,19 @@ def test_engine_reproduces_the_single_replication_path(rule, method, follow_up):
 def _manual_subgroup(scn):
     """Replay a subgroup scenario through the public per-replication API."""
     spec, plan, config = scn.effects, scn.plan, scn.test.config
-    model = build_score_model(spec, plan, scn.prevalence)
     orient_early = 1.0 if larger_is_better(spec.design, spec.early_outcome) else -1.0
     orient_final = 1.0 if larger_is_better(spec.design, spec.final_outcome) else -1.0
     cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
     sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
-    futility = 0
-    union = 0
+    futility = union = redraws = 0
     branches = {name: np.zeros(5, dtype=int) for name in ("sub", "full", "both")}
     for rep in range(scn.replications):
         stream = replication_stream(scn.master_seed, rep)
+        tau, extra = resolve_prevalence(
+            scn.prevalence, scn.prevalence_fixed, stream, 2 * plan.stage1_per_arm
+        )
+        redraws += extra
+        model = build_score_model(spec, plan, tau)
         x = sample_replication(model, stream).values
         s = -orient_early * x[:2]
         outcome = select_population(s[0], s[1], scn.rule)
@@ -462,10 +498,10 @@ def _manual_subgroup(scn):
             z2_native[0] += sub_only_mean - model.mean[4]
         z1 = orient_final * x[2:4]
         z2 = orient_final * z2_native
-        rejected = closed_test(z1, z2, outcome, scn.test.intersection, config, tau=scn.prevalence)
-        p1 = intersection_pvalue(z1, scn.test.intersection, tau=scn.prevalence)
+        rejected = closed_test(z1, z2, outcome, scn.test.intersection, config, tau=tau)
+        p1 = intersection_pvalue(z1, scn.test.intersection, tau=tau)
         alive = sorted(cont)
-        p2 = intersection_pvalue(z2[[i - 1 for i in alive]], scn.test.intersection, tau=scn.prevalence)
+        p2 = intersection_pvalue(z2[[i - 1 for i in alive]], scn.test.intersection, tau=tau)
         inter = combine(p1, p2, config).reject
         row = branches[name]
         row[0] += 1
@@ -474,7 +510,7 @@ def _manual_subgroup(scn):
         row[3] += rejected == {1, 2}
         row[4] += inter
         union += bool(rejected)
-    return futility, branches, union
+    return futility, branches, union, redraws
 
 
 @pytest.mark.parametrize(
@@ -485,18 +521,19 @@ def _manual_subgroup(scn):
     ],
 )
 def test_engine_reproduces_the_subgroup_path(rule, method):
-    scn = subgroup_scenario(rule, method=method)
-    oc = run_scenario(scn)
-    futility, branches, union = _manual_subgroup(scn)
-    assert oc.futility_count == futility
-    assert oc.union_rejected_count == union
-    for name, row in branches.items():
-        got = oc.subgroup_counts[name]
-        assert (got.n, got.hs, got.hf, got.both, got.intersection) == tuple(row), name
-    # the recorded expected sample size follows the branch counts exactly
-    n_sub, n_rest = branches["sub"][0], branches["full"][0] + branches["both"][0]
-    manual = 2 * 100 + 2 * (200 * n_sub + 300 * n_rest) / scn.replications
-    assert oc.expected_total_sample_size == pytest.approx(manual, abs=1e-12)
+    for fixed in (True, False):
+        scn = subgroup_scenario(rule, method=method, prevalence_fixed=fixed)
+        oc = run_scenario(scn)
+        futility, branches, union, redraws = _manual_subgroup(scn)
+        assert (oc.futility_count, oc.prevalence_redraws) == (futility, redraws)
+        assert oc.union_rejected_count == union
+        for name, row in branches.items():
+            got = oc.subgroup_counts[name]
+            assert (got.n, got.hs, got.hf, got.both, got.intersection) == tuple(row), name
+        # the recorded expected sample size follows the branch counts exactly
+        n_sub, n_rest = branches["sub"][0], branches["full"][0] + branches["both"][0]
+        manual = 2 * 100 + 2 * (200 * n_sub + 300 * n_rest) / scn.replications
+        assert oc.expected_total_sample_size == pytest.approx(manual, abs=1e-12)
 
 
 def test_follow_up_changes_the_outcome_but_not_the_draws():

@@ -32,6 +32,8 @@ def test_epsilon_rule_parameter_handling():
         SelectionRule("epsilon")
     with pytest.raises(ValueError):
         SelectionRule("epsilon", epsilon=-0.1)
+    with pytest.raises(ValueError, match="NaN"):
+        SelectionRule("epsilon", epsilon=float("nan"))
     with pytest.raises(ValueError, match="only applies"):
         SelectionRule("all", epsilon=0.5)
 
@@ -40,6 +42,8 @@ def test_threshold_rule_parameter_handling():
     assert SelectionRule("threshold", threshold=-1.0).threshold == -1.0
     with pytest.raises(ValueError):
         SelectionRule("threshold")
+    with pytest.raises(ValueError, match="NaN"):
+        SelectionRule("threshold", threshold=float("nan"))
     with pytest.raises(ValueError, match="only applies"):
         SelectionRule("best-1", threshold=2.0)
 
@@ -54,6 +58,9 @@ def test_subgroup_rule_limit_handling():
         SelectionRule("futility-pair", limits=(0.0,))
     with pytest.raises(ValueError, match="l1 <= l2"):
         SelectionRule("threshold-pair", limits=(1.0, 0.0))
+    for kind in ("threshold-pair", "futility-pair"):
+        with pytest.raises(ValueError, match="NaN"):
+            SelectionRule(kind, limits=(0.0, float("nan")))
     # the futility pair has no ordering constraint
     assert SelectionRule("futility-pair", limits=(1.0, -1.0)).limits == (1.0, -1.0)
     with pytest.raises(ValueError, match="limits only apply"):
@@ -71,10 +78,9 @@ def test_outcome_requires_arms_xor_futility():
     oc = SelectionOutcome(frozenset({np.int64(2), 3}))
     assert oc.continued == {2, 3}
     assert not oc.stopped_for_futility
-    assert SelectionOutcome(frozenset(), stopped_for_futility=True).stopped_for_futility
-    with pytest.raises(ValueError):
-        SelectionOutcome(frozenset())
-    with pytest.raises(ValueError):
+    # futility is the empty selection: there is no other way to state it
+    assert SelectionOutcome(frozenset()).stopped_for_futility
+    with pytest.raises(TypeError):
         SelectionOutcome(frozenset({1}), stopped_for_futility=True)
 
 

@@ -141,6 +141,9 @@ def test_effect_spec_validation():
         EffectSpec(design="treatment", early=(0.0, 0.1), final=(0.0, 1.2), final_outcome="B")
     with pytest.raises(ValueError):  # ratio effects must be positive
         EffectSpec(design="subgroup", early=(-0.5, 0.9), final=(0.6, 0.9), early_outcome="T")
+    for bad in (float("nan"), float("inf")):  # a NaN effect would never select its arm
+        with pytest.raises(ValueError, match="finite"):
+            EffectSpec(design="treatment", early=(0.0, bad), final=(0.0, 0.1))
     spec = EffectSpec(design="treatment", early=(0.0, 0.1, 0.2), final=(0.0, 0.1, 0.2))
     assert spec.comparisons == 2
 
