@@ -7,20 +7,25 @@ are processed in fixed-size chunks of 4096; ``threads`` only distributes the
 same chunks over a process pool, and every tally is an integer count, so a
 run is bit-for-bit reproducible at any parallelism.
 
-The closed testing procedure is evaluated in vectorised form. For the
-Dunnett and subgroup/full-population intersection tests the monotone map
-from a maximum statistic to its combination-ready quantile Phi^-1(1 - p) is
-precomputed on a fine grid once per process for each m or tau and
-interpolated. Against direct evaluation the absolute error is below 1e-6
-(5e-8 measured) wherever the quantile lies in [-6, 6], i.e. for p down to
-1e-9, far inside the Monte Carlo resolution. Past that it grows: to 3e-5
-for quantiles of size 6 to 7 and 2e-2 above 7.8, where the direct value
-itself has lost most of its digits. Beyond the grid's +-8.5 the Dunnett
-grids hold the +-7.9414 of the p-value clamp, as direct evaluation does, but
-the subgroup/full-population grid plateaus at 7.809 (direct evaluation gives
-7.799 to 7.824): with that stage-1 quantile, an inverse-normal rejection at
-w1^2 = 1/4 hinges on a stage-2 quantile of -2.245 rather than -2.322.
-Bonferroni, Simes and all single-arm p-values are computed exactly.
+The closed test runs on the subset lattice: the 2^K - 1 intersections are
+bitmasks in levels of equal size, and rows go through them in blocks of
+about 2^17 cells (rows x intersections), 1 MB per array at any K. A Dunnett,
+subgroup/full or Bonferroni quantile Phi^-1(1 - p) depends only on the
+member count m and the best contributing member. With each row's members
+ranked best first, one pass per level gives every cell its best rank,
+best(S) = min(best(S without top), rank(top)), and the quantile is read from
+a per-row (m, rank) table. Simes ranks the members through bitmasks in K
+passes. An elementary hypothesis falls when every intersection holding it does.
+
+The Dunnett and subgroup/full-population maps from a maximum statistic to
+Phi^-1(1 - p) are precomputed on a fine grid once per process for each m or
+tau and interpolated. Against direct evaluation the absolute error is below
+1e-6 (5e-8 measured) wherever the quantile lies in [-6, 6], i.e. for p down
+to 1e-9. Past that it grows to 3e-5 for quantiles of 6 to 7 and 2e-2 above
+7.8. Beyond the grid's +-8.5 the Dunnett grids hold the +-7.9414 of the
+p-value clamp, but the subgroup/full grid plateaus at 7.809 (direct: 7.799
+to 7.824), so an inverse-normal rejection at w1^2 = 1/4 hinges on a stage-2
+quantile of -2.245 rather than -2.322. The other p-values are exact.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from .closedtest import (
     INTERSECTION_METHODS,
     P_CLAMP,
     CombinationConfig,
-    HypothesisFamily,
     fisher_critical_value,
     spending_boundaries,
 )
@@ -77,6 +81,7 @@ _YMIN = float(ndtri(P_CLAMP))
 _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
+_BLOCK_CELLS = 1 << 17  # rows x intersections per block of the closed test
 # Quantile grids held per process: 64 of about 70 KB each, far more than the
 # distinct m and tau of any sweep or error-rate grid.
 _GRID_CACHE_SIZE = 64
@@ -231,7 +236,6 @@ class _Prepared:
     orient_final: float
     mean: np.ndarray | None          # fixed-prevalence model mean
     chol: np.ndarray | None
-    subsets: tuple                   # 0-based member tuples, largest first
     u1: float
     u2: float
     fisher_crit: float
@@ -282,9 +286,6 @@ def _prepare(scenario: Scenario) -> _Prepared:
         orient_final=1.0 if larger_is_better(spec.design, spec.final_outcome) else -1.0,
         mean=None,
         chol=None,
-        subsets=tuple(
-            tuple(sorted(i - 1 for i in s)) for s in HypothesisFamily(k).intersections
-        ),
         u1=u1,
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
@@ -401,50 +402,97 @@ def _random_pick_mask(cont, rand_pick):
     return cont
 
 
-def _stage_quantiles(pre: _Prepared, z, members, contrib, taus):
-    """Phi^-1(1 - p) of one intersection's p-values for an array of replications.
+@lru_cache(maxsize=None)  # one per K, built on first use
+def _lattice(k: int):
+    """The 2^K - 1 intersections as bitmasks in levels of equal size, singletons first.
 
-    ``contrib`` restricts the statistics entering the test per replication
-    (None means all members contribute, as at stage 1).
+    Returns (masks, levels, popcount, member): a level is (start, stop, parent,
+    top), where S's parent is S without its top (highest) member; popcount
+    counts every bitmask's members; member is the (S, K) membership.
+    """
+    popcount = _read_only(np.array([bin(s).count("1") for s in range(1 << k)]))
+    masks = _read_only(np.array(sorted(range(1, 1 << k), key=lambda s: (popcount[s], s))))
+    top = _read_only(np.array([int(s).bit_length() - 1 for s in masks]))
+    parent = _read_only(np.argsort(masks)[(masks ^ (1 << top)) - 1])  # position of S without its top
+    bounds = np.cumsum([math.comb(k, size) for size in range(1, k + 1)])
+    levels = tuple((a, b, parent[a:b], top[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
+    return masks, levels, popcount, _read_only((masks[:, None] >> np.arange(k)) & 1 == 1)
+
+
+def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
+    """Phi^-1(1 - p) of one stage's (row, intersection) cells, and their member counts.
+
+    The cells are ``y[index]``, or ``y`` itself when index is None. ``contrib``
+    restricts each row's contributing members (None: all, as at stage 1).
     """
     method = pre.scenario.test.intersection
-    m_full = len(members)
-    cols = list(members)
+    rows, k = z.shape
+    masks, levels, popcount, _ = _lattice(k)
     if contrib is None:
-        mcount = np.full(z.shape[0], m_full)
-        zm = z[:, cols]
+        m = np.broadcast_to(popcount[masks], (rows, masks.size))
     else:
-        mcount = contrib[:, cols].sum(axis=1)
-        zm = np.where(contrib[:, cols], z[:, cols], -np.inf)
+        m = popcount[masks & (contrib @ (1 << np.arange(k)))[:, None]]
+    if method == "simes":
+        p = 1.0 - ndtr(z)
+        y, index = _simes_quantiles(p if contrib is None else np.where(contrib, p, np.inf), m), None
+    else:
+        # The quantile depends only on the member count m and the best
+        # contributing member, so rank each row's members best first (no
+        # data last) and tabulate it per (m, rank). The best of m members
+        # ranks at most mmax - m, with mmax the largest m.
+        bonferroni = method == "bonferroni"
+        key = 1.0 - ndtr(z) if bonferroni else -z
+        if contrib is not None:
+            key = np.where(contrib, key, np.inf)
+        order = np.argsort(key, axis=1, kind="stable")
+        ranked = (key if bonferroni else z)[np.arange(rows)[:, None], order]
+        mmax = k if contrib is None else int(m.max())
+        # m = 0 cells have no stage data: p = 1, clamped as everywhere
+        table = np.full((rows, mmax + 1, k), ndtri(1.0 - (1.0 - P_CLAMP)) if bonferroni else _YMIN)
+        for size in range(1, mmax + 1):
+            cut = mmax - size + 1
+            if bonferroni:
+                pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
+                table[:, size, :cut] = ndtri(1.0 - pm)
+            elif size == 1:
+                table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
+            elif size in pre.grids:
+                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
+        # best(S) = min(best(parent), rank of top), one pass per level
+        best = np.empty((rows, masks.size), dtype=np.int64)
+        best[:, :k] = np.argsort(order, axis=1, kind="stable")
+        for start, stop, parent, top in levels:
+            np.minimum(best[:, parent], best[:, top], out=best[:, start:stop])
+        index = (np.arange(rows)[:, None] * (mmax + 1) + m) * k + best
+        y = table.ravel()
+        if method == "spiessens-debois" and 2 not in pre.grids:
+            # varying prevalence: evaluate the bivariate CDF on the two-member cells
+            r, c = np.nonzero(m == 2)
+            index[r, c] = y.size + np.arange(r.size)
+            cmax = ranked[r, best[r, c]]
+            y = np.append(y, _keep_quantile(_bvn_equal_coords(cmax, np.sqrt(taus[r]))))
+    return y, index, m
 
-    if method in ("dunnett", "spiessens-debois"):
-        cmax = zm.max(axis=1)
-        y = np.empty(z.shape[0])
-        for m in range(0, m_full + 1):
-            rows = mcount == m
-            if not rows.any():
-                continue
-            if m == 0:
-                y[rows] = _YMIN  # no stage data: p = 1 by convention
-            elif m == 1:
-                y[rows] = np.clip(cmax[rows], _YMIN, _YMAX)
-            elif m in pre.grids:
-                y[rows] = np.interp(cmax[rows], _GRID, pre.grids[m])
-            else:
-                # varying prevalence: evaluate the bivariate CDF directly
-                y[rows] = _keep_quantile(_bvn_equal_coords(cmax[rows], np.sqrt(taus[rows])))
-        return y
 
-    p_elem = 1.0 - ndtr(zm)  # -inf entries give p = 1, ignored below
-    if method == "bonferroni":
-        p_best = np.where(np.isfinite(zm), p_elem, np.inf).min(axis=1)
-        p = np.where(mcount > 0, np.minimum(1.0, mcount * np.where(mcount > 0, p_best, 0.0)), 1.0)
-    else:  # simes
-        p_sorted = np.sort(np.where(np.isfinite(zm), p_elem, np.inf), axis=1)
-        ranks = np.arange(1, m_full + 1, dtype=float)
-        msafe = np.maximum(mcount, 1)[:, None]
-        p = np.where(mcount > 0, np.min(msafe * p_sorted / ranks, axis=1), 1.0)
-    return ndtri(1.0 - np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
+def _simes_quantiles(p, m):
+    """Simes quantile of every cell from the members' p-values (inf: no data).
+
+    A member's rank in an intersection counts the members there with no
+    larger p, itself included: among ties the largest rank, whose
+    (m * p) / rank is least.
+    """
+    rows, k = p.shape
+    masks, _, popcount, member = _lattice(k)
+    # [row, i]: bitmask of the members j with p_j <= p_i
+    no_larger = (p[:, None, :] <= p[:, :, None]) @ (1 << np.arange(k))
+    msafe = np.maximum(m, 1)
+    simes = np.full((rows, masks.size), np.inf)
+    for i in range(k):
+        cols = np.flatnonzero(member[:, i])
+        rank = popcount[no_larger[:, i, None] & masks[cols]]
+        simes[:, cols] = np.minimum(simes[:, cols], msafe[:, cols] * p[:, i, None] / rank)
+    simes = np.where(m > 0, simes, 1.0)
+    return ndtri(1.0 - np.clip(simes, P_CLAMP, 1.0 - P_CLAMP))
 
 
 def _bvn_equal_coords(c, rho):
@@ -459,33 +507,33 @@ def _bvn_equal_coords(c, rho):
 def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
+    member = _lattice(k)[3]
     contrib = np.ones_like(cont) if pre.scenario.follow_up else cont
     config = pre.scenario.test.config
-    inverse_normal = config.method == "inverse-normal"
-    w1, w2 = config.w1, config.w2
 
-    candidate = cont.copy()
-    full_subset_reject = np.zeros(n, dtype=bool)
-    clamps = 0
-    for members in pre.subsets:
-        y1 = _stage_quantiles(pre, z1, members, None, taus)
-        y2 = _stage_quantiles(pre, z2, members, contrib, taus)
-        # clamp saturation of computed statistics (stage-2 "no data" rows are
-        # structural, not numerical, and are excluded from the diagnostic)
-        m2 = contrib[:, list(members)].sum(axis=1)
-        clamps += int(np.sum((y1 <= _YMIN) | (y1 >= _YMAX)))
-        clamps += int(np.sum(((y2 <= _YMIN) | (y2 >= _YMAX)) & (m2 > 0)))
-        if inverse_normal:
-            stat = w1 * y1 + w2 * y2
-            reject = stat >= pre.u2
+    def cells(values, index):
+        return values if index is None else values[index]
+
+    rejected, full_reject, clamps = np.empty_like(cont), np.empty(n, dtype=bool), 0
+    step = max(1, _BLOCK_CELLS // len(member))
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        tau = None if taus is None else taus[a:b]
+        y1, i1, _ = _lattice_quantiles(pre, z1[a:b], None, tau)
+        y2, i2, m2 = _lattice_quantiles(pre, z2[a:b], contrib[a:b], tau)
+        # clamp saturation; stage-2 cells without data are structural, not counted
+        clamps += int(np.count_nonzero(cells((y1 <= _YMIN) | (y1 >= _YMAX), i1)))
+        clamps += int(np.count_nonzero(cells((y2 <= _YMIN) | (y2 >= _YMAX), i2) & (m2 > 0)))
+        if config.method == "inverse-normal":
+            reject = cells(config.w1 * y1, i1) + cells(config.w2 * y2, i2) >= pre.u2
             if math.isfinite(pre.u1):
-                reject |= y1 >= pre.u1
+                reject |= cells(y1, i1) >= pre.u1
         else:
-            reject = ndtr(-y1) * ndtr(-y2) <= pre.fisher_crit
-        if len(members) == k:
-            full_subset_reject = reject & cont.any(axis=1)
-        candidate[:, list(members)] &= reject[:, None]
-    return candidate, full_subset_reject, clamps
+            reject = cells(ndtr(-y1), i1) * cells(ndtr(-y2), i2) <= pre.fisher_crit
+        # an elementary hypothesis falls when every intersection holding it does
+        rejected[a:b] = cont[a:b] & ~(~reject @ member)
+        full_reject[a:b] = reject[:, -1] & cont[a:b].any(axis=1)
+    return rejected, full_reject, clamps
 
 
 def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:

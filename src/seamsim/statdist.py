@@ -41,6 +41,10 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(512)
 _BVN_LO = -9.75
 _BVN_CLIP = 9.5
 
+# Quadratures run over the points in slices of 256: 1 MB per points x nodes
+# temporary, and a point's sum never depends on its batch, so values match.
+_SLICE_POINTS = 256
+
 
 def _phi(x):
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
@@ -80,14 +84,16 @@ def bvn_cdf(z1, z2, rho):
     elif fixed and rho == 0.0:
         out = ndtr(a) * ndtr(b)
     else:
-        hi = np.clip(a, -_BVN_CLIP, _BVN_CLIP)
-        half = 0.5 * (hi - _BVN_LO)
-        mid = 0.5 * (hi + _BVN_LO)
-        u = mid[..., None] + half[..., None] * _GL_NODES
-        r = r[..., None]
-        s = np.sqrt(1.0 - r * r)
-        integrand = _phi(u) * ndtr((b[..., None] - r * u) / s) * _GL_WEIGHTS
-        out = half * integrand.sum(axis=-1)  # a row's sum never depends on its batch
+        out = np.empty(a.shape)
+        a, b, r, flat = a.ravel(), b.ravel(), r.ravel(), out.reshape(-1)
+        for lo in range(0, a.size, _SLICE_POINTS):
+            sl = slice(lo, lo + _SLICE_POINTS)
+            hi = np.clip(a[sl], -_BVN_CLIP, _BVN_CLIP)
+            half = 0.5 * (hi - _BVN_LO)
+            u = (0.5 * (hi + _BVN_LO))[:, None] + half[:, None] * _GL_NODES
+            rs = r[sl, None]
+            integrand = _phi(u) * ndtr((b[sl, None] - rs * u) / np.sqrt(1.0 - rs * rs)) * _GL_WEIGHTS
+            flat[sl] = half * integrand.sum(axis=-1)
         out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 
@@ -121,9 +127,13 @@ def equicorr_max_cdf(m, r, z):
     if r == 0.0:
         out = ndtr(zz) ** m
     else:
-        arg = (zz[..., None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
-        out = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
-        out = np.clip(out, 0.0, 1.0)
+        x = zz.ravel()
+        out = np.empty(x.size)
+        for lo in range(0, x.size, _SLICE_POINTS):
+            sl = slice(lo, lo + _SLICE_POINTS)
+            arg = (x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
+            out[sl] = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
+        out = np.clip(out.reshape(zz.shape), 0.0, 1.0)
     return float(out) if scalar else out
 
 

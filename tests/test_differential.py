@@ -5,7 +5,8 @@ rule, the exactly evaluated intersection tests, both combinations, stage-1
 spending, follow-up, power subsets, fixed or redrawn subgroup prevalence,
 replication counts across a chunk's edge cases and arbitrary seeds -- and
 every tally ``run_scenario`` reports must equal the replication-by-replication
-replay of ``test_engine`` exactly.
+replay of ``test_engine`` exactly. Subgroup examples are drawn per interim
+branch, each with at least eight replications.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -29,6 +30,19 @@ sizes = st.integers(10, 200)
 replications = st.integers(1, 200)
 seeds = st.integers(0, 2**64 - 1)
 exact_tests = st.sampled_from(("bonferroni", "simes"))
+
+# Subgroup examples are stratified by interim branch. Limits of +-50, far
+# beyond any interim statistic, send every replication down one branch
+# (subgroup only, full population only, both, or futility); "mixed" draws
+# limits among the statistics, so the branches mix within a run.
+BRANCHES = ("sub", "full", "both", "futility", "mixed")
+FORCING_LIMITS = {
+    "threshold-pair": {"sub": (50.0, 50.0), "full": (-50.0, -50.0), "both": (-50.0, 50.0), "mixed": None},
+    "futility-pair": {
+        "sub": (50.0, -50.0), "full": (-50.0, 50.0), "both": (50.0, 50.0),
+        "futility": (-50.0, -50.0), "mixed": None,
+    },
+}
 
 
 @st.composite
@@ -85,8 +99,11 @@ def subgroup_scenarios(draw):
         values = st.floats(0.4, 1.5) if code == "T" else effect
         return draw(st.tuples(values, values))
 
-    limits = sorted(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
-    kind = draw(st.sampled_from(("threshold-pair", "futility-pair")))
+    branch = draw(st.sampled_from(BRANCHES))
+    kind = draw(st.sampled_from([kind for kind, forced in FORCING_LIMITS.items() if branch in forced]))
+    limits = FORCING_LIMITS[kind][branch]
+    if limits is None:
+        limits = sorted(draw(st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))))
     n1, n2 = draw(sizes), draw(sizes)
     return Scenario(
         effects=EffectSpec(
@@ -100,7 +117,7 @@ def subgroup_scenarios(draw):
         plan=SampleSizePlan(n1, n2, enrich_per_arm=draw(st.one_of(st.none(), sizes))),
         rule=SelectionRule(kind, limits=limits),
         test=TestSpec(draw(exact_tests), draw(combinations(n1, n2))),
-        replications=draw(replications),
+        replications=draw(st.integers(8, 200)),
         master_seed=draw(seeds),
         prevalence=draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)),
         prevalence_fixed=draw(st.booleans()),

@@ -1,6 +1,7 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
-from dataclasses import replace
+import tracemalloc
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,7 @@ from seamsim.engine import (
     _pool_size,
     _prepare,
     _sd_grid,
+    _test_chunk,
     expected_sample_size,
     run_scenario,
     sweep,
@@ -401,6 +403,190 @@ def test_chunk_draws_replay_each_replication_stream(scn):
     assert redraws == total_redraws
     if scn.design == "subgroup":
         assert redraws > 0
+
+
+# ---------------------------------------------------------------------------
+# the closed-test kernel: frozen tallies and hand-built chunks
+
+
+FROZEN_REPLICATIONS = 2 * 4096 + 17
+
+
+def _k8_scenario(intersection, method="inverse-normal", alpha1=0.0, **kw):
+    """Eight arms against control, best two continue: 255 intersections per replication."""
+    return Scenario(
+        effects=EffectSpec(
+            design="treatment",
+            early=(0.0, 0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7),
+            final=(0.0, 0.05, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20),
+            correlation=0.4,
+        ),
+        plan=SampleSizePlan(100, 300),
+        rule=SelectionRule("best-2"),
+        test=TestSpec(
+            intersection,
+            CombinationConfig.from_sample_sizes(100, 300, method=method, alpha1=alpha1),
+        ),
+        replications=FROZEN_REPLICATIONS,
+        master_seed=3,
+        ptest=(7, 8),
+        **kw,
+    )
+
+
+def _oncology_scenario(fixed):
+    return replace(
+        parse_config((CONFIG_DIR / "oncology.yaml").read_text(), "subgroup"),
+        replications=FROZEN_REPLICATIONS,
+        prevalence_fixed=fixed,
+    )
+
+
+_K8_SELECTED = ((0, 8209, 0, 0, 0, 0, 0, 0), (0, 16, 219, 586, 1332, 2602, 4461, 7202))
+
+# every OperatingCharacteristics field, as dataclasses.astuple gives it,
+# recorded from the per-intersection kernel the lattice kernel replaced
+FROZEN_CLOSED_TESTS = {
+    "dunnett-inverse-normal": (
+        _k8_scenario("dunnett"),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 4, 54, 193, 529, 1295, 2697, 4775), 5950, (7, 8), 5620, None, None),
+    ),
+    "dunnett-fisher": (
+        _k8_scenario("dunnett", "fisher"),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 3, 50, 175, 479, 1215, 2504, 4515), 5666, (7, 8), 5321, None, None),
+    ),
+    "simes-inverse-normal": (
+        _k8_scenario("simes"),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 3, 49, 179, 493, 1193, 2506, 4484), 5577, (7, 8), 5265, None, None),
+    ),
+    "simes-fisher": (
+        _k8_scenario("simes", "fisher"),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 2, 47, 171, 460, 1153, 2398, 4358), 5478, (7, 8), 5137, None, None),
+    ),
+    "bonferroni-inverse-normal": (
+        _k8_scenario("bonferroni"),
+        ("treatment", 8209, 0, 1800.0, 0, 239492, *_K8_SELECTED,
+         (0, 2, 37, 143, 360, 953, 1906, 3475), 4478, (7, 8), 4156, None, None),
+    ),
+    "bonferroni-fisher": (
+        _k8_scenario("bonferroni", "fisher"),
+        ("treatment", 8209, 0, 1800.0, 0, 239492, *_K8_SELECTED,
+         (0, 2, 38, 151, 410, 1060, 2201, 4074), 5143, (7, 8), 4815, None, None),
+    ),
+    "dunnett-alpha1": (
+        _k8_scenario("dunnett", alpha1=0.005),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 4, 52, 180, 504, 1241, 2598, 4620), 5779, (7, 8), 5453, None, None),
+    ),
+    "simes-follow-up": (
+        _k8_scenario("simes", follow_up=True),
+        ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
+         (0, 1, 28, 108, 291, 781, 1711, 3285), 4268, (7, 8), 3972, None, None),
+    ),
+    "oncology-fixed": (
+        _oncology_scenario(True),
+        ("subgroup", 8209, 416, 723.6204166159093, 0, 0, None, None, None, None, None, None,
+         {"sub": (1887, 1815, 0, 0, 1815), "full": (199, 0, 32, 0, 39),
+          "both": (5707, 4355, 1413, 1389, 4391)}, 6226),
+    ),
+    "oncology-varying": (
+        _oncology_scenario(False),
+        ("subgroup", 8209, 412, 723.2793275673042, 0, 0, None, None, None, None, None, None,
+         {"sub": (1913, 1834, 0, 0, 1835), "full": (182, 0, 39, 0, 46),
+          "both": (5702, 4335, 1377, 1350, 4387)}, 6235),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", FROZEN_CLOSED_TESTS)
+def test_closed_test_tallies_are_frozen(label):
+    # two full chunks plus a short one through every intersection test
+    scn, expected = FROZEN_CLOSED_TESTS[label]
+    assert astuple(run_scenario(scn)) == expected
+
+
+def _hand_built_chunk(k, rows=64, seed=0):
+    """Stage statistics and continued masks with ties, futile rows and clamped tails."""
+    rng = np.random.default_rng(seed)
+    z1 = np.round(rng.normal(1.0, 1.5, size=(rows, k)), 1)  # rounding makes ties common
+    z2 = np.round(rng.normal(1.0, 1.5, size=(rows, k)), 1)
+    z1[0], z2[0] = 1.5, 1.5                                  # every arm tied
+    z1[1], z2[1] = 9.0, -9.0                                 # beyond the p-value clamp
+    cont = rng.random((rows, k)) < 0.5
+    cont[2:6] = False                                        # futility
+    cont[6:10] = False
+    cont[6:10, 0] = True                                     # one arm continues
+    cont[:2] = True
+    return z1, z2, cont
+
+
+@pytest.mark.parametrize("method", ["bonferroni", "simes"])
+@pytest.mark.parametrize("combination", ["inverse-normal", "fisher", "alpha1"])
+@pytest.mark.parametrize("follow_up", [False, True])
+def test_chunk_kernel_matches_the_scalar_closed_test(method, combination, follow_up):
+    k = 5
+    config = CombinationConfig.from_sample_sizes(
+        60, 120, method="fisher" if combination == "fisher" else "inverse-normal",
+        alpha1=0.005 if combination == "alpha1" else 0.0,
+    )
+    scn = replace(treatment_scenario(SelectionRule("all"), method=method, follow_up=follow_up),
+                  effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)),
+                  test=TestSpec(method, config))
+    z1, z2, cont = _hand_built_chunk(k)
+    if follow_up:
+        z2 = np.where(cont, z2, z1)
+    rejected, _, _ = _test_chunk(_prepare(scn), z1, z2, cont, None)
+    everyone = range(1, k + 1) if follow_up else None
+    for row in range(z1.shape[0]):
+        continued = {i + 1 for i in np.flatnonzero(cont[row])}
+        scalar = closed_test(z1[row], z2[row], continued, method, config, stage2_contributors=everyone)
+        assert {i + 1 for i in np.flatnonzero(rejected[row])} == scalar, row
+    assert rejected.any() and not rejected.all()
+
+
+@pytest.mark.parametrize("method", ["dunnett", "bonferroni", "simes", "spiessens-debois"])
+@pytest.mark.parametrize("fixed", [True, False])
+def test_permuting_the_arms_permutes_the_rejections(method, fixed):
+    if method == "spiessens-debois":
+        scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), method=method,
+                                prevalence_fixed=fixed)
+        k = 2
+    else:
+        scn = _k8_scenario(method, follow_up=not fixed)
+        k = 8
+    z1, z2, cont = _hand_built_chunk(k, rows=600, seed=k)  # two blocks at K = 8
+    taus = None if fixed else np.full(z1.shape[0], 0.3)
+    pre = _prepare(scn)
+    expected = _test_chunk(pre, z1, z2, cont, taus)
+    assert expected[0].any() and expected[1].any()
+    for perm in np.random.default_rng(1).permutation(np.tile(np.arange(k), (3, 1)), axis=1):
+        rejected, full, clamps = _test_chunk(pre, z1[:, perm], z2[:, perm], cont[:, perm], taus)
+        np.testing.assert_array_equal(rejected, expected[0][:, perm])
+        np.testing.assert_array_equal(full, expected[1])
+        assert clamps == expected[2]
+    # a chunk in which every row stops for futility rejects nothing
+    rejected, full, _ = _test_chunk(pre, z1, z2, np.zeros_like(cont), taus)
+    assert not rejected.any() and not full.any()
+
+
+def test_chunk_kernel_memory_is_bounded_by_the_block():
+    pre = _prepare(_k8_scenario("simes", follow_up=True))
+    rng = np.random.default_rng(2)
+    z1, z2 = rng.normal(size=(2, 4096, 8))
+    cont = rng.random((4096, 8)) < 0.25
+    _test_chunk(pre, z1, z2, cont, None)  # build the lattice outside the measurement
+    tracemalloc.start()
+    try:
+        _test_chunk(pre, z1, z2, cont, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unblocked 4096 x 255 float array alone would take 8 MB
+    assert peak < 16 * 2**20
 
 
 # ---------------------------------------------------------------------------

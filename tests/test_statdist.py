@@ -6,6 +6,7 @@ Carlo draws, frozen together with their standard errors.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,43 @@ def test_equicorr_max_cdf_one_point_calls_match_the_batch():
     z = np.concatenate([np.random.default_rng(6).normal(scale=3.0, size=200), [-12.0, 12.0]])
     for m, r in ((2, 0.5), (5, 0.5), (8, 0.3)):
         np.testing.assert_array_equal(equicorr_max_cdf(m, r, z), [equicorr_max_cdf(m, r, v) for v in z])
+
+
+@pytest.mark.parametrize("points", [255, 256, 257])
+def test_quadrature_slices_match_one_point_calls(points):
+    # the quadratures run 256 points at a time; values across a slice edge
+    # equal calls of one point each
+    rng = np.random.default_rng(points)
+    c = rng.normal(scale=3.0, size=points)
+    rho = rng.uniform(0.05, 0.95, size=points)
+    np.testing.assert_array_equal(bvn_cdf(c, -c, rho), [bvn_cdf(a, -a, r) for a, r in zip(c, rho)])
+    np.testing.assert_array_equal(bvn_cdf(c, c, 0.5), [bvn_cdf(a, a, 0.5) for a in c])
+    np.testing.assert_array_equal(equicorr_max_cdf(4, 0.5, c), [equicorr_max_cdf(4, 0.5, a) for a in c])
+
+
+def test_quadrature_slices_keep_2d_shapes():
+    z = np.random.default_rng(7).normal(scale=3.0, size=(3, 171))  # 513 points, two slice edges
+    np.testing.assert_array_equal(bvn_cdf(z, 0.3, 0.4), bvn_cdf(z.ravel(), 0.3, 0.4).reshape(z.shape))
+    np.testing.assert_array_equal(
+        equicorr_max_cdf(3, 0.5, z), equicorr_max_cdf(3, 0.5, z.ravel()).reshape(z.shape)
+    )
+    outer = bvn_cdf(z[:, :1], z[:1, :], 0.4)  # broadcast limits
+    assert outer.shape == z.shape
+    assert outer[2, 170] == bvn_cdf(z[2, 0], z[0, 170], 0.4)
+
+
+def test_quadrature_memory_is_bounded_by_the_slice():
+    grid = np.linspace(-8.5, 8.5, 8705)  # the engine's quantile grid size
+    tracemalloc.start()
+    try:
+        bvn_cdf(grid, grid, 0.5)
+        bvn_cdf(grid, grid, np.full(grid.size, 0.5))
+        equicorr_max_cdf(8, 0.5, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 8705 x 512 temporary of a whole-batch evaluation takes 36 MB
+    assert peak < 16 * 2**20
 
 
 def test_equicorr_max_cdf_matches_bvn_for_pairs():
