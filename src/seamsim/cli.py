@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -26,6 +27,7 @@ import yaml
 
 from .closedtest import CombinationConfig
 from .engine import (
+    _BRANCHES,
     InfeasibleScenarioError,
     OperatingCharacteristics,
     Scenario,
@@ -63,16 +65,8 @@ DEFAULT_LEVEL = 0.025
 DEFAULT_SEED = 12345
 DEFAULT_CORRELATION = 0.0
 
-_TREAT_SELECT_CODES = {
-    0: "all",
-    1: "best-1",
-    2: "best-2",
-    3: "best-3",
-    4: "epsilon",
-    5: "random-1",
-    6: "threshold",
-}
-_TREAT_SELECT_NAMES = set(_TREAT_SELECT_CODES.values())
+# treatment rules in the order of their classic select codes 0-6
+_TREAT_RULES = ("all", "best-1", "best-2", "best-3", "epsilon", "random-1", "threshold")
 _SUBPOP_SELECT = {
     "thresh": "threshold-pair",
     "threshold": "threshold-pair",
@@ -85,6 +79,8 @@ _SUBPOP_METHODS = {
     "CT-Bonferroni": "bonferroni",
 }
 _TREAT_METHODS = {"invnorm": "inverse-normal", "fisher": "fisher"}
+# SubgroupCounts' rejection columns, as the report and the CSV export order them
+_REJECTION_COLUMNS = ("hs", "hf", "both", "intersection")
 
 _COMMON_KEYS = ("n", "effect", "outcome", "nsim", "corr", "seed", "select", "method", "weight", "level")
 _TREAT_KEYS = _COMMON_KEYS + ("epsilon", "thresh", "ptest", "fu")
@@ -105,6 +101,22 @@ def _require_mapping(value, path: str) -> dict:
     return value
 
 
+def _load(document) -> dict:
+    """The mapping a document describes, from YAML text or an already-loaded mapping."""
+    if isinstance(document, str):
+        try:
+            document = yaml.safe_load(document)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"invalid YAML: {exc}") from exc
+    return _require_mapping(document, "<document>")
+
+
+def _require(block: dict, keys, prefix: str = "", note: str = "") -> None:
+    for key in keys:
+        if key not in block:
+            raise ConfigError(f"missing required key '{prefix}{key}'{note}")
+
+
 def _reject_unknown(doc: dict, allowed, path: str = "") -> None:
     for key in doc:
         if key not in allowed:
@@ -119,7 +131,7 @@ def _as_int(value, path: str) -> int:
 
 
 def _as_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ConfigError(f"key '{path}': expected a number")
     return float(value)
 
@@ -136,6 +148,13 @@ def _as_number_list(value, path: str) -> tuple:
     return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
 
 
+def _as_pair(value, path: str) -> tuple:
+    pair = _as_number_list(value, path)
+    if len(pair) != 2:
+        raise ConfigError(f"key '{path}': expected exactly two limits, a (subgroup, full) pair")
+    return pair
+
+
 def _as_outcome(value, path: str) -> str:
     if value not in OUTCOME_TYPES:
         raise ConfigError(f"key '{path}': expected one of {', '.join(OUTCOME_TYPES)}")
@@ -143,14 +162,11 @@ def _as_outcome(value, path: str) -> str:
 
 
 def _parse_plan(doc: dict, design: str) -> SampleSizePlan:
-    block = _require_mapping(doc.get("n"), "n") if "n" in doc else None
-    if block is None:
-        raise ConfigError("missing required key 'n'")
+    _require(doc, ("n",))
+    block = _require_mapping(doc["n"], "n")
     allowed = ("stage1", "stage2", "enrich") if design == SUBGROUP else ("stage1", "stage2")
     _reject_unknown(block, allowed, "n")
-    for key in ("stage1", "stage2"):
-        if key not in block:
-            raise ConfigError(f"missing required key 'n.{key}'")
+    _require(block, ("stage1", "stage2"), "n.")
     n1 = _as_int(block["stage1"], "n.stage1")
     n2 = _as_int(block["stage2"], "n.stage2")
     enrich = _as_int(block["enrich"], "n.enrich") if "enrich" in block else None
@@ -161,13 +177,10 @@ def _parse_plan(doc: dict, design: str) -> SampleSizePlan:
 
 
 def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
-    if "effect" not in doc:
-        raise ConfigError("missing required key 'effect'")
+    _require(doc, ("effect",))
     block = _require_mapping(doc["effect"], "effect")
     _reject_unknown(block, ("early", "final"), "effect")
-    for key in ("early", "final"):
-        if key not in block:
-            raise ConfigError(f"missing required key 'effect.{key}'")
+    _require(block, ("early", "final"), "effect.")
     early = _as_number_list(block["early"], "effect.early")
     final = _as_number_list(block["final"], "effect.final")
 
@@ -190,47 +203,32 @@ def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
 
 
 def _parse_treat_rule(doc: dict) -> SelectionRule:
-    select = doc.get("select", "all")
-    if isinstance(select, bool) or not (
-        isinstance(select, int) or select in _TREAT_SELECT_NAMES
-    ):
+    kind = doc.get("select", "all")
+    if type(kind) is int and 0 <= kind < len(_TREAT_RULES):  # a code; bool is no code
+        kind = _TREAT_RULES[kind]
+    if not isinstance(kind, str) or kind not in _TREAT_RULES:
         raise ConfigError(
-            "key 'select': expected a code 0-6 or one of " + ", ".join(sorted(_TREAT_SELECT_NAMES))
+            "key 'select': expected a code 0-6 or one of " + ", ".join(sorted(_TREAT_RULES))
         )
-    if isinstance(select, int):
-        if select not in _TREAT_SELECT_CODES:
-            raise ConfigError("key 'select': expected a code 0-6")
-        kind = _TREAT_SELECT_CODES[select]
-    else:
-        kind = select
-    epsilon = threshold = None
-    if kind == "epsilon":
-        if "epsilon" not in doc:
-            raise ConfigError("missing required key 'epsilon' (select=4 needs it)")
-        epsilon = _as_float(doc["epsilon"], "epsilon")
-    elif "epsilon" in doc:
-        raise ConfigError("key 'epsilon' is only valid with the epsilon rule (select=4)")
-    if kind == "threshold":
-        if "thresh" not in doc:
-            raise ConfigError("missing required key 'thresh' (select=6 needs it)")
-        threshold = _as_float(doc["thresh"], "thresh")
-    elif "thresh" in doc:
-        raise ConfigError("key 'thresh' is only valid with the threshold rule (select=6)")
+    params, named = {}, "select"
+    for key, param, code in (("epsilon", "epsilon", 4), ("thresh", "threshold", 6)):
+        if kind == param:
+            _require(doc, (key,), note=f" (select={code} needs it)")
+            params[param], named = _as_float(doc[key], key), key
+        elif key in doc:
+            raise ConfigError(f"key '{key}' is only valid with the {param} rule (select={code})")
     try:
-        return SelectionRule(kind, epsilon=epsilon, threshold=threshold)
+        return SelectionRule(kind, **params)
     except ValueError as exc:
-        raise ConfigError(f"key '{'thresh' if epsilon is None else 'epsilon'}': {exc}") from exc
+        raise ConfigError(f"key '{named}': {exc}") from exc
 
 
 def _parse_subpop_rule(doc: dict) -> SelectionRule:
     select = doc.get("select", "thresh")
-    if select not in _SUBPOP_SELECT:
+    if not isinstance(select, str) or select not in _SUBPOP_SELECT:
         raise ConfigError("key 'select': expected 'thresh' or 'futility'")
-    if "selim" not in doc:
-        raise ConfigError("missing required key 'selim'")
-    limits = _as_number_list(doc["selim"], "selim")
-    if len(limits) != 2:
-        raise ConfigError("key 'selim': expected exactly two limits (subgroup, full)")
+    _require(doc, ("selim",))
+    limits = _as_pair(doc["selim"], "selim")
     try:
         return SelectionRule(_SUBPOP_SELECT[select], limits=limits)
     except ValueError as exc:
@@ -247,12 +245,7 @@ def parse_config(document, design: str) -> Scenario:
     Raises:
         ConfigError: naming the offending key and constraint.
     """
-    if isinstance(document, str):
-        try:
-            document = yaml.safe_load(document)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML: {exc}") from exc
-    doc = _require_mapping(document, "<document>")
+    doc = _load(document)
     allowed = _TREAT_KEYS if design == TREATMENT else _SUBPOP_KEYS
     _reject_unknown(doc, allowed)
 
@@ -275,7 +268,7 @@ def parse_config(document, design: str) -> Scenario:
     if design == TREATMENT:
         rule = _parse_treat_rule(doc)
         method = doc.get("method", "invnorm")
-        if method not in _TREAT_METHODS:
+        if not isinstance(method, str) or method not in _TREAT_METHODS:
             raise ConfigError("key 'method': expected 'invnorm' or 'fisher'")
         intersection = "dunnett"
         combination = _TREAT_METHODS[method]
@@ -296,8 +289,7 @@ def parse_config(document, design: str) -> Scenario:
             raise ConfigError("key 'method': expected 'CT-SD', 'CT-Simes' or 'CT-Bonferroni'")
         intersection = matches[0]
         combination = "inverse-normal"
-        if "sprev" not in doc:
-            raise ConfigError("missing required key 'sprev'")
+        _require(doc, ("sprev",))
         sprev = _as_float(doc["sprev"], "sprev")
         if not 0.0 < sprev < 1.0:
             raise ConfigError("key 'sprev': must lie strictly between 0 and 1")
@@ -331,14 +323,8 @@ def parse_sweep_config(document) -> tuple:
     The design is inferred from the scenario keys ('sprev' marks a subgroup
     design). Returns (base scenario, axis, values).
     """
-    if isinstance(document, str):
-        try:
-            document = yaml.safe_load(document)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"invalid YAML: {exc}") from exc
-    doc = dict(_require_mapping(document, "<document>"))
-    if "sweep" not in doc:
-        raise ConfigError("missing required key 'sweep'")
+    doc = dict(_load(document))
+    _require(doc, ("sweep",))
     block = _require_mapping(doc.pop("sweep"), "sweep")
     _reject_unknown(block, ("axis", "values"), "sweep")
     axis = block.get("axis")
@@ -347,17 +333,8 @@ def parse_sweep_config(document) -> tuple:
     raw = block.get("values")
     if not isinstance(raw, (list, tuple)) or not raw:
         raise ConfigError("key 'sweep.values': expected a non-empty list")
-    if axis == "futility-limits-grid":
-        values = []
-        for i, pair in enumerate(raw):
-            values.append(tuple(_as_float(v, f"sweep.values[{i}]") for v in
-                                _as_number_list(pair, f"sweep.values[{i}]")))
-            if len(values[-1]) != 2:
-                raise ConfigError(f"key 'sweep.values[{i}]': expected a (subgroup, full) pair")
-    elif axis == "stage1-allocation":
-        values = [_as_int(v, f"sweep.values[{i}]") for i, v in enumerate(raw)]
-    else:
-        values = [_as_float(v, f"sweep.values[{i}]") for i, v in enumerate(raw)]
+    parse = {"futility-limits-grid": _as_pair, "stage1-allocation": _as_int}.get(axis, _as_float)
+    values = [parse(v, f"sweep.values[{i}]") for i, v in enumerate(raw)]
     design = SUBGROUP if "sprev" in doc else TREATMENT
     return parse_config(doc, design), axis, values
 
@@ -376,9 +353,18 @@ def format_number(x, decimals: int) -> str:
     return text
 
 
-def _count_row(label: str, count: int, pct: float | None) -> str:
-    pct_text = f"{pct:.2f}" if pct is not None else "-"
-    return f"{label:>6}{count:>9}{pct_text:>15}"
+def _count_row(label: str, count: int, pct: float) -> str:
+    return f"{label:>6}{count:>9}{pct:>15.2f}"
+
+
+def _count_tables(oc: OperatingCharacteristics) -> tuple:
+    """(report title, CSV metric, key prefix, counts) of the treatment count tables."""
+    return (
+        ("number of treatments selected at stage 1:", "selected_size", "", oc.selected_size_counts),
+        ("treatment selection at stage 1:", "arm_selected", "", oc.arm_selected_counts),
+        ("hypothesis rejection at study endpoint:", "hypothesis_rejected", "H",
+         oc.hypothesis_rejected_counts),
+    )
 
 
 def _expectation_lines(scenario: Scenario) -> list:
@@ -430,24 +416,12 @@ def render_report(oc: OperatingCharacteristics, scenario: Scenario) -> str:
     lines = _expectation_lines(scenario)
     lines.append("")
     if scenario.design == TREATMENT:
-        k = scenario.effects.comparisons
-        lines.append("number of treatments selected at stage 1:")
-        lines.append(f"{'':>6}{'n':>9}")
-        for m, count in enumerate(oc.selected_size_counts, start=1):
-            lines.append(_count_row(str(m), count, pct(count)))
-        total = sum(oc.selected_size_counts)
-        lines.append(_count_row("Total", total, pct(total)))
-        lines.append("")
-        lines.append("treatment selection at stage 1:")
-        lines.append(f"{'':>6}{'n':>9}")
-        for arm, count in enumerate(oc.arm_selected_counts, start=1):
-            lines.append(_count_row(str(arm), count, pct(count)))
-        lines.append("")
-        lines.append("hypothesis rejection at study endpoint:")
-        lines.append(f"{'':>6}{'n':>9}")
-        for arm, count in enumerate(oc.hypothesis_rejected_counts, start=1):
-            lines.append(_count_row(f"H{arm}", count, pct(count)))
-        lines.append("")
+        for title, metric, prefix, counts in _count_tables(oc):
+            lines += [title, f"{'':>6}{'n':>9}"]
+            lines += [_count_row(f"{prefix}{i}", c, pct(c)) for i, c in enumerate(counts, start=1)]
+            if metric == "selected_size":
+                lines.append(_count_row("Total", sum(counts), pct(sum(counts))))
+            lines.append("")
         if oc.ptest is not None:
             label = " and/or ".join(f"H{arm}" for arm in oc.ptest)
             count = oc.ptest_rejected_count
@@ -457,9 +431,9 @@ def render_report(oc: OperatingCharacteristics, scenario: Scenario) -> str:
         header = f"{'':<6}" + "".join(f"{h:>9}" for h in ("Hs", "Hf", "Hs+Hf", "Hs+f", "n", "n"))
         lines.append(header)
         totals = [0] * 5
-        for name in ("sub", "full", "both"):
+        for name in _BRANCHES:
             row = oc.subgroup_counts[name]
-            cells = [row.hs, row.hf, row.both, row.intersection, row.n]
+            cells = [getattr(row, col) for col in _REJECTION_COLUMNS + ("n",)]
             totals = [t + c for t, c in zip(totals, cells)]
             lines.append(
                 f"{name:<6}"
@@ -487,12 +461,9 @@ def _metric_rows(oc: OperatingCharacteristics) -> list:
     rows = [("replications", "", str(reps), "")]
     rows.append(("futility", "", str(oc.futility_count), pct(oc.futility_count)))
     if oc.design == TREATMENT:
-        for m, count in enumerate(oc.selected_size_counts, start=1):
-            rows.append(("selected_size", str(m), str(count), pct(count)))
-        for arm, count in enumerate(oc.arm_selected_counts, start=1):
-            rows.append(("arm_selected", str(arm), str(count), pct(count)))
-        for arm, count in enumerate(oc.hypothesis_rejected_counts, start=1):
-            rows.append(("hypothesis_rejected", f"H{arm}", str(count), pct(count)))
+        for _, metric, prefix, counts in _count_tables(oc):
+            rows += [(metric, f"{prefix}{i}", str(c), pct(c))
+                     for i, c in enumerate(counts, start=1)]
         rows.append(("any_rejected", "", str(oc.any_rejected_count), pct(oc.any_rejected_count)))
         if oc.ptest is not None:
             key = "+".join(f"H{arm}" for arm in oc.ptest)
@@ -500,15 +471,11 @@ def _metric_rows(oc: OperatingCharacteristics) -> list:
                 ("ptest_rejected", key, str(oc.ptest_rejected_count), pct(oc.ptest_rejected_count))
             )
     else:
-        for name in ("sub", "full", "both"):
+        for name in _BRANCHES:
             row = oc.subgroup_counts[name]
             rows.append(("selection", name, str(row.n), pct(row.n)))
-            for col, count in (
-                ("hs", row.hs),
-                ("hf", row.hf),
-                ("both", row.both),
-                ("intersection", row.intersection),
-            ):
+            for col in _REJECTION_COLUMNS:
+                count = getattr(row, col)
                 rows.append(("rejected", f"{name}.{col}", str(count), pct(count)))
         rows.append(("union_rejected", "", str(oc.union_rejected_count), pct(oc.union_rejected_count)))
     rows.append(("expected_sample_size", "", f"{oc.expected_total_sample_size:.10g}", ""))
@@ -517,12 +484,16 @@ def _metric_rows(oc: OperatingCharacteristics) -> list:
     return rows
 
 
-def export_csv(oc: OperatingCharacteristics, scenario: Scenario) -> str:
+def _write_csv(header: list, rows) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["metric", "key", "count", "percent"])
-    writer.writerows(_metric_rows(oc))
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
+
+
+def export_csv(oc: OperatingCharacteristics, scenario: Scenario) -> str:
+    return _write_csv(["metric", "key", "count", "percent"], _metric_rows(oc))
 
 
 def export_json(oc: OperatingCharacteristics, scenario: Scenario) -> str:
@@ -536,49 +507,29 @@ def _format_axis_value(value) -> str:
 
 
 def render_sweep(points) -> str:
-    lines = []
-    design = points[0].scenario.design
-    if design == TREATMENT:
-        lines.append(f"{'value':>12}{'futility%':>12}{'reject-any%':>13}{'E[N]':>10}")
-        for pt in points:
-            oc = pt.oc
-            reps = oc.replications
-            lines.append(
-                f"{_format_axis_value(pt.value):>12}"
-                f"{100 * oc.futility_count / reps:>12.2f}"
-                f"{100 * oc.any_rejected_count / reps:>13.2f}"
-                f"{oc.expected_total_sample_size:>10.1f}"
-            )
+    # (column, width, count): a column is that count as a percentage of the replications
+    columns = [("futility%", 12, lambda oc: oc.futility_count)]
+    if points[0].scenario.design == TREATMENT:
+        columns.append(("reject-any%", 13, lambda oc: oc.any_rejected_count))
     else:
-        lines.append(
-            f"{'value':>12}{'sub%':>8}{'full%':>8}{'both%':>8}"
-            f"{'futility%':>12}{'reject-union%':>15}{'E[N]':>10}"
-        )
-        for pt in points:
-            oc = pt.oc
-            reps = oc.replications
-            rows = oc.subgroup_counts
-            lines.append(
-                f"{_format_axis_value(pt.value):>12}"
-                f"{100 * rows['sub'].n / reps:>8.2f}"
-                f"{100 * rows['full'].n / reps:>8.2f}"
-                f"{100 * rows['both'].n / reps:>8.2f}"
-                f"{100 * oc.futility_count / reps:>12.2f}"
-                f"{100 * oc.union_rejected_count / reps:>15.2f}"
-                f"{oc.expected_total_sample_size:>10.1f}"
-            )
+        columns[:0] = [(f"{name}%", 8, lambda oc, name=name: oc.subgroup_counts[name].n)
+                       for name in _BRANCHES]
+        columns.append(("reject-union%", 15, lambda oc: oc.union_rejected_count))
+    header = "".join(f"{col:>{width}}" for col, width, _ in columns)
+    lines = [f"{'value':>12}{header}{'E[N]':>10}"]
+    for pt in points:
+        oc = pt.oc
+        cells = "".join(f"{100 * count(oc) / oc.replications:>{width}.2f}"
+                        for _, width, count in columns)
+        value = _format_axis_value(pt.value)
+        lines.append(f"{value:>12}{cells}{oc.expected_total_sample_size:>10.1f}")
     return "\n".join(lines) + "\n"
 
 
 def export_sweep_csv(points) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["axis", "value", "metric", "key", "count", "percent"])
-    for pt in points:
-        value = _format_axis_value(pt.value)
-        for row in _metric_rows(pt.oc):
-            writer.writerow([pt.axis, value] + list(row))
-    return buffer.getvalue()
+    rows = ([pt.axis, _format_axis_value(pt.value), *row]
+            for pt in points for row in _metric_rows(pt.oc))
+    return _write_csv(["axis", "value", "metric", "key", "count", "percent"], rows)
 
 
 def export_sweep_json(points) -> str:

@@ -234,14 +234,11 @@ class _Prepared:
     k: int
     orient_early: float
     orient_final: float
-    mean: np.ndarray | None          # fixed-prevalence model mean
-    chol: np.ndarray | None
     u1: float
     u2: float
     fisher_crit: float
     grids: dict = field(default_factory=dict)  # member count m -> Phi^-1(1-p) on _GRID
     sub_only_mean: float = 0.0       # subgroup: stage-2 mean if only subgroup continues
-    varying: bool = False
 
 
 def _keep_quantile(p_keep):
@@ -284,19 +281,14 @@ def _prepare(scenario: Scenario) -> _Prepared:
         k=k,
         orient_early=1.0 if larger_is_better(spec.design, spec.early_outcome) else -1.0,
         orient_final=1.0 if larger_is_better(spec.design, spec.final_outcome) else -1.0,
-        mean=None,
-        chol=None,
         u1=u1,
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
-        varying=not scenario.prevalence_fixed,
     )
-    if not pre.varying:
-        pre.mean, pre.chol = _model_parts(spec, plan, scenario.prevalence)
     if spec.design == SUBGROUP:
         cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
         pre.sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
-        if scenario.test.intersection == "spiessens-debois" and not pre.varying:
+        if scenario.test.intersection == "spiessens-debois" and scenario.prevalence_fixed:
             pre.grids[2] = _sd_grid(math.sqrt(scenario.prevalence))
     if scenario.test.intersection == "dunnett":
         for m in range(2, k + 1):
@@ -318,17 +310,15 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
     n = stop - start
     d = 3 * pre.k
     eps = np.empty((n, d))
-    taus = np.empty(n) if pre.varying else None
+    varying = not scenario.prevalence_fixed
+    taus = np.empty(n) if varying else None
     redraws = 0
     rand_pick = np.empty(n, dtype=np.int64) if scenario.rule.kind == "random-1" else None
-    total_stage1 = None
-    if pre.varying:
-        arms = 2  # treatment plus control recruit the stage-1 cohort
-        total_stage1 = arms * scenario.plan.stage1_per_arm
+    total_stage1 = 2 * scenario.plan.stage1_per_arm  # treatment plus control recruit stage 1
     stream = replication_stream(scenario.master_seed, start)
     for row, rep in enumerate(range(start, stop)):
         _rekey(stream, scenario.master_seed, rep)
-        if pre.varying:
+        if varying:
             while True:
                 count = int(stream.binomial(total_stage1, scenario.prevalence))
                 if 0 < count < total_stage1:
@@ -342,29 +332,30 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
 
 
 def _statistics(pre: _Prepared, eps, taus):
-    """Native-scale statistic matrix (n, 3k) plus the per-row stage-2 subgroup mean."""
+    """Native-scale statistic matrix (n, 3k) plus each row's stage-2 mean of comparison 1.
+
+    Rows are grouped by prevalence; a fixed prevalence is one group. In a
+    subgroup design comparison 1 is the subgroup.
+    """
     scenario = pre.scenario
-    if not pre.varying:
-        z = pre.mean + eps @ pre.chol.T
-        mean_sub2 = None
-        if scenario.design == SUBGROUP:
-            mean_sub2 = np.full(eps.shape[0], pre.mean[4])
-        return z, mean_sub2, taus
+    if taus is None:
+        groups = [(scenario.prevalence, slice(None))]
+    else:
+        groups = [(float(tau), taus == tau) for tau in np.unique(taus)]
     z = np.empty_like(eps)
     mean_sub2 = np.empty(eps.shape[0])
-    for tau in np.unique(taus):
-        rows = taus == tau
-        mean, chol = _model_parts(scenario.effects, scenario.plan, float(tau))
+    for tau, rows in groups:
+        mean, chol = _model_parts(scenario.effects, scenario.plan, tau)
         z[rows] = mean + eps[rows] @ chol.T
-        mean_sub2[rows] = mean[4]
-    return z, mean_sub2, taus
+        mean_sub2[rows] = mean[2 * pre.k]
+    return z, mean_sub2
 
 
-def _select_chunk(pre: _Prepared, z_native):
+def _select_chunk(pre: _Prepared, z_native, rand_pick):
     """Vectorised interim selection: the (n, k) continued mask.
 
     A row with no comparison continued is the decision to stop for futility,
-    in both designs.
+    in both designs. ``rand_pick`` holds each row's draw for random-1.
     """
     scenario = pre.scenario
     n = z_native.shape[0]
@@ -375,6 +366,8 @@ def _select_chunk(pre: _Prepared, z_native):
         cont = np.zeros((n, k), dtype=bool)
         if rule.kind == "all":
             cont[:] = True
+        elif rule.kind == "random-1":
+            cont = _random_pick_mask(cont, rand_pick)
         elif rule.best_count is not None:
             order = np.argsort(-z, axis=1, kind="stable")
             np.put_along_axis(cont, order[:, : rule.best_count], True, axis=1)
@@ -396,9 +389,7 @@ def _select_chunk(pre: _Prepared, z_native):
 
 
 def _random_pick_mask(cont, rand_pick):
-    n, k = cont.shape
-    cont[:] = False
-    cont[np.arange(n), rand_pick] = True
+    cont[np.arange(cont.shape[0]), rand_pick] = True
     return cont
 
 
@@ -508,7 +499,11 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
     member = _lattice(k)[3]
-    contrib = np.ones_like(cont) if pre.scenario.follow_up else cont
+    if pre.scenario.follow_up:
+        # arms dropped at the interim contribute their stage-1 final statistic
+        contrib, z2 = np.ones_like(cont), np.where(cont, z2, z1)
+    else:
+        contrib = cont
     config = pre.scenario.test.config
 
     def cells(values, index):
@@ -541,22 +536,15 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     scenario = pre.scenario
     k = pre.k
     eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
-    z, mean_sub2, taus = _statistics(pre, eps, taus)
-
-    cont = _select_chunk(pre, z)
-    if rand_pick is not None:
-        cont = _random_pick_mask(cont, rand_pick)
+    z, mean_sub2 = _statistics(pre, eps, taus)
+    cont = _select_chunk(pre, z, rand_pick)
 
     z1 = pre.orient_final * z[:, k : 2 * k]
-    z2_native = z[:, 2 * k :].copy()
+    z2 = pre.orient_final * z[:, 2 * k :]
     if scenario.design == SUBGROUP:
         # re-centre the subgroup statistic when stage 2 recruits it alone
         sub_only = cont[:, 0] & ~cont[:, 1]
-        z2_native[sub_only, 0] += pre.sub_only_mean - mean_sub2[sub_only]
-    z2 = pre.orient_final * z2_native
-    if scenario.follow_up:
-        z2 = np.where(cont, z2, z1)
-
+        z2[sub_only, 0] += pre.orient_final * (pre.sub_only_mean - mean_sub2[sub_only])
     rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, taus)
 
     tally = {

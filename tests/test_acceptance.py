@@ -3,8 +3,8 @@
 Each test exercises one headline guarantee of the package against reference
 values for the bundled example configurations, with the Monte Carlo tolerance
 stated next to every comparison. Every run is seeded, so the whole module is
-deterministic; the slow tests (the familywise-error sweep and the
-futility-limit grid) dominate the runtime at roughly five minutes total.
+deterministic. On a 2-core machine the familywise-error sweep (criterion 7)
+takes about 45 s of the whole test suite's 85 s.
 """
 
 import math

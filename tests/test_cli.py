@@ -1,6 +1,8 @@
 """Tests for config parsing, report rendering, exports and the entry point."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,8 @@ from seamsim.cli import (
     render_sweep,
 )
 from seamsim.engine import CHUNK_SIZE, run_scenario, sweep
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 TREAT_MINIMAL = {
     "n": {"stage1": 100, "stage2": 300},
@@ -267,6 +271,14 @@ def test_sweep_config_validation():
     doc["sweep"] = {"axis": "futility-limits-grid", "values": [[0, 0, 0]]}
     with pytest.raises(ConfigError, match="pair"):
         parse_sweep_config(doc)
+    # a NaN axis value is rejected while parsing, naming the value
+    doc["sweep"] = {"axis": "futility-limits-grid", "values": [[0, 0], [float("nan"), 0]]}
+    with pytest.raises(ConfigError, match=r"key 'sweep\.values\[1\]"):
+        parse_sweep_config(doc)
+    doc = treat_config(select=6, thresh=0.0)
+    doc["sweep"] = {"axis": "threshold", "values": [0, float("nan")]}
+    with pytest.raises(ConfigError, match=r"key 'sweep\.values\[1\]'"):
+        parse_sweep_config(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +443,20 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
     path = write_config(tmp_path, treat_config(select=4, epsilon=float("nan")))
     assert main(["treatsel", "run", "--config", path]) == 2
     assert "key 'epsilon'" in capsys.readouterr().err
+    # values of the wrong type or NaN are configuration errors, not tracebacks
+    nan_threshold = treat_config(select=6, thresh=0.0)
+    nan_threshold["sweep"] = {"axis": "threshold", "values": [0, float("nan")]}
+    nan_limits = subpop_config(select="futility")
+    nan_limits["sweep"] = {"axis": "futility-limits-grid", "values": [[0, 0], [float("nan"), 0]]}
+    for command, doc, key in (
+        (["treatsel", "run"], treat_config(select=[1]), "select"),
+        (["treatsel", "run"], treat_config(method=["invnorm"]), "method"),
+        (["subpop", "run"], subpop_config(select={"a": 1}), "select"),
+        (["sweep"], nan_threshold, "sweep.values[1]"),
+        (["sweep"], nan_limits, "sweep.values[1]"),
+    ):
+        assert main(command + ["--config", write_config(tmp_path, doc)]) == 2, doc
+        assert f"key '{key}" in capsys.readouterr().err
 
 
 def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(
@@ -477,3 +503,51 @@ def test_main_threads_flag_does_not_change_output(tmp_path, capsys):
     serial = capsys.readouterr().out
     assert main(["treatsel", "run", "--config", path, "--format", "csv", "--threads", "2"]) == 0
     assert capsys.readouterr().out == serial
+
+
+# SHA-256 of the (table, csv, json) output of each bundled config at one worker
+FROZEN_OUTPUTS = {
+    "copd_binary_final": (
+        "8b3a9fccadb888c88320764147430ba8dfea4c60790190f6ad1dc4a26353db17",
+        "5287e50593cfaca401cb2dfe2a3bafd50252b2fd83e2bb1b73bce5ba5d484cb6",
+        "5547b8d169bf1242c2cf1a162d1624278eaaf254947077b5b819f07b68147fb9",
+    ),
+    "copd_setting1": (
+        "a15d52e1efa57ef8b33fee5c1ad8b676f0244bde13c471de267d5c0435f5e3b3",
+        "d948298005cf167d7edeeaf9184e7cf826a746813e4e4dfb4220cead14f2b04e",
+        "0361dedb70cce5b03e531631015b32656cd7c3510c45fdaaffc67b24a380df75",
+    ),
+    "copd_threshold": (
+        "438dece99af545bd92237a037d4c6c6f5a70fb9ef63c3b8e82ecca9ca0d73fb9",
+        "1630da4fa757c3e4fc70f8cbd4666b2bd2b0028ac3b57cbdbddc0decb0de3f3d",
+        "900202d9ae98a6ea423e1a44d8ada778d581739e901f422214d47b761b55c5bb",
+    ),
+    "copd_threshold_sweep": (
+        "0b7a346b3fd183a1d3b7b85d2a049c1a844d091487cdc5d139cd8ddc16e318da",
+        "5b2ddde11d2a5c96bef0adafb0521d15c2da4d51bf155361e5566435edd96bf9",
+        "a423798897b95fd645836ae71e886b7f3f9bb25cfbb06d4c49988b89789ce87c",
+    ),
+    "oncology": (
+        "49eb799cc32b1234bb9998a7e22750b00cf258741ca1e750b19d50d82bc94e14",
+        "a495f636e0828fa70c73c96481a17cd2bbe7918ef7fc23f4d9b1c17ede346e7f",
+        "4f10be843f4c33d411560771c035e1afbbc51ae76773fcd56fb02ddfa6883f02",
+    ),
+    "oncology_limits_sweep": (
+        "b99f7be4680146e3c7fda07dff10f3faf63cd194863aef5219906b3f44cf6536",
+        "0ac49b016f016bf6f526483d9710dd0f52d9be189841c92c5f57d7c5acfbb5a8",
+        "8f56338948d6fdaa7dc89584b97c88795e2c4de81dc1b69e1e0087b27f830df7",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_OUTPUTS)
+def test_bundled_config_outputs_are_frozen(name, tmp_path):
+    if "sweep" in name:
+        command = ["sweep"]
+    else:
+        command = ["subpop" if name.startswith("oncology") else "treatsel", "run"]
+    config = str(CONFIG_DIR / f"{name}.yaml")
+    for fmt, expected in zip(("table", "csv", "json"), FROZEN_OUTPUTS[name]):
+        out = tmp_path / f"out.{fmt}"
+        assert main(command + ["--config", config, "--format", fmt, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, fmt

@@ -29,6 +29,7 @@ from seamsim.engine import (
     _pool_size,
     _prepare,
     _sd_grid,
+    _select_chunk,
     _test_chunk,
     expected_sample_size,
     run_scenario,
@@ -537,10 +538,10 @@ def test_chunk_kernel_matches_the_scalar_closed_test(method, combination, follow
                   effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)),
                   test=TestSpec(method, config))
     z1, z2, cont = _hand_built_chunk(k)
-    if follow_up:
-        z2 = np.where(cont, z2, z1)
     rejected, _, _ = _test_chunk(_prepare(scn), z1, z2, cont, None)
     everyone = range(1, k + 1) if follow_up else None
+    if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
+        z2 = np.where(cont, z2, z1)
     for row in range(z1.shape[0]):
         continued = {i + 1 for i in np.flatnonzero(cont[row])}
         scalar = closed_test(z1[row], z2[row], continued, method, config, stage2_contributors=everyone)
@@ -587,6 +588,44 @@ def test_chunk_kernel_memory_is_bounded_by_the_block():
         tracemalloc.stop()
     # one unblocked 4096 x 255 float array alone would take 8 MB
     assert peak < 16 * 2**20
+
+
+SELECTION_RULES = {
+    "all": SelectionRule("all"),
+    "best-1": SelectionRule("best-1"),
+    "best-2": SelectionRule("best-2"),
+    "best-3": SelectionRule("best-3"),
+    "epsilon-0": SelectionRule("epsilon", epsilon=0.0),
+    "epsilon-0.5": SelectionRule("epsilon", epsilon=0.5),
+    "threshold-0.5": SelectionRule("threshold", threshold=0.5),
+    "threshold-minus-1": SelectionRule("threshold", threshold=-1.0),
+    "random-1": SelectionRule("random-1"),
+    "threshold-pair": SelectionRule("threshold-pair", limits=(0.0, 0.5)),
+    "threshold-pair-equal": SelectionRule("threshold-pair", limits=(-0.5, -0.5)),
+    "futility-pair": SelectionRule("futility-pair", limits=(0.0, 0.5)),
+}
+
+
+@pytest.mark.parametrize("rule", SELECTION_RULES.values(), ids=SELECTION_RULES.keys())
+def test_chunk_selection_matches_the_scalar_selectors(rule):
+    scn = subgroup_scenario(rule) if rule.is_subgroup_rule else treatment_scenario(rule)
+    pre = _prepare(scn)
+    k, rows = pre.k, 400
+    z = np.zeros((rows, 3 * k))
+    # statistics on a 0.1 grid: ties are common and many land on the limits
+    z[:, :k] = np.round(np.random.default_rng(5).normal(0.3, 1.0, size=(rows, k)), 1)
+    z[0, :k] = 0.5                          # every arm tied, on a limit
+    z[1, :k] = -np.arange(1.0, k + 1)       # every arm negative
+    z[2, :2], z[3, :2] = (1.0, 1.5), (1.5, 1.0)  # differences of exactly +-0.5
+    rand_pick = np.array([np.random.default_rng(row).integers(k) for row in range(rows)])
+    cont = _select_chunk(pre, z, rand_pick)
+    for row in range(rows):
+        x = pre.orient_early * z[row, :k]
+        if rule.is_subgroup_rule:
+            outcome = select_population(-x[0], -x[1], rule)
+        else:
+            outcome = select_treatments(x, rule, np.random.default_rng(row))
+        assert {i + 1 for i in np.flatnonzero(cont[row])} == outcome.continued, row
 
 
 # ---------------------------------------------------------------------------
