@@ -10,7 +10,7 @@ The three subcommands are::
 
 Each accepts ``--out`` (default stdout), ``--format {table,csv,json}`` and
 ``--threads``; results are independent of the thread count. Exit codes:
-0 success, 2 configuration error, 3 numerical failure, 4 I/O error.
+0 success, 2 configuration error, 3 infeasible scenario, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .simmodel import (
     SampleSizePlan,
     effect_to_expectation,
 )
-from .statdist import NotPositiveSemidefiniteError
 
 __all__ = [
     "ConfigError",
@@ -604,7 +603,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotPositiveSemidefiniteError, InfeasibleScenarioError) as exc:
+    except InfeasibleScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

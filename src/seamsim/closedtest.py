@@ -22,12 +22,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import chdtri, ndtr, ndtri
 
-from .simmodel import MAX_COMPARISONS
 from .statdist import bvn_cdf, equicorr_max_cdf
 
 __all__ = [
     "P_CLAMP",
-    "HypothesisFamily",
     "CombinationConfig",
     "CombineResult",
     "stage_pvalue",
@@ -41,25 +39,6 @@ __all__ = [
 
 P_CLAMP = 1e-15
 INTERSECTION_METHODS = ("dunnett", "simes", "bonferroni", "spiessens-debois")
-
-
-@dataclass(frozen=True)
-class HypothesisFamily:
-    """The closed family over K elementary one-sided hypotheses."""
-
-    k: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= MAX_COMPARISONS:
-            raise ValueError(f"family size must be between 1 and {MAX_COMPARISONS}")
-
-    @property
-    def intersections(self) -> tuple:
-        """All non-empty subsets of {1..K}, largest first."""
-        out = []
-        for size in range(self.k, 0, -1):
-            out.extend(frozenset(c) for c in combinations(range(1, self.k + 1), size))
-        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -299,18 +278,19 @@ def closed_test(
     contributors = frozenset(stage2_contributors) if stage2_contributors is not None else cont
 
     rejected = set(cont)
-    for subset in HypothesisFamily(k).intersections:
-        if not subset & rejected:
-            continue  # cannot change anything still standing
-        members = sorted(subset)
-        p1 = intersection_pvalue(z1[[i - 1 for i in members]], method, lam=lam, tau=tau)
-        alive = sorted(subset & contributors)
-        if alive:
-            p2 = intersection_pvalue(z2[[i - 1 for i in alive]], method, lam=lam, tau=tau)
-        else:
-            p2 = 1.0
-        if not combine(p1, p2, config).reject:
-            rejected -= subset
-            if not rejected:
-                break
+    for size in range(k, 0, -1):  # largest intersections first
+        for members in combinations(range(1, k + 1), size):
+            subset = frozenset(members)
+            if not subset & rejected:
+                continue  # cannot change anything still standing
+            p1 = intersection_pvalue(z1[[i - 1 for i in members]], method, lam=lam, tau=tau)
+            alive = sorted(subset & contributors)
+            if alive:
+                p2 = intersection_pvalue(z2[[i - 1 for i in alive]], method, lam=lam, tau=tau)
+            else:
+                p2 = 1.0
+            if not combine(p1, p2, config).reject:
+                rejected -= subset
+                if not rejected:
+                    return frozenset()
     return frozenset(rejected)

@@ -119,7 +119,8 @@ class Scenario:
         rule: interim selection rule.
         test: closed testing configuration.
         replications: number of simulated trials (at most ten million).
-        master_seed: seed from which every replication stream is derived.
+        master_seed: seed from which every replication stream is derived,
+            in 0..2**64 - 1.
         ptest: treatment designs only -- the arms whose union of rejections
             is reported as the primary power summary.
         prevalence: subgroup prevalence tau (subgroup designs).
@@ -146,6 +147,8 @@ class Scenario:
     def __post_init__(self):
         if not 1 <= self.replications <= MAX_REPLICATIONS:
             raise ValueError(f"replications must lie in 1..{MAX_REPLICATIONS}")
+        if not 0 <= self.master_seed <= _MASK64:
+            raise ValueError("seed must lie in 0..2**64 - 1")
         design = self.effects.design
         if self.rule.is_subgroup_rule != (design == SUBGROUP):
             raise ValueError(f"selection rule {self.rule.kind!r} does not fit a {design} design")

@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statdist import cholesky_psd, equicorrelated_matrix
-
 __all__ = [
     "TREATMENT",
     "SUBGROUP",
@@ -289,33 +287,29 @@ class ScoreModel:
 
     The vector is laid out endpoint-major: the early-outcome stage-1 block,
     the final-outcome stage-1 block, then the final-outcome block for the
-    cohort recruited in stage 2 (independent of the first two). Each block
-    holds the K comparisons in arm order, or (subgroup, full population) for
-    subgroup designs. Subgroup models carry the "both populations continue"
-    stage-2 means; the engine re-centres the subgroup entry when only the
-    subgroup continues.
+    cohort recruited in stage 2. Each block holds the K comparisons in arm
+    order, or (subgroup, full population) for subgroup designs. Subgroup
+    models carry the "both populations continue" stage-2 means; the engine
+    re-centres the subgroup entry when only the subgroup continues.
+
+    With U the equicorrelated comparison block and S the block pattern
+    [[1, rho, 0], [rho, 1, 0], [0, 0, 1]], the covariance is kron(S, U) and
+    its factor kron(chol(S), chol(U)), where chol(S) is the closed form
+    [[1, 0, 0], [rho, sqrt(1 - rho^2), 0], [0, 0, 1]], exact at rho = +-1.
 
     Attributes:
-        design: "treatment" or "subgroup".
         mean: expected statistics, natural sign conventions.
         covariance: correlation-scale covariance matrix.
-        cholesky: cached lower-triangular factor of the covariance.
-        prevalence: subgroup prevalence the model was built with, if any.
+        cholesky: its lower-triangular factor.
     """
 
-    design: str
     mean: np.ndarray
     covariance: np.ndarray
     cholesky: np.ndarray
-    prevalence: float | None = None
 
     @property
     def dimension(self) -> int:
         return self.mean.shape[0]
-
-    @property
-    def comparisons(self) -> int:
-        return self.dimension // 3
 
 
 def build_score_model(
@@ -325,40 +319,27 @@ def build_score_model(
 ) -> ScoreModel:
     """Assemble the joint normal model for one replication's statistics.
 
-    The correlation structure is a Kronecker product of the endpoint/stage
-    pattern with the between-comparison matrix: comparisons sharing a control
-    correlate at 1/2 (equal allocation), subgroup and full-population
-    statistics at sqrt(tau), early and final statistics on the same cohort at
-    rho, and the stage-2 cohort is independent of everything observed in
-    stage 1.
+    U's off-diagonal is 1/2 for comparisons sharing a control (equal
+    allocation) and sqrt(tau) for the subgroup and the full population, so U
+    is positive definite.
 
     Args:
         spec: effect assumptions.
         plan: sample size plan.
         prevalence: subgroup prevalence tau (subgroup designs only).
-
-    Returns:
-        ScoreModel with mean, covariance and cached Cholesky factor.
     """
     blocks = (("early", "stage1"), ("final", "stage1"), ("final", "stage2-full"))
     mean = np.concatenate([effect_to_expectation(spec, plan, *b, prevalence) for b in blocks])
     r = ARM_CORRELATION if spec.design == TREATMENT else math.sqrt(prevalence)
-    unit = equicorrelated_matrix(spec.comparisons, r)
+    unit = np.full((spec.comparisons, spec.comparisons), r)
+    np.fill_diagonal(unit, 1.0)
     rho = spec.correlation
-    zero = np.zeros_like(unit)
-    cov = np.block(
-        [
-            [unit, rho * unit, zero],
-            [rho * unit, unit, zero],
-            [zero, zero, unit],
-        ]
-    )
+    stages = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    stages_chol = np.array([[1.0, 0.0, 0.0], [rho, math.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
     return ScoreModel(
-        design=spec.design,
         mean=mean,
-        covariance=cov,
-        cholesky=cholesky_psd(cov),
-        prevalence=prevalence,
+        covariance=np.kron(stages, unit),
+        cholesky=np.kron(stages_chol, np.linalg.cholesky(unit)),
     )
 
 
@@ -367,7 +348,6 @@ class StageStatistics:
     """Sampled standardized statistics for a single replication."""
 
     values: np.ndarray
-    model: ScoreModel
 
 
 def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
@@ -377,7 +357,7 @@ def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageS
     are reproducible from the stream state alone.
     """
     eps = stream.standard_normal(model.dimension)
-    return StageStatistics(values=model.mean + model.cholesky @ eps, model=model)
+    return StageStatistics(values=model.mean + model.cholesky @ eps)
 
 
 # A varying-prevalence replication keeps a binomial subgroup count only when

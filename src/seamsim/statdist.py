@@ -1,11 +1,10 @@
 """Normal-theory numerics shared by the simulation and testing code.
 
 Everything in here is deterministic: fixed-node Gauss quadrature rules for
-the multivariate normal probabilities, a pivot-clamping Cholesky for the
-(possibly singular) correlation matrices the score model produces, and a
-counter-based random stream constructor that gives every simulated trial
-replication its own reproducible generator (and a re-keying helper with which
-the engine walks one generator through a chunk's replications).
+the multivariate normal probabilities and a counter-based random stream
+constructor that gives every simulated trial replication its own reproducible
+generator (and a re-keying helper with which the engine walks one generator
+through a chunk's replications).
 """
 
 from __future__ import annotations
@@ -13,14 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtr
 
-__all__ = [
-    "bvn_cdf",
-    "equicorr_max_cdf",
-    "cholesky_psd",
-    "NotPositiveSemidefiniteError",
-    "equicorrelated_matrix",
-    "replication_stream",
-]
+__all__ = ["bvn_cdf", "equicorr_max_cdf", "replication_stream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -56,45 +48,32 @@ def bvn_cdf(z1, z2, rho):
     Computed by reducing to a one-dimensional conditioning integral
     ``int phi(u) Phi((z2 - rho*u)/sqrt(1-rho^2)) du`` over ``u <= z1`` and
     applying a fixed Gauss-Legendre rule. Absolute error is below 1e-10 for
-    |rho| <= 0.999; the degenerate cases |rho| = 1 use closed forms.
+    |rho| <= 0.999.
 
     Args:
         z1, z2: upper limits; broadcastable scalars or arrays.
-        rho: correlation broadcastable with (z1, z2). A scalar may take any
-            value in [-1, 1]; array entries must lie in (-1, 1).
+        rho: correlation in (-1, 1), a scalar or an array broadcastable with
+            (z1, z2).
 
     Returns:
         Probability with the broadcast shape of (z1, z2, rho); python float
         for scalar input.
     """
-    fixed = np.ndim(rho) == 0
-    if fixed and not -1.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [-1, 1]")
-    if not fixed and not np.all(np.abs(rho) < 1.0):
-        raise ValueError("per-element correlations must lie in (-1, 1)")
-    scalar = fixed and np.ndim(z1) == 0 and np.ndim(z2) == 0
-    a = np.asarray(z1, dtype=float)
-    b = np.asarray(z2, dtype=float)
-    a, b, r = np.broadcast_arrays(a, b, np.asarray(rho, dtype=float))
-
-    if fixed and rho == 1.0:
-        out = ndtr(np.minimum(a, b))
-    elif fixed and rho == -1.0:
-        out = np.maximum(ndtr(a) + ndtr(b) - 1.0, 0.0)
-    elif fixed and rho == 0.0:
-        out = ndtr(a) * ndtr(b)
-    else:
-        out = np.empty(a.shape)
-        a, b, r, flat = a.ravel(), b.ravel(), r.ravel(), out.reshape(-1)
-        for lo in range(0, a.size, _SLICE_POINTS):
-            sl = slice(lo, lo + _SLICE_POINTS)
-            hi = np.clip(a[sl], -_BVN_CLIP, _BVN_CLIP)
-            half = 0.5 * (hi - _BVN_LO)
-            u = (0.5 * (hi + _BVN_LO))[:, None] + half[:, None] * _GL_NODES
-            rs = r[sl, None]
-            integrand = _phi(u) * ndtr((b[sl, None] - rs * u) / np.sqrt(1.0 - rs * rs)) * _GL_WEIGHTS
-            flat[sl] = half * integrand.sum(axis=-1)
-        out = np.clip(out, 0.0, 1.0)
+    if not np.all(np.abs(rho) < 1.0):
+        raise ValueError("correlation must lie in (-1, 1)")
+    scalar = np.ndim(z1) == 0 and np.ndim(z2) == 0 and np.ndim(rho) == 0
+    a, b, r = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (z1, z2, rho)))
+    out = np.empty(a.shape)
+    a, b, r, flat = a.ravel(), b.ravel(), r.ravel(), out.reshape(-1)
+    for lo in range(0, a.size, _SLICE_POINTS):
+        sl = slice(lo, lo + _SLICE_POINTS)
+        hi = np.clip(a[sl], -_BVN_CLIP, _BVN_CLIP)
+        half = 0.5 * (hi - _BVN_LO)
+        u = (0.5 * (hi + _BVN_LO))[:, None] + half[:, None] * _GL_NODES
+        rs = r[sl, None]
+        integrand = _phi(u) * ndtr((b[sl, None] - rs * u) / np.sqrt(1.0 - rs * rs)) * _GL_WEIGHTS
+        flat[sl] = half * integrand.sum(axis=-1)
+    out = np.clip(out, 0.0, 1.0)
     return float(out) if scalar else out
 
 
@@ -124,84 +103,14 @@ def equicorr_max_cdf(m, r, z):
         raise ValueError("common correlation must lie in [0, 1)")
     scalar = np.ndim(z) == 0
     zz = np.asarray(z, dtype=float)
-    if r == 0.0:
-        out = ndtr(zz) ** m
-    else:
-        x = zz.ravel()
-        out = np.empty(x.size)
-        for lo in range(0, x.size, _SLICE_POINTS):
-            sl = slice(lo, lo + _SLICE_POINTS)
-            arg = (x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
-            out[sl] = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
-        out = np.clip(out.reshape(zz.shape), 0.0, 1.0)
+    x = zz.ravel()
+    out = np.empty(x.size)
+    for lo in range(0, x.size, _SLICE_POINTS):
+        sl = slice(lo, lo + _SLICE_POINTS)
+        arg = (x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
+        out[sl] = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
+    out = np.clip(out.reshape(zz.shape), 0.0, 1.0)
     return float(out) if scalar else out
-
-
-class NotPositiveSemidefiniteError(ValueError):
-    """Raised when a matrix fails the Cholesky PSD check.
-
-    Attributes:
-        pivot_index: zero-based index of the first offending pivot.
-        pivot_value: the value of that pivot.
-    """
-
-    def __init__(self, pivot_index: int, pivot_value: float):
-        self.pivot_index = pivot_index
-        self.pivot_value = pivot_value
-        super().__init__(
-            f"matrix is not positive semidefinite: pivot index {pivot_index} "
-            f"has value {pivot_value:.6g}"
-        )
-
-
-_PIVOT_TOL = 1e-10
-
-
-def cholesky_psd(matrix) -> np.ndarray:
-    """Lower-triangular Cholesky factor tolerating semidefinite input.
-
-    Pivots within ``_PIVOT_TOL`` = 1e-10 of zero (including tiny negatives from floating
-    point noise) are clamped to zero so exactly singular correlation matrices
-    -- e.g. perfectly correlated endpoints -- factor cleanly.
-
-    Args:
-        matrix: symmetric positive semidefinite matrix.
-
-    Returns:
-        Lower-triangular L with ``L @ L.T`` reproducing the input.
-
-    Raises:
-        NotPositiveSemidefiniteError: naming the first pivot that is negative
-            beyond tolerance (or a zero pivot with non-zero residual column).
-    """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("cholesky_psd expects a square matrix")
-    if not np.allclose(a, a.T, atol=1e-8):
-        raise ValueError("cholesky_psd expects a symmetric matrix")
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - L[j, :j] @ L[j, :j]
-        if d < -_PIVOT_TOL:
-            raise NotPositiveSemidefiniteError(j, float(d))
-        if d <= _PIVOT_TOL:
-            # Semidefinite direction: pivot clamps to zero and the rest of the
-            # column must vanish too, otherwise the matrix is indefinite.
-            resid = a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]
-            if resid.size and np.max(np.abs(resid)) > 1e-6:
-                raise NotPositiveSemidefiniteError(j, float(d))
-            continue
-        L[j, j] = np.sqrt(d)
-        L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def equicorrelated_matrix(dim: int, r: float) -> np.ndarray:
-    """Exchangeable correlation matrix with off-diagonal value r."""
-    m = np.full((dim, dim), float(r))
-    np.fill_diagonal(m, 1.0)
-    return m
 
 
 def _replication_key(master_seed: int, replication_index: int) -> list:

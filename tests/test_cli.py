@@ -448,15 +448,22 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
     nan_threshold["sweep"] = {"axis": "threshold", "values": [0, float("nan")]}
     nan_limits = subpop_config(select="futility")
     nan_limits["sweep"] = {"axis": "futility-limits-grid", "values": [[0, 0], [float("nan"), 0]]}
-    for command, doc, key in (
-        (["treatsel", "run"], treat_config(select=[1]), "select"),
-        (["treatsel", "run"], treat_config(method=["invnorm"]), "method"),
-        (["subpop", "run"], subpop_config(select={"a": 1}), "select"),
-        (["sweep"], nan_threshold, "sweep.values[1]"),
-        (["sweep"], nan_limits, "sweep.values[1]"),
+    for command, doc, message in (
+        (["treatsel", "run"], treat_config(select=[1]), "key 'select"),
+        (["treatsel", "run"], treat_config(method=["invnorm"]), "key 'method"),
+        (["subpop", "run"], subpop_config(select={"a": 1}), "key 'select"),
+        (["sweep"], nan_threshold, "key 'sweep.values[1]"),
+        (["sweep"], nan_limits, "key 'sweep.values[1]"),
+        # Philox keys streams by the seed mod 2**64, so other seeds would alias
+        (["treatsel", "run"], treat_config(seed=-1), "seed must lie in 0..2**64 - 1"),
+        (["treatsel", "run"], treat_config(seed=2**64), "seed must lie in 0..2**64 - 1"),
     ):
         assert main(command + ["--config", write_config(tmp_path, doc)]) == 2, doc
-        assert f"key '{key}" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+    for seed in (0, 2**64 - 1):
+        path = write_config(tmp_path, treat_config(seed=seed, nsim=10))
+        assert main(["treatsel", "run", "--config", path, "--format", "csv"]) == 0
+        capsys.readouterr()
 
 
 def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(

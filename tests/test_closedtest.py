@@ -8,7 +8,6 @@ from scipy.special import ndtr, ndtri
 
 from seamsim.closedtest import (
     CombinationConfig,
-    HypothesisFamily,
     closed_test,
     combine,
     fisher_critical_value,
@@ -267,20 +266,6 @@ def test_early_stop_fires_on_the_stage1_statistic_alone():
 
 # ---------------------------------------------------------------------------
 # the closed family and the testing procedure
-
-
-def test_family_enumerates_all_subsets_largest_first():
-    family = HypothesisFamily(3)
-    subsets = family.intersections
-    assert len(subsets) == 7
-    assert subsets[0] == frozenset({1, 2, 3})
-    assert set(map(len, subsets[:1])) == {3}
-    assert {s for s in subsets if len(s) == 1} == {frozenset({1}), frozenset({2}), frozenset({3})}
-    assert len(HypothesisFamily(8).intersections) == 255
-    with pytest.raises(ValueError):
-        HypothesisFamily(0)
-    with pytest.raises(ValueError):
-        HypothesisFamily(9)
 
 
 def test_single_hypothesis_reduces_to_the_combination_test():

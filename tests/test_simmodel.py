@@ -7,6 +7,7 @@ correlations and by brute-force sampling moments.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,11 +166,20 @@ def test_larger_is_better_orientation():
     assert not larger_is_better("subgroup", "B")
 
 
+def assert_factor_reproduces_covariance(spec, plan, prevalence=None):
+    for rho in (-1.0, 0.0, 0.4, 1.0):
+        model = build_score_model(replace(spec, correlation=rho), plan, prevalence)
+        np.testing.assert_array_equal(model.cholesky, np.tril(model.cholesky))
+        np.testing.assert_allclose(
+            model.cholesky @ model.cholesky.T, model.covariance, rtol=0, atol=1e-14
+        )
+
+
 def test_treatment_model_covariance_structure():
     plan = SampleSizePlan(100, 300)
     model = build_score_model(copd_spec(), plan)
     cov = model.covariance
-    k = model.comparisons
+    k = 4
     assert model.dimension == 3 * k
     np.testing.assert_allclose(np.diag(cov), 1.0, atol=1e-14)
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
@@ -182,6 +192,7 @@ def test_treatment_model_covariance_structure():
     # the stage-2 cohort is new patients, independent of stage 1
     np.testing.assert_allclose(cov[e, f2], 0.0, atol=1e-14)
     np.testing.assert_allclose(cov[f1, f2], 0.0, atol=1e-14)
+    assert_factor_reproduces_covariance(copd_spec(), plan)
 
 
 def test_subgroup_model_covariance_structure():
@@ -189,7 +200,7 @@ def test_subgroup_model_covariance_structure():
     model = build_score_model(oncology_spec(), plan, prevalence=0.3)
     cov = model.covariance
     root_tau = math.sqrt(0.3)
-    k = model.comparisons
+    k = 2
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     # nested populations correlate at sqrt(tau)
     assert cov[e, e][0, 1] == pytest.approx(root_tau)
@@ -197,18 +208,24 @@ def test_subgroup_model_covariance_structure():
     assert cov[e, f1][0, 0] == pytest.approx(0.5)
     assert cov[e, f1][0, 1] == pytest.approx(0.5 * root_tau)
     np.testing.assert_allclose(cov[f1, f2], 0.0, atol=1e-14)
+    assert_factor_reproduces_covariance(oncology_spec(), plan, prevalence=0.3)
 
 
 def test_perfect_correlation_ties_endpoints():
-    # with equal effects and rho = 1 the early and final stage-1 statistics
-    # coincide almost surely, which is the final-outcome-selection mode
-    spec = EffectSpec(
-        design="treatment", early=(0.0, 0.2, 0.4), final=(0.0, 0.2, 0.4), correlation=1.0
-    )
-    model = build_score_model(spec, SampleSizePlan(50, 100))
-    for index in range(20):
-        stats = sample_replication(model, replication_stream(11, index))
-        np.testing.assert_allclose(stats.values[:2], stats.values[2:4], atol=1e-10)
+    # at rho = +-1 the early and stage-1 final statistics deviate from their
+    # means by rho times each other almost surely; with equal effects and
+    # rho = 1 they coincide, which is the final-outcome-selection mode
+    for rho in (1.0, -1.0):
+        spec = EffectSpec(
+            design="treatment", early=(0.0, 0.2, 0.4), final=(0.0, 0.2, 0.4), correlation=rho
+        )
+        model = build_score_model(spec, SampleSizePlan(50, 100))
+        for index in range(20):
+            stats = sample_replication(model, replication_stream(11, index))
+            deviation = stats.values - model.mean
+            np.testing.assert_allclose(deviation[:2], rho * deviation[2:4], atol=1e-10)
+            if rho == 1.0:
+                np.testing.assert_allclose(stats.values[:2], stats.values[2:4], atol=1e-10)
 
 
 def test_sampling_moments_match_model():

@@ -12,15 +12,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from seamsim.statdist import (
-    NotPositiveSemidefiniteError,
-    _rekey,
-    bvn_cdf,
-    cholesky_psd,
-    equicorr_max_cdf,
-    equicorrelated_matrix,
-    replication_stream,
-)
+from seamsim.statdist import _rekey, bvn_cdf, equicorr_max_cdf, replication_stream
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
 BVN_MC = (0.7453841, 1.38e-4)        # P(Z1 <= 1, Z2 <= 1), rho = 0.5
@@ -72,11 +64,6 @@ def test_bvn_cdf_per_element_correlations_match_scalar_calls():
 
 def test_bvn_cdf_degenerate_correlations():
     assert bvn_cdf(0.7, 1.3, 0.0) == pytest.approx(ndtr(0.7) * ndtr(1.3), abs=1e-14)
-    assert bvn_cdf(0.7, 1.3, 1.0) == pytest.approx(ndtr(0.7), abs=1e-14)
-    assert bvn_cdf(0.7, 1.3, -1.0) == pytest.approx(
-        max(0.0, ndtr(0.7) + ndtr(1.3) - 1.0), abs=1e-14
-    )
-    assert bvn_cdf(-2.0, 0.5, -1.0) == 0.0
 
 
 def test_bvn_cdf_marginalizes_far_tail():
@@ -103,8 +90,9 @@ def test_bvn_cdf_monotone_and_bounded():
 
 
 def test_bvn_cdf_rejects_bad_correlation():
-    with pytest.raises(ValueError):
-        bvn_cdf(0.0, 0.0, 1.5)
+    for bad in (1.5, 1.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            bvn_cdf(0.0, 0.0, bad)
 
 
 def test_equicorr_max_cdf_frozen_monte_carlo():
@@ -221,42 +209,6 @@ def test_equicorr_max_cdf_validates_arguments():
         equicorr_max_cdf(2, 1.0, 1.0)
     with pytest.raises(ValueError):
         equicorr_max_cdf(2, -0.1, 1.0)
-
-
-def test_cholesky_psd_round_trips_random_spd():
-    rng = np.random.default_rng(11)
-    for dim in (1, 2, 4, 7):
-        base = rng.normal(size=(dim, dim))
-        matrix = base @ base.T + dim * np.eye(dim)
-        factor = cholesky_psd(matrix)
-        np.testing.assert_allclose(factor @ factor.T, matrix, rtol=1e-10, atol=1e-10)
-        assert np.allclose(factor, np.tril(factor))
-
-
-def test_cholesky_psd_handles_singular_matrices():
-    ones = np.ones((3, 3))
-    factor = cholesky_psd(ones)
-    np.testing.assert_allclose(factor @ factor.T, ones, atol=1e-10)
-
-
-def test_cholesky_psd_rejects_indefinite():
-    with pytest.raises(NotPositiveSemidefiniteError) as info:
-        cholesky_psd(np.array([[1.0, 2.0], [2.0, 1.0]]))
-    assert info.value.pivot_index == 1
-    assert "pivot index 1" in str(info.value)
-
-
-def test_cholesky_psd_rejects_non_symmetric():
-    with pytest.raises(ValueError):
-        cholesky_psd(np.array([[1.0, 0.5], [0.1, 1.0]]))
-
-
-def test_equicorrelated_matrix_layout():
-    matrix = equicorrelated_matrix(3, 0.4)
-    assert matrix.shape == (3, 3)
-    assert np.all(np.diag(matrix) == 1.0)
-    off = matrix[~np.eye(3, dtype=bool)]
-    assert np.all(off == 0.4)
 
 
 def test_replication_stream_is_keyed_deterministically():
