@@ -36,7 +36,7 @@ from .engine import (
     run_scenario,
     sweep,
 )
-from .selection import SelectionRule
+from .selection import _TREATMENT_KINDS, SelectionRule
 from .simmodel import (
     OUTCOME_TYPES,
     SUBGROUP,
@@ -64,8 +64,6 @@ DEFAULT_LEVEL = 0.025
 DEFAULT_SEED = 12345
 DEFAULT_CORRELATION = 0.0
 
-# treatment rules in the order of their classic select codes 0-6
-_TREAT_RULES = ("all", "best-1", "best-2", "best-3", "epsilon", "random-1", "threshold")
 _SUBPOP_SELECT = {
     "thresh": "threshold-pair",
     "threshold": "threshold-pair",
@@ -183,8 +181,7 @@ def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
     early = _as_number_list(block["early"], "effect.early")
     final = _as_number_list(block["final"], "effect.final")
 
-    outcome = doc.get("outcome", {})
-    outcome = _require_mapping(outcome, "outcome") if outcome else {}
+    outcome = _require_mapping(doc.get("outcome", {}), "outcome")
     _reject_unknown(outcome, ("early", "final"), "outcome")
     early_outcome = _as_outcome(outcome.get("early", "N"), "outcome.early")
     final_outcome = _as_outcome(outcome.get("final", "N"), "outcome.final")
@@ -203,11 +200,11 @@ def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
 
 def _parse_treat_rule(doc: dict) -> SelectionRule:
     kind = doc.get("select", "all")
-    if type(kind) is int and 0 <= kind < len(_TREAT_RULES):  # a code; bool is no code
-        kind = _TREAT_RULES[kind]
-    if not isinstance(kind, str) or kind not in _TREAT_RULES:
+    if type(kind) is int and 0 <= kind < len(_TREATMENT_KINDS):  # a code; bool is no code
+        kind = _TREATMENT_KINDS[kind]
+    if not isinstance(kind, str) or kind not in _TREATMENT_KINDS:
         raise ConfigError(
-            "key 'select': expected a code 0-6 or one of " + ", ".join(sorted(_TREAT_RULES))
+            "key 'select': expected a code 0-6 or one of " + ", ".join(sorted(_TREATMENT_KINDS))
         )
     params, named = {}, "select"
     for key, param, code in (("epsilon", "epsilon", 4), ("thresh", "threshold", 6)):

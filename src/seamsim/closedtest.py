@@ -104,7 +104,6 @@ class CombineResult:
 
     statistic: float
     reject: bool
-    clamped: bool
 
 
 def stage_pvalue(z):
@@ -112,21 +111,17 @@ def stage_pvalue(z):
     return 1.0 - ndtr(z)
 
 
-def clamp_pvalue(p):
-    """Clip p-values away from 0 and 1 so quantile transforms stay finite."""
-    return np.clip(p, P_CLAMP, 1.0 - P_CLAMP)
-
-
 def intersection_pvalue(
     z,
     method: str,
-    lam: float | None = None,
+    lam: float = 1.0,
     tau: float | None = None,
 ) -> float:
     """P-value for the intersection of the hypotheses behind the statistics.
 
     Args:
-        z: statistics (larger favours rejection) of the member hypotheses.
+        z: statistics (larger favours rejection) of the member hypotheses;
+            +-inf is allowed, NaN is not.
         method: "dunnett", "simes", "bonferroni" or "spiessens-debois".
         lam: allocation ratio for Dunnett's test (comparisons correlate at
             1/(1+lam)); the simulation engine always uses 1, equal allocation.
@@ -142,12 +137,12 @@ def intersection_pvalue(
     arr = np.asarray(z, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError("intersection needs a non-empty 1-d statistic vector")
+    if np.isnan(arr).any():
+        raise ValueError("intersection statistics must not be NaN")
     m = arr.size
     if m == 1:
         return float(stage_pvalue(arr[0]))
     if method == "dunnett":
-        if lam is None:
-            raise ValueError("dunnett test needs the allocation ratio lam")
         return float(1.0 - equicorr_max_cdf(m, 1.0 / (1.0 + lam), float(arr.max())))
     if method == "spiessens-debois":
         if m != 2:
@@ -184,23 +179,21 @@ def combine(p1: float, p2: float, config: CombinationConfig) -> CombineResult:
     Fisher: rejects when p1*p2 falls at or below exp(-q/2) with q the
     1 - alpha quantile of the chi-square distribution with 4 df.
 
-    P-values of exactly 0 or 1 are clamped to [1e-15, 1 - 1e-15]; the result
-    records whether clamping occurred.
+    P-values of exactly 0 or 1 are clamped to [1e-15, 1 - 1e-15] so the
+    quantile transforms stay finite; NaN is rejected.
     """
     for name, p in (("p1", p1), ("p2", p2)):
-        if not 0.0 <= p <= 1.0 and not math.isnan(p):
+        if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1]")
-    clamped = bool(p1 < P_CLAMP or p1 > 1.0 - P_CLAMP or p2 < P_CLAMP or p2 > 1.0 - P_CLAMP)
-    q1 = float(clamp_pvalue(p1))
-    q2 = float(clamp_pvalue(p2))
+    q1, q2 = (float(np.clip(p, P_CLAMP, 1.0 - P_CLAMP)) for p in (p1, p2))
     if config.method == "fisher":
         stat = q1 * q2
-        return CombineResult(stat, stat <= fisher_critical_value(config.alpha), clamped)
+        return CombineResult(stat, stat <= fisher_critical_value(config.alpha))
     u1, u2 = spending_boundaries(config)
     y1 = float(ndtri(1.0 - q1))
     stat = config.w1 * y1 + config.w2 * float(ndtri(1.0 - q2))
     reject = stat >= u2 or (math.isfinite(u1) and y1 >= u1)
-    return CombineResult(stat, reject, clamped)
+    return CombineResult(stat, reject)
 
 
 def spending_boundaries(config: CombinationConfig) -> tuple:
@@ -241,7 +234,6 @@ def closed_test(
     continued,
     method: str,
     config: CombinationConfig,
-    lam: float | None = None,
     tau: float | None = None,
     stage2_contributors=None,
 ) -> frozenset:
@@ -250,12 +242,14 @@ def closed_test(
     Args:
         stage1_z: length-K stage-1 final-outcome statistics (all arms).
         stage2_z: length-K stage-2 statistics; entries of arms without
-            stage-2 data are ignored.
+            stage-2 data are ignored. A NaN among the statistics read raises
+            ValueError: the first intersection tested is the whole family.
         continued: arms continued at the interim (1-based indices, or a
             SelectionOutcome). An empty set -- futility -- rejects nothing.
-        method: intersection test name.
+        method: intersection test name; Dunnett assumes equal allocation, as
+            the engine does.
         config: combination test configuration.
-        lam / tau: context for Dunnett / subgroup-full intersection tests.
+        tau: prevalence for the subgroup/full intersection test.
         stage2_contributors: arms whose statistics enter stage-2 intersection
             p-values; defaults to ``continued``. With complete follow-up of
             dropped arms this is every arm, their stage-2 entries carrying the
@@ -283,10 +277,10 @@ def closed_test(
             subset = frozenset(members)
             if not subset & rejected:
                 continue  # cannot change anything still standing
-            p1 = intersection_pvalue(z1[[i - 1 for i in members]], method, lam=lam, tau=tau)
+            p1 = intersection_pvalue(z1[[i - 1 for i in members]], method, tau=tau)
             alive = sorted(subset & contributors)
             if alive:
-                p2 = intersection_pvalue(z2[[i - 1 for i in alive]], method, lam=lam, tau=tau)
+                p2 = intersection_pvalue(z2[[i - 1 for i in alive]], method, tau=tau)
             else:
                 p2 = 1.0
             if not combine(p1, p2, config).reject:

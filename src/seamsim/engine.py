@@ -579,11 +579,6 @@ def _merge_tallies(tallies: list) -> dict:
     return {key: sum(t[key] for t in tallies) for key in tallies[0]}
 
 
-def _chunk_task(args):
-    pre, start, stop = args
-    return _simulate_chunk(pre, start, stop)
-
-
 def _pool_size(threads: int, cpus: int, chunks: int) -> int:
     """Worker processes worth starting: no more than requested, CPUs usable or chunks."""
     return max(1, min(threads, cpus, chunks))
@@ -617,7 +612,7 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
         tallies = [_simulate_chunk(pre, a, b) for a, b in bounds]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_chunk_task, [(pre, a, b) for a, b in bounds]))
+            tallies = list(pool.map(_simulate_chunk, [pre] * len(bounds), *zip(*bounds)))
     total = _merge_tallies(tallies)
     for key, value in total.items():
         if np.ndim(value) == 2:  # subgroup branches, one row each

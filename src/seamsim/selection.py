@@ -26,6 +26,7 @@ __all__ = [
 SUBGROUP_INDEX = 1
 FULL_INDEX = 2
 
+# in the order of the classic select codes 0-6, which the CLI reads by index
 _TREATMENT_KINDS = ("all", "best-1", "best-2", "best-3", "epsilon", "random-1", "threshold")
 _SUBGROUP_KINDS = ("threshold-pair", "futility-pair")
 

@@ -299,17 +299,11 @@ class ScoreModel:
 
     Attributes:
         mean: expected statistics, natural sign conventions.
-        covariance: correlation-scale covariance matrix.
-        cholesky: its lower-triangular factor.
+        cholesky: lower-triangular factor of the correlation-scale covariance.
     """
 
     mean: np.ndarray
-    covariance: np.ndarray
     cholesky: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.mean.shape[0]
 
 
 def build_score_model(
@@ -334,13 +328,8 @@ def build_score_model(
     unit = np.full((spec.comparisons, spec.comparisons), r)
     np.fill_diagonal(unit, 1.0)
     rho = spec.correlation
-    stages = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
     stages_chol = np.array([[1.0, 0.0, 0.0], [rho, math.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
-    return ScoreModel(
-        mean=mean,
-        covariance=np.kron(stages, unit),
-        cholesky=np.kron(stages_chol, np.linalg.cholesky(unit)),
-    )
+    return ScoreModel(mean=mean, cholesky=np.kron(stages_chol, np.linalg.cholesky(unit)))
 
 
 @dataclass(frozen=True)
@@ -353,10 +342,10 @@ class StageStatistics:
 def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
     """Draw one replication's statistic vector from its stream.
 
-    Consumes exactly ``model.dimension`` standard normal variates, so results
+    Consumes exactly ``model.mean.size`` standard normal variates, so results
     are reproducible from the stream state alone.
     """
-    eps = stream.standard_normal(model.dimension)
+    eps = stream.standard_normal(model.mean.size)
     return StageStatistics(values=model.mean + model.cholesky @ eps)
 
 

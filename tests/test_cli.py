@@ -117,14 +117,13 @@ nsim: 64
 
 
 def test_select_codes_and_names_agree():
-    by_code = parse_config(treat_config(select=2), "treatment")
-    by_name = parse_config(treat_config(select="best-2"), "treatment")
-    assert by_code.rule == by_name.rule
-    assert by_code.rule.kind == "best-2"
-    eps = parse_config(treat_config(select=4, epsilon=0.5), "treatment")
-    assert eps.rule.epsilon == 0.5
-    thresh = parse_config(treat_config(select=6, thresh=3.0), "treatment")
-    assert thresh.rule.threshold == 3.0
+    names = ("all", "best-1", "best-2", "best-3", "epsilon", "random-1", "threshold")
+    params = {"epsilon": {"epsilon": 0.5}, "threshold": {"thresh": 3.0}}
+    for code, name in enumerate(names):
+        extra = params.get(name, {})
+        rule = parse_config(treat_config(select=code, **extra), "treatment").rule
+        assert rule == parse_config(treat_config(select=name, **extra), "treatment").rule
+        assert (rule.kind, rule.epsilon, rule.threshold) == (name, extra.get("epsilon"), extra.get("thresh"))
 
 
 def test_conditional_rule_parameters_are_enforced():
@@ -178,6 +177,9 @@ def test_missing_and_malformed_keys():
         parse_config(treat_config(weight=0.0), "treatment")
     with pytest.raises(ConfigError, match="outcome.early"):
         parse_config(treat_config(outcome={"early": "X"}), "treatment")
+    for outcome in ([], 0, "", False, None, [1]):
+        with pytest.raises(ConfigError, match="key 'outcome': expected a mapping"):
+            parse_config(treat_config(outcome=outcome), "treatment")
     with pytest.raises(ConfigError, match="effect.early"):
         parse_config(treat_config(effect={"early": [], "final": []}), "treatment")
 
@@ -457,6 +459,7 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
         # Philox keys streams by the seed mod 2**64, so other seeds would alias
         (["treatsel", "run"], treat_config(seed=-1), "seed must lie in 0..2**64 - 1"),
         (["treatsel", "run"], treat_config(seed=2**64), "seed must lie in 0..2**64 - 1"),
+        *((["treatsel", "run"], treat_config(outcome=v), "key 'outcome'") for v in ([], 0, "", False, None)),
     ):
         assert main(command + ["--config", write_config(tmp_path, doc)]) == 2, doc
         assert message in capsys.readouterr().err

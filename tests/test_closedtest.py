@@ -50,7 +50,7 @@ def test_stage_pvalue_basics():
 
 def test_singleton_reduces_to_stage_pvalue_for_every_method():
     for method, kw in [
-        ("dunnett", {"lam": 1.0}),
+        ("dunnett", {}),
         ("simes", {}),
         ("bonferroni", {}),
         ("spiessens-debois", {"tau": 0.3}),
@@ -72,7 +72,7 @@ def test_bonferroni_and_simes_hand_values():
 
 
 def test_dunnett_pvalue_matches_the_frozen_mc_estimate():
-    p = intersection_pvalue(np.array([2.0, 1.5]), "dunnett", lam=1.0)
+    p = intersection_pvalue(np.array([2.0, 1.5]), "dunnett")
     assert p == pytest.approx(1.0 - EQUICORR_MC, abs=3 * EQUICORR_SE)
 
 
@@ -88,7 +88,7 @@ def test_intersection_orderings_on_random_statistics():
         z = stream.normal(scale=1.5, size=m)
         bonf = intersection_pvalue(z, "bonferroni")
         assert intersection_pvalue(z, "simes") <= bonf + 1e-12
-        assert intersection_pvalue(z, "dunnett", lam=1.0) <= bonf + 1e-12
+        assert intersection_pvalue(z, "dunnett") <= bonf + 1e-12
 
 
 def test_intersection_pvalue_argument_validation():
@@ -96,8 +96,9 @@ def test_intersection_pvalue_argument_validation():
         intersection_pvalue(np.array([1.0]), "holm")
     with pytest.raises(ValueError, match="non-empty"):
         intersection_pvalue(np.array([]), "bonferroni")
-    with pytest.raises(ValueError, match="lam"):
-        intersection_pvalue(np.array([1.0, 2.0]), "dunnett")
+    for method in ("dunnett", "bonferroni", "simes"):  # NaN would sort out of sight
+        with pytest.raises(ValueError, match="NaN"):
+            intersection_pvalue(np.array([np.nan, 2.0]), method)
     with pytest.raises(ValueError, match="bivariate"):
         intersection_pvalue(np.array([1.0, 2.0, 3.0]), "spiessens-debois", tau=0.3)
     with pytest.raises(ValueError, match="tau"):
@@ -168,7 +169,6 @@ def test_inverse_normal_combination_hand_case():
     assert result.statistic == pytest.approx((0.5 + math.sqrt(0.75)) * y, abs=1e-12)
     assert result.statistic == pytest.approx(2.677, abs=5e-4)
     assert result.reject
-    assert not result.clamped
     # a flat stage-2 p-value pulls the statistic below the boundary
     assert not combine(0.025, 0.5, config).reject
 
@@ -186,20 +186,15 @@ def test_fisher_combination_hand_cases():
     assert combine(crit, 1.0, config).reject
 
 
-def test_degenerate_pvalues_are_clamped_and_recorded():
+def test_degenerate_pvalues_are_clamped_and_invalid_ones_rejected():
     config = default_config()
     result = combine(0.0, 0.5, config)
-    assert result.clamped
     assert math.isfinite(result.statistic)
     assert result.reject
-    result = combine(0.5, 1.0, config)
-    assert result.clamped
-    assert math.isfinite(result.statistic)
-    assert combine(0.2, 0.3, config).clamped is False
-    with pytest.raises(ValueError):
-        combine(-0.1, 0.5, config)
-    with pytest.raises(ValueError):
-        combine(0.5, 1.1, config)
+    assert math.isfinite(combine(0.5, 1.0, config).statistic)
+    for p1, p2 in ((-0.1, 0.5), (0.5, 1.1), (math.nan, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError):
+            combine(p1, p2, config)
 
 
 def test_combine_is_monotone_in_both_pvalues():
@@ -281,8 +276,8 @@ def test_single_hypothesis_reduces_to_the_combination_test():
 def test_overwhelming_evidence_rejects_everything_continued():
     config = default_config()
     z = [8.0, 8.0]
-    assert closed_test(z, z, {1, 2}, "dunnett", config, lam=1.0) == {1, 2}
-    assert closed_test(z, z, {2}, "dunnett", config, lam=1.0) == {2}
+    assert closed_test(z, z, {1, 2}, "dunnett", config) == {1, 2}
+    assert closed_test(z, z, {2}, "dunnett", config) == {2}
 
 
 def test_dropped_arms_are_never_rejected():
@@ -341,6 +336,11 @@ def test_closed_test_input_validation():
         closed_test([1.0, 2.0], [1.0], {1}, "bonferroni", config)
     with pytest.raises(ValueError, match="1..K"):
         closed_test([1.0, 2.0], [1.0, 2.0], {3}, "bonferroni", config)
+    # a NaN statistic that is read raises; -inf stage-2 data is a valid p of 1
+    for z1, z2 in (([np.nan, 5.0], [5.0, 5.0]), ([5.0, 5.0], [5.0, np.nan])):
+        with pytest.raises(ValueError, match="NaN"):
+            closed_test(z1, z2, {1, 2}, "bonferroni", config)
+    assert closed_test([5.0, 5.0], [5.0, -np.inf], {1, 2}, "bonferroni", config) == {1}
 
 
 def test_dunnett_closed_test_rejects_at_least_bonferroni():
@@ -352,7 +352,7 @@ def test_dunnett_closed_test_rejects_at_least_bonferroni():
         z1 = stream.normal(loc=1.2, size=3)
         z2 = stream.normal(loc=1.2, size=3)
         bonf = closed_test(z1, z2, {1, 2, 3}, "bonferroni", config)
-        dunn = closed_test(z1, z2, {1, 2, 3}, "dunnett", config, lam=1.0)
+        dunn = closed_test(z1, z2, {1, 2, 3}, "dunnett", config)
         assert bonf <= dunn
         wins += len(dunn) > len(bonf)
     assert wins > 0  # the refinement must actually fire somewhere

@@ -5,18 +5,20 @@ rule, the exactly evaluated intersection tests, both combinations, stage-1
 spending, follow-up, power subsets, fixed or redrawn subgroup prevalence,
 replication counts across a chunk's edge cases and arbitrary seeds -- and
 every tally ``run_scenario`` reports must equal the replication-by-replication
-replay of ``test_engine`` exactly. Subgroup examples are drawn per interim
+replay of ``oracle.replay`` exactly. Subgroup examples are drawn per interim
 branch, each with at least eight replications.
 """
+
+from dataclasses import asdict
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import replay
 from seamsim.closedtest import CombinationConfig
 from seamsim.engine import Scenario, TestSpec, run_scenario
 from seamsim.selection import SelectionRule
 from seamsim.simmodel import EffectSpec, SampleSizePlan
-from test_engine import _manual_subgroup, _manual_treatment
 
 SETTINGS = settings(
     derandomize=True,
@@ -127,23 +129,13 @@ def subgroup_scenarios(draw):
 @SETTINGS
 @given(treatment_scenarios())
 def test_engine_tallies_equal_the_treatment_replay(scn):
-    oc = run_scenario(scn)
-    futility, sizes_, arms, hyps, any_count, ptest_count = _manual_treatment(scn)
-    assert oc.futility_count == futility
-    assert oc.selected_size_counts == sizes_
-    assert oc.arm_selected_counts == arms
-    assert oc.hypothesis_rejected_counts == hyps
-    assert oc.any_rejected_count == any_count
-    assert oc.ptest_rejected_count == (None if scn.ptest is None else ptest_count)
+    want, got = replay(scn), asdict(run_scenario(scn))
+    assert {key: got[key] for key in want} == want
+    assert scn.ptest is not None or got["ptest_rejected_count"] is None
 
 
 @SETTINGS
 @given(subgroup_scenarios())
 def test_engine_tallies_equal_the_subgroup_replay(scn):
-    oc = run_scenario(scn)
-    futility, branches, union, redraws = _manual_subgroup(scn)
-    assert (oc.futility_count, oc.prevalence_redraws) == (futility, redraws)
-    assert oc.union_rejected_count == union
-    for name, row in branches.items():
-        got = oc.subgroup_counts[name]
-        assert (got.n, got.hs, got.hf, got.both, got.intersection) == tuple(row), name
+    want, got = replay(scn), asdict(run_scenario(scn))
+    assert {key: got[key] for key in want} == want

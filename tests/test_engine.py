@@ -1,19 +1,15 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
 import tracemalloc
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from oracle import replay
 from seamsim.cli import parse_config
-from seamsim.closedtest import (
-    CombinationConfig,
-    closed_test,
-    combine,
-    intersection_pvalue,
-)
+from seamsim.closedtest import CombinationConfig, closed_test
 from seamsim.engine import (
     _GRID,
     _YMAX,
@@ -36,16 +32,7 @@ from seamsim.engine import (
     sweep,
 )
 from seamsim.selection import SelectionRule, select_population, select_treatments
-from seamsim.simmodel import (
-    ARM_CORRELATION,
-    EffectSpec,
-    SampleSizePlan,
-    build_score_model,
-    effect_to_expectation,
-    larger_is_better,
-    resolve_prevalence,
-    sample_replication,
-)
+from seamsim.simmodel import ARM_CORRELATION, EffectSpec, SampleSizePlan, resolve_prevalence
 from seamsim.statdist import bvn_cdf, equicorr_max_cdf, replication_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -629,47 +616,7 @@ def test_chunk_selection_matches_the_scalar_selectors(rule):
 
 
 # ---------------------------------------------------------------------------
-# the engine agrees exactly with the public single-replication functions
-
-
-def _manual_treatment(scn):
-    """Replay a treatment scenario replication-by-replication."""
-    spec, plan, config = scn.effects, scn.plan, scn.test.config
-    k = spec.comparisons
-    model = build_score_model(spec, plan)
-    orient = 1.0 if larger_is_better(spec.design, spec.early_outcome) else -1.0
-    futility = 0
-    size_hist = np.zeros(k, dtype=int)
-    arm_counts = np.zeros(k, dtype=int)
-    hyp_counts = np.zeros(k, dtype=int)
-    any_count = 0
-    ptest_count = 0
-    for rep in range(scn.replications):
-        stream = replication_stream(scn.master_seed, rep)
-        x = sample_replication(model, stream).values
-        outcome = select_treatments(orient * x[:k], scn.rule, stream)
-        if outcome.stopped_for_futility:
-            futility += 1
-            continue
-        cont = sorted(outcome.continued)
-        size_hist[len(cont) - 1] += 1
-        for arm in cont:
-            arm_counts[arm - 1] += 1
-        z1 = x[k : 2 * k]
-        z2 = x[2 * k :]
-        contributors = None
-        if scn.follow_up:
-            z2 = np.where(np.isin(np.arange(1, k + 1), cont), z2, z1)
-            contributors = range(1, k + 1)
-        rejected = closed_test(
-            z1, z2, outcome, scn.test.intersection, config, stage2_contributors=contributors
-        )
-        for arm in rejected:
-            hyp_counts[arm - 1] += 1
-        any_count += bool(rejected)
-        if scn.ptest is not None:
-            ptest_count += bool(set(scn.ptest) & rejected)
-    return futility, tuple(size_hist), tuple(arm_counts), tuple(hyp_counts), any_count, ptest_count
+# the engine agrees exactly with the scalar replay of tests/oracle.py
 
 
 @pytest.mark.parametrize(
@@ -684,58 +631,8 @@ def _manual_treatment(scn):
 )
 def test_engine_reproduces_the_single_replication_path(rule, method, follow_up):
     scn = treatment_scenario(rule, method=method, ptest=(2, 3), follow_up=follow_up)
-    oc = run_scenario(scn)
-    futility, sizes, arms, hyps, any_count, ptest_count = _manual_treatment(scn)
-    assert oc.futility_count == futility
-    assert oc.selected_size_counts == sizes
-    assert oc.arm_selected_counts == arms
-    assert oc.hypothesis_rejected_counts == hyps
-    assert oc.any_rejected_count == any_count
-    assert oc.ptest_rejected_count == ptest_count
-
-
-def _manual_subgroup(scn):
-    """Replay a subgroup scenario through the public per-replication API."""
-    spec, plan, config = scn.effects, scn.plan, scn.test.config
-    orient_early = 1.0 if larger_is_better(spec.design, spec.early_outcome) else -1.0
-    orient_final = 1.0 if larger_is_better(spec.design, spec.final_outcome) else -1.0
-    cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
-    sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
-    futility = union = redraws = 0
-    branches = {name: np.zeros(5, dtype=int) for name in ("sub", "full", "both")}
-    for rep in range(scn.replications):
-        stream = replication_stream(scn.master_seed, rep)
-        tau, extra = resolve_prevalence(
-            scn.prevalence, scn.prevalence_fixed, stream, 2 * plan.stage1_per_arm
-        )
-        redraws += extra
-        model = build_score_model(spec, plan, tau)
-        x = sample_replication(model, stream).values
-        s = -orient_early * x[:2]
-        outcome = select_population(s[0], s[1], scn.rule)
-        if outcome.stopped_for_futility:
-            futility += 1
-            continue
-        cont = outcome.continued
-        name = {frozenset({1}): "sub", frozenset({2}): "full", frozenset({1, 2}): "both"}[cont]
-        z2_native = x[4:6].copy()
-        if name == "sub":
-            z2_native[0] += sub_only_mean - model.mean[4]
-        z1 = orient_final * x[2:4]
-        z2 = orient_final * z2_native
-        rejected = closed_test(z1, z2, outcome, scn.test.intersection, config, tau=tau)
-        p1 = intersection_pvalue(z1, scn.test.intersection, tau=tau)
-        alive = sorted(cont)
-        p2 = intersection_pvalue(z2[[i - 1 for i in alive]], scn.test.intersection, tau=tau)
-        inter = combine(p1, p2, config).reject
-        row = branches[name]
-        row[0] += 1
-        row[1] += 1 in rejected
-        row[2] += 2 in rejected
-        row[3] += rejected == {1, 2}
-        row[4] += inter
-        union += bool(rejected)
-    return futility, branches, union, redraws
+    want, got = replay(scn), asdict(run_scenario(scn))
+    assert {key: got[key] for key in want} == want
 
 
 @pytest.mark.parametrize(
@@ -748,17 +645,12 @@ def _manual_subgroup(scn):
 def test_engine_reproduces_the_subgroup_path(rule, method):
     for fixed in (True, False):
         scn = subgroup_scenario(rule, method=method, prevalence_fixed=fixed)
-        oc = run_scenario(scn)
-        futility, branches, union, redraws = _manual_subgroup(scn)
-        assert (oc.futility_count, oc.prevalence_redraws) == (futility, redraws)
-        assert oc.union_rejected_count == union
-        for name, row in branches.items():
-            got = oc.subgroup_counts[name]
-            assert (got.n, got.hs, got.hf, got.both, got.intersection) == tuple(row), name
+        want, got = replay(scn), asdict(run_scenario(scn))
+        assert {key: got[key] for key in want} == want
         # the recorded expected sample size follows the branch counts exactly
-        n_sub, n_rest = branches["sub"][0], branches["full"][0] + branches["both"][0]
-        manual = 2 * 100 + 2 * (200 * n_sub + 300 * n_rest) / scn.replications
-        assert oc.expected_total_sample_size == pytest.approx(manual, abs=1e-12)
+        n = {name: row["n"] for name, row in got["subgroup_counts"].items()}
+        manual = 2 * 100 + 2 * (200 * n["sub"] + 300 * (n["full"] + n["both"])) / scn.replications
+        assert got["expected_total_sample_size"] == pytest.approx(manual, abs=1e-12)
 
 
 def test_follow_up_changes_the_outcome_but_not_the_draws():

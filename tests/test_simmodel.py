@@ -2,8 +2,8 @@
 
 Expected-statistic anchors are the console values from published runs of
 the designs simulated here (rounded to the precision they were printed at);
-covariance structure is checked entry-by-entry against the model's defining
-correlations and by brute-force sampling moments.
+the covariance its factor implies is checked entry-by-entry against the
+model's defining correlations and by brute-force sampling moments.
 """
 
 import math
@@ -167,20 +167,24 @@ def test_larger_is_better_orientation():
 
 
 def assert_factor_reproduces_covariance(spec, plan, prevalence=None):
+    """chol @ chol.T is kron(S, U): S the endpoint/stage pattern, U the comparison block."""
+    unit = np.full((spec.comparisons,) * 2, 0.5 if prevalence is None else math.sqrt(prevalence))
+    np.fill_diagonal(unit, 1.0)
     for rho in (-1.0, 0.0, 0.4, 1.0):
         model = build_score_model(replace(spec, correlation=rho), plan, prevalence)
         np.testing.assert_array_equal(model.cholesky, np.tril(model.cholesky))
+        stages = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(
-            model.cholesky @ model.cholesky.T, model.covariance, rtol=0, atol=1e-14
+            model.cholesky @ model.cholesky.T, np.kron(stages, unit), rtol=0, atol=1e-14
         )
 
 
 def test_treatment_model_covariance_structure():
     plan = SampleSizePlan(100, 300)
     model = build_score_model(copd_spec(), plan)
-    cov = model.covariance
+    cov = model.cholesky @ model.cholesky.T
     k = 4
-    assert model.dimension == 3 * k
+    assert model.mean.size == 3 * k
     np.testing.assert_allclose(np.diag(cov), 1.0, atol=1e-14)
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     # a shared, equally allocated control induces 1/2 between arms within a block
@@ -198,7 +202,7 @@ def test_treatment_model_covariance_structure():
 def test_subgroup_model_covariance_structure():
     plan = SampleSizePlan(100, 300, enrich_per_arm=200)
     model = build_score_model(oncology_spec(), plan, prevalence=0.3)
-    cov = model.covariance
+    cov = model.cholesky @ model.cholesky.T
     root_tau = math.sqrt(0.3)
     k = 2
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
@@ -232,11 +236,11 @@ def test_sampling_moments_match_model():
     model = build_score_model(copd_spec(), SampleSizePlan(100, 300))
     stream = replication_stream(17, 0)
     draws = np.array(
-        [model.mean + model.cholesky @ stream.standard_normal(model.dimension)
+        [model.mean + model.cholesky @ stream.standard_normal(model.mean.size)
          for _ in range(200_000)]
     )
     np.testing.assert_allclose(draws.mean(axis=0), model.mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(draws.T), model.covariance, atol=0.02)
+    np.testing.assert_allclose(np.cov(draws.T), model.cholesky @ model.cholesky.T, atol=0.02)
 
 
 def test_subgroup_stage2_mean_uses_both_branch():
