@@ -5,16 +5,20 @@ stream keyed by ``(master_seed, replication_index)``, so results depend only
 on the scenario and seed -- never on chunking or worker count. Replications
 are processed in fixed-size chunks of 4096; ``threads`` only distributes the
 same chunks over a process pool, and every tally is an integer count, so a
-run is bit-for-bit reproducible at any parallelism.
+run is bit-for-bit reproducible at any parallelism. The README section
+"Reproducibility contract, version 1" states this guarantee and the draw order.
 
 The closed test runs on the subset lattice: the 2^K - 1 intersections are
 bitmasks in levels of equal size, and rows go through them in blocks of
-about 2^17 cells (rows x intersections), 1 MB per array at any K. A Dunnett,
-subgroup/full or Bonferroni quantile Phi^-1(1 - p) depends only on the
-member count m and the best contributing member. With each row's members
-ranked best first, one pass per level gives every cell its best rank,
-best(S) = min(best(S without top), rank(top)), and the quantile is read from
-a per-row (m, rank) table. Simes ranks the members through bitmasks in K
+about 2^17 cells (rows x intersections), 1 MB per array at any K. Both stages
+take one path, given a mask of the members with stage data (at stage 1, all).
+A Dunnett, subgroup/full or Bonferroni quantile Phi^-1(1 - p) depends only on
+the member count m and the best member, the one with the largest z. With each
+row's members ranked best first, those without data last, one pass per level
+gives every cell its best rank, best(S) = min(best(S without top), rank(top)),
+and the quantile is read from one per-row (m, rank) table. Its m = 0 cells
+hold only arms that did not continue, so their fill, p = 1, decides no
+rejection and no clamp count. Simes ranks the members through bitmasks in K
 passes. An elementary hypothesis falls when every intersection holding it does.
 
 The Dunnett and subgroup/full-population maps from a maximum statistic to
@@ -417,55 +421,38 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
     """Phi^-1(1 - p) of one stage's (row, intersection) cells, and their member counts.
 
     The cells are ``y[index]``, or ``y`` itself when index is None. ``contrib``
-    restricts each row's contributing members (None: all, as at stage 1).
+    marks each row's members with stage data (all of them at stage 1).
     """
     method = pre.scenario.test.intersection
     rows, k = z.shape
     masks, levels, popcount, _ = _lattice(k)
-    if contrib is None:
-        m = np.broadcast_to(popcount[masks], (rows, masks.size))
-    else:
-        m = popcount[masks & (contrib @ (1 << np.arange(k)))[:, None]]
+    m = popcount[masks & (contrib @ (1 << np.arange(k)))[:, None]]
     if method == "simes":
-        p = 1.0 - ndtr(z)
-        y, index = _simes_quantiles(p if contrib is None else np.where(contrib, p, np.inf), m), None
-    else:
-        # The quantile depends only on the member count m and the best
-        # contributing member, so rank each row's members best first (no
-        # data last) and tabulate it per (m, rank). The best of m members
-        # ranks at most mmax - m, with mmax the largest m.
-        bonferroni = method == "bonferroni"
-        key = 1.0 - ndtr(z) if bonferroni else -z
-        if contrib is not None:
-            key = np.where(contrib, key, np.inf)
-        order = np.argsort(key, axis=1, kind="stable")
-        ranked = (key if bonferroni else z)[np.arange(rows)[:, None], order]
-        mmax = k if contrib is None else int(m.max())
-        # m = 0 cells have no stage data: p = 1, clamped as everywhere
-        table = np.full((rows, mmax + 1, k), ndtri(1.0 - (1.0 - P_CLAMP)) if bonferroni else _YMIN)
-        for size in range(1, mmax + 1):
-            cut = mmax - size + 1
-            if bonferroni:
-                pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
-                table[:, size, :cut] = ndtri(1.0 - pm)
-            elif size == 1:
-                table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
-            elif size in pre.grids:
-                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
-        # best(S) = min(best(parent), rank of top), one pass per level
-        best = np.empty((rows, masks.size), dtype=np.int64)
-        best[:, :k] = np.argsort(order, axis=1, kind="stable")
-        for start, stop, parent, top in levels:
-            np.minimum(best[:, parent], best[:, top], out=best[:, start:stop])
-        index = (np.arange(rows)[:, None] * (mmax + 1) + m) * k + best
-        y = table.ravel()
-        if method == "spiessens-debois" and 2 not in pre.grids:
-            # varying prevalence: evaluate the bivariate CDF on the two-member cells
-            r, c = np.nonzero(m == 2)
-            index[r, c] = y.size + np.arange(r.size)
-            cmax = ranked[r, best[r, c]]
-            y = np.append(y, _keep_quantile(_bvn_equal_coords(cmax, np.sqrt(taus[r]))))
-    return y, index, m
+        return _simes_quantiles(np.where(contrib, 1.0 - ndtr(z), np.inf), m), None, m
+    # rank each row's members best first by z (p falls as z rises), no data
+    # last; the best of m members ranks at most mmax - m, mmax the largest m
+    order = np.argsort(np.where(contrib, -z, np.inf), axis=1, kind="stable")
+    ranked = (1.0 - ndtr(z) if method == "bonferroni" else z)[np.arange(rows)[:, None], order]
+    mmax = int(m.max())
+    table = np.full((rows, mmax + 1, k), _YMIN)  # m = 0: no stage data, p = 1
+    for size in range(1, mmax + 1):
+        cut = mmax - size + 1
+        if method == "bonferroni":
+            pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
+            table[:, size, :cut] = ndtri(1.0 - pm)
+        elif size == 1:
+            table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
+        elif size in pre.grids:
+            table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
+        else:  # subgroup/full at a varying prevalence: rows whose full set has two members
+            r = np.flatnonzero(m[:, -1] == 2)
+            table[r, 2, 0] = _keep_quantile(_bvn_equal_coords(ranked[r, 0], np.sqrt(taus[r])))
+    # best(S) = min(best(parent), rank of top), one pass per level
+    best = np.empty((rows, masks.size), dtype=np.int64)
+    best[:, :k] = np.argsort(order, axis=1, kind="stable")
+    for start, stop, parent, top in levels:
+        np.minimum(best[:, parent], best[:, top], out=best[:, start:stop])
+    return table.ravel(), (np.arange(rows)[:, None] * (mmax + 1) + m) * k + best, m
 
 
 def _simes_quantiles(p, m):
@@ -473,7 +460,7 @@ def _simes_quantiles(p, m):
 
     A member's rank in an intersection counts the members there with no
     larger p, itself included: among ties the largest rank, whose
-    (m * p) / rank is least.
+    (m * p) / rank is least. A cell without data stays at p = inf.
     """
     rows, k = p.shape
     masks, _, popcount, member = _lattice(k)
@@ -485,7 +472,6 @@ def _simes_quantiles(p, m):
         cols = np.flatnonzero(member[:, i])
         rank = popcount[no_larger[:, i, None] & masks[cols]]
         simes[:, cols] = np.minimum(simes[:, cols], msafe[:, cols] * p[:, i, None] / rank)
-    simes = np.where(m > 0, simes, 1.0)
     return ndtri(1.0 - np.clip(simes, P_CLAMP, 1.0 - P_CLAMP))
 
 
@@ -502,9 +488,10 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
     member = _lattice(k)[3]
+    every = np.ones_like(cont)
     if pre.scenario.follow_up:
         # arms dropped at the interim contribute their stage-1 final statistic
-        contrib, z2 = np.ones_like(cont), np.where(cont, z2, z1)
+        contrib, z2 = every, np.where(cont, z2, z1)
     else:
         contrib = cont
     config = pre.scenario.test.config
@@ -517,7 +504,7 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     for a in range(0, n, step):
         b = min(a + step, n)
         tau = None if taus is None else taus[a:b]
-        y1, i1, _ = _lattice_quantiles(pre, z1[a:b], None, tau)
+        y1, i1, _ = _lattice_quantiles(pre, z1[a:b], every[a:b], tau)
         y2, i2, m2 = _lattice_quantiles(pre, z2[a:b], contrib[a:b], tau)
         # clamp saturation; stage-2 cells without data are structural, not counted
         clamps += int(np.count_nonzero(cells((y1 <= _YMIN) | (y1 >= _YMAX), i1)))

@@ -24,6 +24,7 @@ are negative for beneficial effects); the engine re-orients internally.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ MAX_COMPARISONS = 8
 # Comparisons sharing the control correlate at 1/(1 + lambda) for allocation
 # ratio lambda; with equal allocation (lambda = 1) that is exactly 1/2.
 ARM_CORRELATION = 0.5
+
+_MAX_EXP = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
 @dataclass(frozen=True)
@@ -114,9 +117,13 @@ def _validate_effects(design: str, code: str, effects: tuple) -> None:
     if design == TREATMENT and code == "B":
         if any(not 0.0 < v < 1.0 for v in effects):
             raise ValueError("binary effects are event rates and must lie strictly in (0, 1)")
+    if design == TREATMENT and code == "T" and min(effects) < -_MAX_EXP:
+        raise ValueError(f"minus log hazard rates below {-_MAX_EXP:.6g} overflow the hazard")
     if design == SUBGROUP and code in ("T", "B"):
         if any(v <= 0.0 for v in effects):
             raise ValueError("hazard/odds ratios must be positive")
+        if code == "B" and max(effects) >= 2.0**53:  # the event rate or/(1 + or) would round to 1
+            raise ValueError("odds ratios must lie below 2**53")
 
 
 @dataclass(frozen=True)

@@ -460,6 +460,11 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
         (["treatsel", "run"], treat_config(seed=-1), "seed must lie in 0..2**64 - 1"),
         (["treatsel", "run"], treat_config(seed=2**64), "seed must lie in 0..2**64 - 1"),
         *((["treatsel", "run"], treat_config(outcome=v), "key 'outcome'") for v in ([], 0, "", False, None)),
+        # valid numbers whose statistics overflow: exp(1000) and an event rate of 1
+        (["treatsel", "run"], treat_config(effect={"early": [0, 0.5, 0.6], "final": [0, -1000, 0.3]},
+                                           outcome={"final": "T"}), "key 'effect'"),
+        (["subpop", "run"], subpop_config(effect={"early": [0.6, 0.9], "final": [1.0e300, 0.9]},
+                                          outcome={"early": "T", "final": "B"}), "key 'effect'"),
     ):
         assert main(command + ["--config", write_config(tmp_path, doc)]) == 2, doc
         assert message in capsys.readouterr().err

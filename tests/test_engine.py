@@ -1,15 +1,17 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
+import itertools
 import tracemalloc
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from oracle import replay
 from seamsim.cli import parse_config
-from seamsim.closedtest import CombinationConfig, closed_test
+from seamsim.closedtest import P_CLAMP, CombinationConfig, closed_test, intersection_pvalue
 from seamsim.engine import (
     _GRID,
     _YMAX,
@@ -504,35 +506,100 @@ def _hand_built_chunk(k, rows=64, seed=0):
     z2 = np.round(rng.normal(1.0, 1.5, size=(rows, k)), 1)
     z1[0], z2[0] = 1.5, 1.5                                  # every arm tied
     z1[1], z2[1] = 9.0, -9.0                                 # beyond the p-value clamp
+    # distinct statistics above 8.3, where 1 - Phi(z) rounds to 0, among moderate ones:
+    # ranked by p they tie, ranked by z they do not
+    high = np.array([8.4, 1.2, 9.3, -0.4, 8.9, 2.1, 10.2, 0.6])
+    z1[10], z2[10] = np.resize(high, k), np.resize(high[::-1], k)
+    z1[11], z2[11] = np.resize(high[::-1], k), np.resize(np.roll(high, 1), k)
     cont = rng.random((rows, k)) < 0.5
     cont[2:6] = False                                        # futility
     cont[6:10] = False
     cont[6:10, 0] = True                                     # one arm continues
     cont[:2] = True
+    cont[10] = True
+    cont[11] = np.resize([True, True, False], k)
     return z1, z2, cont
 
 
-@pytest.mark.parametrize("method", ["bonferroni", "simes"])
-@pytest.mark.parametrize("combination", ["inverse-normal", "fisher", "alpha1"])
-@pytest.mark.parametrize("follow_up", [False, True])
-def test_chunk_kernel_matches_the_scalar_closed_test(method, combination, follow_up):
-    k = 5
+def _grid_error(y):
+    """The engine docstring's bound on the error of a grid quantile y."""
+    return 1e-6 if abs(y) <= 6 else 3e-5 if abs(y) <= 7 else 2e-2
+
+
+def _near_a_boundary(pre, z1, z2, contributors, tau, gridded):
+    """Whether some intersection's combination statistic lies within the grid error of its boundary.
+
+    The statistic is the one ``combine`` computes, from the scalar stage p-values.
+    """
+    method, config = pre.scenario.test.intersection, pre.scenario.test.config
+    for size in range(1, len(z1) + 1):
+        for members in itertools.combinations(range(len(z1)), size):
+            stages = []
+            for z, arms in ((z1, members), (z2, [i for i in members if i in contributors])):
+                p = intersection_pvalue(z[list(arms)], method, tau=tau) if arms else 1.0
+                y = ndtri(1.0 - np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
+                stages.append((y, _grid_error(y) if gridded and len(arms) > 1 else 0.0))
+            (y1, e1), (y2, e2) = stages
+            if config.method == "fisher":
+                low, high = (ndtr(-(y1 + s * e1)) * ndtr(-(y2 + s * e2)) for s in (1.0, -1.0))
+                near = low <= pre.fisher_crit <= high
+            else:
+                near = (abs(config.w1 * y1 + config.w2 * y2 - pre.u2) <= config.w1 * e1 + config.w2 * e2
+                        or abs(y1 - pre.u1) <= e1)
+            if near:
+                return True
+    return False
+
+
+COMBINATIONS = ("inverse-normal", "fisher", "alpha1")
+# ids "<follow-up>-<combination>-<test>", and "<fixed or per-row tau>-..." for CT-SD
+KERNEL_CASES = {
+    **{f"{follow_up}-{combination}-{method}": (method, combination, follow_up, False)
+       for method in ("dunnett", "bonferroni", "simes")
+       for combination in COMBINATIONS for follow_up in (False, True)},
+    **{f"{tau}-tau-{combination}-spiessens-debois": ("spiessens-debois", combination, False, tau == "per-row")
+       for tau in ("fixed", "per-row") for combination in COMBINATIONS},
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
+def test_chunk_kernel_matches_the_scalar_closed_test(case):
+    method, combination, follow_up, per_row = case
     config = CombinationConfig.from_sample_sizes(
         60, 120, method="fisher" if combination == "fisher" else "inverse-normal",
         alpha1=0.005 if combination == "alpha1" else 0.0,
     )
-    scn = replace(treatment_scenario(SelectionRule("all"), method=method, follow_up=follow_up),
-                  effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)),
-                  test=TestSpec(method, config))
-    z1, z2, cont = _hand_built_chunk(k)
-    rejected, _, _ = _test_chunk(_prepare(scn), z1, z2, cont, None)
+    if method == "spiessens-debois":
+        k = 2
+        scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), method=method,
+                                prevalence_fixed=not per_row)
+    else:
+        k = 5
+        scn = replace(treatment_scenario(SelectionRule("all"), method=method, follow_up=follow_up),
+                      effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)))
+    scn = replace(scn, test=TestSpec(method, config))
+    z1, z2, cont = _hand_built_chunk(k, rows=400 if k == 2 else 64)  # K = 2 rows are cheap
+    rows = z1.shape[0]
+    taus = np.random.default_rng(5).uniform(0.05, 0.95, rows) if per_row else None
+    pre = _prepare(scn)
+    rejected, _, _ = _test_chunk(pre, z1, z2, cont, taus)
     everyone = range(1, k + 1) if follow_up else None
     if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
         z2 = np.where(cont, z2, z1)
-    for row in range(z1.shape[0]):
+    # Dunnett and subgroup/full quantiles at a fixed prevalence come from grids
+    gridded = method == "dunnett" or (method == "spiessens-debois" and not per_row)
+    excluded = 0
+    for row in range(rows):
+        tau = taus[row] if per_row else scn.prevalence
         continued = {i + 1 for i in np.flatnonzero(cont[row])}
-        scalar = closed_test(z1[row], z2[row], continued, method, config, stage2_contributors=everyone)
+        contributors = set(range(k)) if follow_up else {i - 1 for i in continued}
+        if _near_a_boundary(pre, z1[row], z2[row], contributors, tau, gridded):
+            excluded += 1
+            continue
+        scalar = closed_test(z1[row], z2[row], continued, method, config, tau=tau,
+                             stage2_contributors=everyone)
         assert {i + 1 for i in np.flatnonzero(rejected[row])} == scalar, row
+    assert excluded < 0.05 * rows
     assert rejected.any() and not rejected.all()
 
 

@@ -7,6 +7,7 @@ model's defining correlations and by brute-force sampling moments.
 """
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -145,6 +146,20 @@ def test_effect_spec_validation():
     for bad in (float("nan"), float("inf")):  # a NaN effect would never select its arm
         with pytest.raises(ValueError, match="finite"):
             EffectSpec(design="treatment", early=(0.0, bad), final=(0.0, 0.1))
+    # minus log hazard theta enters as exp(-theta); an odds ratio of 2**53
+    # makes the event rate or / (1 + or) round to 1
+    with pytest.raises(ValueError, match="overflow"):
+        EffectSpec(design="treatment", early=(0.0, 0.1), final=(0.0, -1000.0), final_outcome="T")
+    with pytest.raises(ValueError, match="2\\*\\*53"):
+        EffectSpec(design="subgroup", early=(1.0, 1.0), final=(2.0**53, 0.9), final_outcome="B")
+    # the extreme values still accepted convert to finite statistics
+    plan = SampleSizePlan(stage1_per_arm=100, stage2_per_arm=300)
+    for spec, prevalence in (
+        (EffectSpec(design="treatment", early=(0.0, 0.1), final=(0.0, -math.log(sys.float_info.max)),
+                    final_outcome="T"), None),
+        (EffectSpec(design="subgroup", early=(1.0, 1.0), final=(2.0**53 - 1, 0.9), final_outcome="B"), 0.3),
+    ):
+        assert np.isfinite(build_score_model(spec, plan, prevalence).mean).all()
     spec = EffectSpec(design="treatment", early=(0.0, 0.1, 0.2), final=(0.0, 0.1, 0.2))
     assert spec.comparisons == 2
 
