@@ -8,18 +8,20 @@ same chunks over a process pool, and every tally is an integer count, so a
 run is bit-for-bit reproducible at any parallelism. The README section
 "Reproducibility contract, version 1" states this guarantee and the draw order.
 
-The closed test runs on the subset lattice: the 2^K - 1 intersections are
-bitmasks in levels of equal size, and rows go through them in blocks of
-about 2^17 cells (rows x intersections), 1 MB per array at any K. Both stages
-take one path, given a mask of the members with stage data (at stage 1, all).
-A Dunnett, subgroup/full or Bonferroni quantile Phi^-1(1 - p) depends only on
-the member count m and the best member, the one with the largest z. With each
-row's members ranked best first, those without data last, one pass per level
-gives every cell its best rank, best(S) = min(best(S without top), rank(top)),
-and the quantile is read from one per-row (m, rank) table. Its m = 0 cells
-hold only arms that did not continue, so their fill, p = 1, decides no
-rejection and no clamp count. Simes ranks the members through bitmasks in K
-passes. An elementary hypothesis falls when every intersection holding it does.
+The closed test runs on the subset lattice, the bitmasks 1 .. 2^K - 1, in
+blocks of about 2^17 cells (intersections x rows), 1 MB per array at any K.
+Both stages take one path, given the members with stage data (at stage 1,
+all). Each row ranks its members once, best first and no data last, and one
+pass per member gives each cell its image, the bitmask of its data members'
+ranks: image(S) = image(S without top) | image(top). The cell reads
+Phi^-1(1 - p) from the row's table at its image; an empty image reads p = 1,
+which rejects nothing and counts no clamp. Dunnett's table is indexed by the
+member count m and the image's lowest rank, the best member's. The
+subgroup/full test reads such a table from its grid or, at a varying
+prevalence, per row. Bonferroni's p, m times the best member's, comes from
+such a table too. Simes's table, ranked by p, holds every set of ranks T at
+m * least(T), where least(T) = min(least(T without top), p_top / |T|). An
+elementary hypothesis falls when every intersection holding it does.
 
 The Dunnett and subgroup/full-population maps from a maximum statistic to
 Phi^-1(1 - p) are precomputed on a fine grid once per process for each m or
@@ -85,7 +87,7 @@ _YMIN = float(ndtri(P_CLAMP))
 _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
-_BLOCK_CELLS = 1 << 17  # rows x intersections per block of the closed test
+_BLOCK_CELLS = 1 << 17  # intersections x rows per block of the closed test
 # Quantile grids held per process: 64 of about 70 KB each, far more than the
 # distinct m and tau of any sweep or error-rate grid.
 _GRID_CACHE_SIZE = 64
@@ -118,7 +120,8 @@ class Scenario:
     """A fully specified simulation run.
 
     Attributes:
-        effects: effect assumptions (also fixes the design kind).
+        effects: effect assumptions (also fixes the design kind); every expected
+            statistic must be finite at each prevalence a replication can take.
         plan: stage sample sizes.
         rule: interim selection rule.
         test: closed testing configuration.
@@ -167,22 +170,30 @@ class Scenario:
                 raise ValueError("ptest applies to treatment designs only")
             if self.follow_up:
                 raise ValueError("follow_up applies to treatment designs only")
-            if not self.prevalence_fixed:
-                # treatment plus control recruit the stage-1 cohort
-                _check_redraw_rate(self.prevalence, 2 * self.plan.stage1_per_arm)
         else:
             if self.prevalence is not None:
                 raise ValueError("prevalence applies to subgroup designs only")
             if not self.prevalence_fixed:
                 raise ValueError("prevalence_fixed applies to subgroup designs only")
-            k = self.effects.comparisons
             if self.ptest is not None:
                 if not all(float(i).is_integer() for i in self.ptest):
                     raise ValueError("ptest arms must be whole numbers")
                 arms = tuple(sorted({int(i) for i in self.ptest}))
-                if not arms or arms[0] < 1 or arms[-1] > k:
+                if not arms or arms[0] < 1 or arms[-1] > self.effects.comparisons:
                     raise ValueError("ptest arms must be a non-empty subset of 1..K")
                 object.__setattr__(self, "ptest", arms)
+        n = 2 * self.plan.stage1_per_arm  # treatment plus control recruit the stage-1 cohort
+        if not self.prevalence_fixed:
+            _check_redraw_rate(self.prevalence, n)
+        # every expected statistic must be finite, at each prevalence a replication can take
+        for tau in (self.prevalence,) if self.prevalence_fixed else (1 / n, (n - 1) / n):
+            at = "" if tau is None else f" at a prevalence of {tau:g}"
+            try:
+                mean, _, shift = _model_parts(self.effects, self.plan, tau)
+            except ValueError as exc:
+                raise ValueError(f"effects{at}: {exc}") from exc
+            if not np.isfinite(np.append(mean, shift)).all():
+                raise ValueError(f"effects{at} give a non-finite expected statistic")
 
     @property
     def design(self) -> str:
@@ -245,7 +256,6 @@ class _Prepared:
     u2: float
     fisher_crit: float
     grids: dict = field(default_factory=dict)  # member count m -> Phi^-1(1-p) on _GRID
-    sub_only_mean: float = 0.0       # subgroup: stage-2 mean if only subgroup continues
 
 
 def _keep_quantile(p_keep):
@@ -272,12 +282,19 @@ def _sd_grid(root_tau: float):
 
 @lru_cache(maxsize=8192)
 def _model_parts(spec: EffectSpec, plan: SampleSizePlan, prevalence: float | None):
+    """The score model's mean and factor, and how far its stage-2 subgroup mean,
+    entry 4, moves when only the subgroup continues (0 in treatment designs)."""
     model = build_score_model(spec, plan, prevalence)
-    return model.mean, model.cholesky
+    shift = 0.0
+    if spec.design == SUBGROUP:
+        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
+        sub_only = effect_to_expectation(spec, plan, "final", cohort)[0]
+        shift = float(sub_only) - float(model.mean[4])  # inf - inf is NaN, with no warning
+    return model.mean, model.cholesky, shift
 
 
 def _prepare(scenario: Scenario) -> _Prepared:
-    spec, plan = scenario.effects, scenario.plan
+    spec = scenario.effects
     k = spec.comparisons
     if scenario.test.config.method == "inverse-normal":
         u1, u2 = spending_boundaries(scenario.test.config)
@@ -292,11 +309,8 @@ def _prepare(scenario: Scenario) -> _Prepared:
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
     )
-    if spec.design == SUBGROUP:
-        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
-        pre.sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
-        if scenario.test.intersection == "spiessens-debois" and scenario.prevalence_fixed:
-            pre.grids[2] = _sd_grid(math.sqrt(scenario.prevalence))
+    if scenario.test.intersection == "spiessens-debois" and scenario.prevalence_fixed:
+        pre.grids[2] = _sd_grid(math.sqrt(scenario.prevalence))
     if scenario.test.intersection == "dunnett":
         for m in range(2, k + 1):
             pre.grids[m] = _dunnett_grid(m)
@@ -339,10 +353,11 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
 
 
 def _statistics(pre: _Prepared, eps, taus):
-    """Native-scale statistic matrix (n, 3k) plus each row's stage-2 mean of comparison 1.
+    """Native-scale statistic matrix (n, 3k) plus each row's subgroup shift.
 
-    Rows are grouped by prevalence; a fixed prevalence is one group. In a
-    subgroup design comparison 1 is the subgroup.
+    Rows are grouped by prevalence; a fixed prevalence is one group. The shift
+    moves a subgroup design's stage-2 subgroup mean to that of the cohort
+    recruited when only the subgroup continues.
     """
     scenario = pre.scenario
     if taus is None:
@@ -350,12 +365,11 @@ def _statistics(pre: _Prepared, eps, taus):
     else:
         groups = [(float(tau), taus == tau) for tau in np.unique(taus)]
     z = np.empty_like(eps)
-    mean_sub2 = np.empty(eps.shape[0])
+    shift = np.empty(eps.shape[0])
     for tau, rows in groups:
-        mean, chol = _model_parts(scenario.effects, scenario.plan, tau)
+        mean, chol, shift[rows] = _model_parts(scenario.effects, scenario.plan, tau)
         z[rows] = mean + eps[rows] @ chol.T
-        mean_sub2[rows] = mean[2 * pre.k]
-    return z, mean_sub2
+    return z, shift
 
 
 def _select_chunk(pre: _Prepared, z_native, rand_pick):
@@ -402,92 +416,81 @@ def _random_pick_mask(cont, rand_pick):
 
 @lru_cache(maxsize=None)  # one per K, built on first use
 def _lattice(k: int):
-    """The 2^K - 1 intersections as bitmasks in levels of equal size, singletons first.
+    """Tables over the bitmasks below 2^K, as sets of members or of ranks.
 
-    Returns (masks, levels, popcount, member): a level is (start, stop, parent,
-    top), where S's parent is S without its top (highest) member; popcount
-    counts every bitmask's members; member is the (S, K) membership.
+    Returns (popcount, slot, member): a bitmask's member count, and its place
+    popcount * K + lowest member in an (m, rank) table of K ranks, as uint8;
+    the (K, 2^K - 1) membership of the intersections, bitmasks 1 .. 2^K - 1.
     """
-    popcount = _read_only(np.array([bin(s).count("1") for s in range(1 << k)]))
-    masks = _read_only(np.array(sorted(range(1, 1 << k), key=lambda s: (popcount[s], s))))
-    top = _read_only(np.array([int(s).bit_length() - 1 for s in masks]))
-    parent = _read_only(np.argsort(masks)[(masks ^ (1 << top)) - 1])  # position of S without its top
-    bounds = np.cumsum([math.comb(k, size) for size in range(1, k + 1)])
-    levels = tuple((a, b, parent[a:b], top[a:b]) for a, b in zip(bounds[:-1], bounds[1:]))
-    return masks, levels, popcount, _read_only((masks[:, None] >> np.arange(k)) & 1 == 1)
+    popcount = np.array([bin(s).count("1") for s in range(1 << k)], dtype=np.uint8)
+    # the empty set has no lowest member; its slot, 0, is that of m = 0
+    lowest = np.array([max((s & -s).bit_length() - 1, 0) for s in range(1 << k)], dtype=np.uint8)
+    member = (np.arange(1, 1 << k) >> np.arange(k)[:, None]) & 1 == 1
+    return _read_only(popcount), _read_only(popcount * k + lowest), _read_only(member)
 
 
 def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
-    """Phi^-1(1 - p) of one stage's (row, intersection) cells, and their member counts.
+    """Phi^-1(1 - p) of one stage's (intersection, row) cells as (table, index, image).
 
-    The cells are ``y[index]``, or ``y`` itself when index is None. ``contrib``
-    marks each row's members with stage data (all of them at stage 1).
+    ``contrib`` marks each row's members with stage data (all of them at
+    stage 1). A cell's image is the bitmask of its data members' ranks, 0
+    without data; its value is ``table[index]``, the row's table at the image.
     """
     method = pre.scenario.test.intersection
     rows, k = z.shape
-    masks, levels, popcount, _ = _lattice(k)
-    m = popcount[masks & (contrib @ (1 << np.arange(k)))[:, None]]
+    popcount, slot, _ = _lattice(k)
+    scores = z if method in ("dunnett", "spiessens-debois") else 1.0 - ndtr(z)
+    # rank each row's members best first, no data last: by p for Simes, by z
+    # for the others (ndtr is not monotone in the last bit near 1/sqrt(2))
+    key = np.where(contrib, scores if method == "simes" else -z, np.inf)
+    order = np.argsort(key, axis=1, kind="stable")
+    # image(S) = image(S without top) | image(top), from the empty set on
+    bits = np.where(contrib, 1 << np.argsort(order, axis=1, kind="stable"), 0).astype(np.uint8)
+    image = np.zeros((1 << k, rows), dtype=np.uint8)
+    for b in range(k):
+        np.bitwise_or(image[: 1 << b], bits[:, b], out=image[1 << b : 2 << b])
+    image = image[1:]
+    counts = popcount[image[-1]]  # members with data
+    cmax = int(counts.max())
+    ranked = np.take_along_axis(scores, order[:, :cmax], axis=1)
     if method == "simes":
-        return _simes_quantiles(np.where(contrib, 1.0 - ndtr(z), np.inf), m), None, m
-    # rank each row's members best first by z (p falls as z rises), no data
-    # last; the best of m members ranks at most mmax - m, mmax the largest m
-    order = np.argsort(np.where(contrib, -z, np.inf), axis=1, kind="stable")
-    ranked = (1.0 - ndtr(z) if method == "bonferroni" else z)[np.arange(rows)[:, None], order]
-    mmax = int(m.max())
-    table = np.full((rows, mmax + 1, k), _YMIN)  # m = 0: no stage data, p = 1
-    for size in range(1, mmax + 1):
-        cut = mmax - size + 1
-        if method == "bonferroni":
-            pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
-            table[:, size, :cut] = ndtri(1.0 - pm)
-        elif size == 1:
-            table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
-        elif size in pre.grids:
-            table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
-        else:  # subgroup/full at a varying prevalence: rows whose full set has two members
-            r = np.flatnonzero(m[:, -1] == 2)
-            table[r, 2, 0] = _keep_quantile(_bvn_equal_coords(ranked[r, 0], np.sqrt(taus[r])))
-    # best(S) = min(best(parent), rank of top), one pass per level
-    best = np.empty((rows, masks.size), dtype=np.int64)
-    best[:, :k] = np.argsort(order, axis=1, kind="stable")
-    for start, stop, parent, top in levels:
-        np.minimum(best[:, parent], best[:, top], out=best[:, start:stop])
-    return table.ravel(), (np.arange(rows)[:, None] * (mmax + 1) + m) * k + best, m
-
-
-def _simes_quantiles(p, m):
-    """Simes quantile of every cell from the members' p-values (inf: no data).
-
-    A member's rank in an intersection counts the members there with no
-    larger p, itself included: among ties the largest rank, whose
-    (m * p) / rank is least. A cell without data stays at p = inf.
-    """
-    rows, k = p.shape
-    masks, _, popcount, member = _lattice(k)
-    # [row, i]: bitmask of the members j with p_j <= p_i
-    no_larger = (p[:, None, :] <= p[:, :, None]) @ (1 << np.arange(k))
-    msafe = np.maximum(m, 1)
-    simes = np.full((rows, masks.size), np.inf)
-    for i in range(k):
-        cols = np.flatnonzero(member[:, i])
-        rank = popcount[no_larger[:, i, None] & masks[cols]]
-        simes[:, cols] = np.minimum(simes[:, cols], msafe[:, cols] * p[:, i, None] / rank)
-    return ndtri(1.0 - np.clip(simes, P_CLAMP, 1.0 - P_CLAMP))
+        # the least p / rank over each set of ranks T, whose top has its largest p
+        least = np.full((rows, 1 << cmax), np.inf)  # the empty set: no stage data
+        for b in range(cmax):
+            np.minimum(least[:, : 1 << b], ranked[:, b, None] / popcount[1 << b : 2 << b],
+                       out=least[:, 1 << b : 2 << b])
+        # m * least, with m = 1 for the empty set, whose least stays inf (p = 1)
+        simes = np.maximum(popcount[: 1 << cmax], 1) * least
+        table, columns = ndtri(1.0 - np.clip(simes, P_CLAMP, 1.0 - P_CLAMP)), image
+    else:
+        # (m, rank) table: the best of m members with data ranks at most cmax - m
+        table = np.full((rows, cmax + 1, k), _YMIN)  # m = 0: no stage data, p = 1
+        for size in range(1, cmax + 1):
+            cut = cmax - size + 1
+            if method == "bonferroni":
+                pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
+                table[:, size, :cut] = ndtri(1.0 - pm)
+            elif size == 1:
+                table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
+            elif size in pre.grids:
+                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
+            else:  # subgroup/full at a varying prevalence: rows with two members with data
+                r = np.flatnonzero(counts == 2)
+                table[r, 2, 0] = _keep_quantile(_bvn_equal_coords(ranked[r, 0], np.sqrt(taus[r])))
+        columns = np.take(slot, image)
+    return table.ravel(), np.arange(rows) * (table.size // rows) + columns, image
 
 
 def _bvn_equal_coords(c, rho):
-    """P(Z1 <= c, Z2 <= c) under per-element correlations rho.
-
-    A name of its own so that per-row evaluations (perfbench's
-    ``engine.closedtest.bvn_rows``) are traced apart from the grid builds.
-    """
+    """P(Z1 <= c, Z2 <= c) under per-element correlations rho; a name of its own
+    so that per-row evaluations are traced apart from the grid builds."""
     return bvn_cdf(c, c, rho)
 
 
 def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
-    member = _lattice(k)[3]
+    member = _lattice(k)[2]
     every = np.ones_like(cont)
     if pre.scenario.follow_up:
         # arms dropped at the interim contribute their stage-1 final statistic
@@ -495,29 +498,25 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     else:
         contrib = cont
     config = pre.scenario.test.config
-
-    def cells(values, index):
-        return values if index is None else values[index]
-
     rejected, full_reject, clamps = np.empty_like(cont), np.empty(n, dtype=bool), 0
-    step = max(1, _BLOCK_CELLS // len(member))
+    step = max(1, _BLOCK_CELLS // member.shape[1])
     for a in range(0, n, step):
         b = min(a + step, n)
         tau = None if taus is None else taus[a:b]
         y1, i1, _ = _lattice_quantiles(pre, z1[a:b], every[a:b], tau)
-        y2, i2, m2 = _lattice_quantiles(pre, z2[a:b], contrib[a:b], tau)
+        y2, i2, image2 = _lattice_quantiles(pre, z2[a:b], contrib[a:b], tau)
         # clamp saturation; stage-2 cells without data are structural, not counted
-        clamps += int(np.count_nonzero(cells((y1 <= _YMIN) | (y1 >= _YMAX), i1)))
-        clamps += int(np.count_nonzero(cells((y2 <= _YMIN) | (y2 >= _YMAX), i2) & (m2 > 0)))
+        clamps += int(np.count_nonzero(np.take((y1 <= _YMIN) | (y1 >= _YMAX), i1)))
+        clamps += int(np.count_nonzero(np.take((y2 <= _YMIN) | (y2 >= _YMAX), i2) & (image2 > 0)))
         if config.method == "inverse-normal":
-            reject = cells(config.w1 * y1, i1) + cells(config.w2 * y2, i2) >= pre.u2
+            reject = np.take(config.w1 * y1, i1) + np.take(config.w2 * y2, i2) >= pre.u2
             if math.isfinite(pre.u1):
-                reject |= cells(y1, i1) >= pre.u1
+                reject |= np.take(y1, i1) >= pre.u1
         else:
-            reject = cells(ndtr(-y1), i1) * cells(ndtr(-y2), i2) <= pre.fisher_crit
+            reject = np.take(ndtr(-y1), i1) * np.take(ndtr(-y2), i2) <= pre.fisher_crit
         # an elementary hypothesis falls when every intersection holding it does
-        rejected[a:b] = cont[a:b] & ~(~reject @ member)
-        full_reject[a:b] = reject[:, -1] & cont[a:b].any(axis=1)
+        rejected[a:b] = cont[a:b] & ~(member @ ~reject).T
+        full_reject[a:b] = reject[-1] & cont[a:b].any(axis=1)
     return rejected, full_reject, clamps
 
 
@@ -526,7 +525,7 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     scenario = pre.scenario
     k = pre.k
     eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
-    z, mean_sub2 = _statistics(pre, eps, taus)
+    z, shift = _statistics(pre, eps, taus)
     cont = _select_chunk(pre, z, rand_pick)
 
     z1 = pre.orient_final * z[:, k : 2 * k]
@@ -534,7 +533,7 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     if scenario.design == SUBGROUP:
         # re-centre the subgroup statistic when stage 2 recruits it alone
         sub_only = cont[:, 0] & ~cont[:, 1]
-        z2[sub_only, 0] += pre.orient_final * (pre.sub_only_mean - mean_sub2[sub_only])
+        z2[sub_only, 0] += pre.orient_final * shift[sub_only]
     rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, taus)
 
     tally = {

@@ -465,6 +465,17 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
                                            outcome={"final": "T"}), "key 'effect'"),
         (["subpop", "run"], subpop_config(effect={"early": [0.6, 0.9], "final": [1.0e300, 0.9]},
                                           outcome={"early": "T", "final": "B"}), "key 'effect'"),
+        # where prevalence meets effects: a subgroup mean of inf - inf, no expected events at
+        # prevalence 0.001, and none at 1/200, the least a varying prevalence of 0.3 can draw
+        (["subpop", "run"], subpop_config(effect={"early": [1.0e308, -5.0], "final": [1.0e308, -1.0e308]},
+                                          outcome={"early": "N", "final": "N"}, select="futility"),
+         "effects at a prevalence of 0.3 give a non-finite expected statistic"),
+        (["subpop", "run"], subpop_config(effect={"early": [0.6, 0.9], "final": [5.0e-324, 0.9]},
+                                          outcome={"early": "T", "final": "B"}, sprev=0.001),
+         "effects at a prevalence of 0.001: binary outcome is degenerate"),
+        (["subpop", "run"], subpop_config(effect={"early": [0.6, 0.9], "final": [5.0e-324, 0.9]},
+                                          outcome={"early": "T", "final": "B"}, sprev_fixed=False),
+         "effects at a prevalence of 0.005: binary outcome is degenerate"),
     ):
         assert main(command + ["--config", write_config(tmp_path, doc)]) == 2, doc
         assert message in capsys.readouterr().err

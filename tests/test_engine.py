@@ -526,7 +526,7 @@ def _grid_error(y):
     return 1e-6 if abs(y) <= 6 else 3e-5 if abs(y) <= 7 else 2e-2
 
 
-def _near_a_boundary(pre, z1, z2, contributors, tau, gridded):
+def _near_a_boundary(pre, z1, z2, contributors, tau):
     """Whether some intersection's combination statistic lies within the grid error of its boundary.
 
     The statistic is the one ``combine`` computes, from the scalar stage p-values.
@@ -538,7 +538,7 @@ def _near_a_boundary(pre, z1, z2, contributors, tau, gridded):
             for z, arms in ((z1, members), (z2, [i for i in members if i in contributors])):
                 p = intersection_pvalue(z[list(arms)], method, tau=tau) if arms else 1.0
                 y = ndtri(1.0 - np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
-                stages.append((y, _grid_error(y) if gridded and len(arms) > 1 else 0.0))
+                stages.append((y, _grid_error(y) if len(arms) > 1 else 0.0))
             (y1, e1), (y2, e2) = stages
             if config.method == "fisher":
                 low, high = (ndtr(-(y1 + s * e1)) * ndtr(-(y2 + s * e2)) for s in (1.0, -1.0))
@@ -552,33 +552,37 @@ def _near_a_boundary(pre, z1, z2, contributors, tau, gridded):
 
 
 COMBINATIONS = ("inverse-normal", "fisher", "alpha1")
-# ids "<follow-up>-<combination>-<test>", and "<fixed or per-row tau>-..." for CT-SD
+# ids "<follow-up>-<combination>-<test>" at K = 5, "k8-..." at K = 8, and
+# "<fixed or per-row tau>-..." for CT-SD at K = 2
 KERNEL_CASES = {
-    **{f"{follow_up}-{combination}-{method}": (method, combination, follow_up, False)
+    **{f"{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 5)
        for method in ("dunnett", "bonferroni", "simes")
        for combination in COMBINATIONS for follow_up in (False, True)},
-    **{f"{tau}-tau-{combination}-spiessens-debois": ("spiessens-debois", combination, False, tau == "per-row")
+    **{f"{tau}-tau-{combination}-spiessens-debois": ("spiessens-debois", combination, False, tau == "per-row", 2)
        for tau in ("fixed", "per-row") for combination in COMBINATIONS},
+    **{f"k8-{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 8)
+       for method, combination, follow_up in (("simes", "inverse-normal", False),
+                                              ("simes", "inverse-normal", True),
+                                              ("bonferroni", "fisher", False))},
 }
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_chunk_kernel_matches_the_scalar_closed_test(case):
-    method, combination, follow_up, per_row = case
+    method, combination, follow_up, per_row, k = case
     config = CombinationConfig.from_sample_sizes(
         60, 120, method="fisher" if combination == "fisher" else "inverse-normal",
         alpha1=0.005 if combination == "alpha1" else 0.0,
     )
     if method == "spiessens-debois":
-        k = 2
         scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), method=method,
                                 prevalence_fixed=not per_row)
     else:
-        k = 5
         scn = replace(treatment_scenario(SelectionRule("all"), method=method, follow_up=follow_up),
                       effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)))
     scn = replace(scn, test=TestSpec(method, config))
-    z1, z2, cont = _hand_built_chunk(k, rows=400 if k == 2 else 64)  # K = 2 rows are cheap
+    # K = 2 rows are cheap; at K = 8 the chunk holds the 514-row block edge
+    z1, z2, cont = _hand_built_chunk(k, rows={2: 400, 5: 64, 8: 520}[k])
     rows = z1.shape[0]
     taus = np.random.default_rng(5).uniform(0.05, 0.95, rows) if per_row else None
     pre = _prepare(scn)
@@ -586,14 +590,16 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
     everyone = range(1, k + 1) if follow_up else None
     if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
         z2 = np.where(cont, z2, z1)
-    # Dunnett and subgroup/full quantiles at a fixed prevalence come from grids
+    # Dunnett and subgroup/full quantiles at a fixed prevalence come from grids;
+    # rows near a boundary within the grid error are not compared, and the exact
+    # tests compare every row
     gridded = method == "dunnett" or (method == "spiessens-debois" and not per_row)
     excluded = 0
     for row in range(rows):
         tau = taus[row] if per_row else scn.prevalence
         continued = {i + 1 for i in np.flatnonzero(cont[row])}
         contributors = set(range(k)) if follow_up else {i - 1 for i in continued}
-        if _near_a_boundary(pre, z1[row], z2[row], contributors, tau, gridded):
+        if gridded and _near_a_boundary(pre, z1[row], z2[row], contributors, tau):
             excluded += 1
             continue
         scalar = closed_test(z1[row], z2[row], continued, method, config, tau=tau,
