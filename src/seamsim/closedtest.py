@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import chdtri, ndtr, ndtri
 
-from .statdist import bvn_cdf, equicorr_max_cdf
+from .statdist import bvn_cdf, bvn_max_sf, equicorr_max_cdf
 
 __all__ = [
     "P_CLAMP",
@@ -149,8 +149,7 @@ def intersection_pvalue(
             raise ValueError("the subgroup/full-population test is bivariate")
         if tau is None or not 0.0 < tau < 1.0:
             raise ValueError("spiessens-debois needs a prevalence tau in (0, 1)")
-        c = float(arr.max())
-        return float(1.0 - bvn_cdf(c, c, math.sqrt(tau)))
+        return float(bvn_max_sf(arr.max(), math.sqrt(tau)))
     p = np.sort(stage_pvalue(arr))
     if method == "bonferroni":
         return float(min(1.0, m * p[0]))

@@ -17,21 +17,19 @@ ranks: image(S) = image(S without top) | image(top). The cell reads
 Phi^-1(1 - p) from the row's table at its image; an empty image reads p = 1,
 which rejects nothing and counts no clamp. Dunnett's table is indexed by the
 member count m and the image's lowest rank, the best member's. The
-subgroup/full test reads such a table from its grid or, at a varying
-prevalence, per row. Bonferroni's p, m times the best member's, comes from
-such a table too. Simes's table, ranked by p, holds every set of ranks T at
-m * least(T), where least(T) = min(least(T without top), p_top / |T|). An
-elementary hypothesis falls when every intersection holding it does.
+subgroup/full test fills such a table in closed form, at a fixed or per-row
+tau. Bonferroni's p, m times the best member's, comes from such a table too.
+Simes's table, ranked by p, holds every set of ranks T at m * least(T), where
+least(T) = min(least(T without top), p_top / |T|). An elementary hypothesis
+falls when every intersection holding it does.
 
-The Dunnett and subgroup/full-population maps from a maximum statistic to
-Phi^-1(1 - p) are precomputed on a fine grid once per process for each m or
-tau and interpolated. Against direct evaluation the absolute error is below
-1e-6 (5e-8 measured) wherever the quantile lies in [-6, 6], i.e. for p down
-to 1e-9. Past that it grows to 3e-5 for quantiles of 6 to 7 and 2e-2 above
-7.8. Beyond the grid's +-8.5 the Dunnett grids hold the +-7.9414 of the
-p-value clamp, but the subgroup/full grid plateaus at 7.809 (direct: 7.799
-to 7.824), so an inverse-normal rejection at w1^2 = 1/4 hinges on a stage-2
-quantile of -2.245 rather than -2.322. The other p-values are exact.
+Dunnett's map from a maximum statistic to Phi^-1(1 - p) is precomputed on a
+fine grid once per process for each m and interpolated. Against direct
+evaluation the absolute error is below 1e-6 (5e-8 measured) wherever the
+quantile lies in [-6, 6], i.e. for p down to 1e-9. Past that it grows to
+3e-5 for quantiles of 6 to 7 and 2e-2 above 7.8; beyond the grid's +-8.5 it
+holds the +-7.9414 of the p-value clamp. The subgroup/full, Bonferroni and
+Simes quantiles are exact up to the clamp.
 """
 
 from __future__ import annotations
@@ -64,7 +62,7 @@ from .simmodel import (
     larger_is_better,
 )
 from .selection import SelectionRule
-from .statdist import _MASK64, _rekey, bvn_cdf, equicorr_max_cdf, replication_stream
+from .statdist import _MASK64, _rekey, bvn_max_sf, equicorr_max_cdf, replication_stream
 
 __all__ = [
     "TestSpec",
@@ -88,9 +86,6 @@ _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
 _BLOCK_CELLS = 1 << 17  # intersections x rows per block of the closed test
-# Quantile grids held per process: 64 of about 70 KB each, far more than the
-# distinct m and tau of any sweep or error-rate grid.
-_GRID_CACHE_SIZE = 64
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
 # subgroup selection branches: subgroup only, full population only, both
@@ -268,16 +263,10 @@ def _read_only(grid):
     return grid
 
 
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
+@lru_cache(maxsize=None)  # one per m, at most MAX_COMPARISONS - 1 of about 70 KB
 def _dunnett_grid(m: int):
     """Dunnett quantile grid of m equally allocated arms (shared, read-only)."""
     return _read_only(_keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)))
-
-
-@lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _sd_grid(root_tau: float):
-    """Subgroup/full-population quantile grid at correlation sqrt(tau) (shared, read-only)."""
-    return _read_only(_keep_quantile(bvn_cdf(_GRID, _GRID, root_tau)))
 
 
 @lru_cache(maxsize=8192)
@@ -309,8 +298,6 @@ def _prepare(scenario: Scenario) -> _Prepared:
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
     )
-    if scenario.test.intersection == "spiessens-debois" and scenario.prevalence_fixed:
-        pre.grids[2] = _sd_grid(math.sqrt(scenario.prevalence))
     if scenario.test.intersection == "dunnett":
         for m in range(2, k + 1):
             pre.grids[m] = _dunnett_grid(m)
@@ -450,8 +437,7 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
     for b in range(k):
         np.bitwise_or(image[: 1 << b], bits[:, b], out=image[1 << b : 2 << b])
     image = image[1:]
-    counts = popcount[image[-1]]  # members with data
-    cmax = int(counts.max())
+    cmax = int(popcount[image[-1]].max())  # the most members with data
     ranked = np.take_along_axis(scores, order[:, :cmax], axis=1)
     if method == "simes":
         # the least p / rank over each set of ranks T, whose top has its largest p
@@ -472,19 +458,14 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
                 table[:, size, :cut] = ndtri(1.0 - pm)
             elif size == 1:
                 table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
-            elif size in pre.grids:
+            elif method == "dunnett":
                 table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
-            else:  # subgroup/full at a varying prevalence: rows with two members with data
-                r = np.flatnonzero(counts == 2)
-                table[r, 2, 0] = _keep_quantile(_bvn_equal_coords(ranked[r, 0], np.sqrt(taus[r])))
+            else:  # the subgroup/full test, at a fixed or per-row prevalence
+                tau = pre.scenario.prevalence if taus is None else taus[:, None]
+                p = np.clip(bvn_max_sf(ranked[:, :cut], np.sqrt(tau)), P_CLAMP, 1.0 - P_CLAMP)
+                table[:, size, :cut] = ndtri(1.0 - p)
         columns = np.take(slot, image)
     return table.ravel(), np.arange(rows) * (table.size // rows) + columns, image
-
-
-def _bvn_equal_coords(c, rho):
-    """P(Z1 <= c, Z2 <= c) under per-element correlations rho; a name of its own
-    so that per-row evaluations are traced apart from the grid builds."""
-    return bvn_cdf(c, c, rho)
 
 
 def _test_chunk(pre: _Prepared, z1, z2, cont, taus):

@@ -3,7 +3,7 @@
 ``replay`` walks a scenario one replication at a time through the scalar names
 on ``seamsim`` and returns the tallies ``run_scenario`` reports, keyed by
 ``OperatingCharacteristics`` field name. It matches the engine bit for bit with
-the exactly evaluated Bonferroni and Simes tests; Dunnett and subgroup/full
+the exactly evaluated Bonferroni, Simes and subgroup/full tests; Dunnett
 quantiles the engine interpolates on a grid.
 """
 

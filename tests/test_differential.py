@@ -32,6 +32,7 @@ sizes = st.integers(10, 200)
 replications = st.integers(1, 200)
 seeds = st.integers(0, 2**64 - 1)
 exact_tests = st.sampled_from(("bonferroni", "simes"))
+exact_subgroup_tests = st.sampled_from(("bonferroni", "simes", "spiessens-debois"))
 
 # Subgroup examples are stratified by interim branch. Limits of +-50, far
 # beyond any interim statistic, send every replication down one branch
@@ -118,7 +119,7 @@ def subgroup_scenarios(draw):
         ),
         plan=SampleSizePlan(n1, n2, enrich_per_arm=draw(st.one_of(st.none(), sizes))),
         rule=SelectionRule(kind, limits=limits),
-        test=TestSpec(draw(exact_tests), draw(combinations(n1, n2))),
+        test=TestSpec(draw(exact_subgroup_tests), draw(combinations(n1, n2))),
         replications=draw(st.integers(8, 200)),
         master_seed=draw(seeds),
         prevalence=draw(st.floats(0.05, 0.95, exclude_min=True, exclude_max=True)),

@@ -24,9 +24,9 @@ from seamsim.engine import (
     _draw_chunk,
     _dunnett_grid,
     _keep_quantile,
+    _lattice_quantiles,
     _pool_size,
     _prepare,
-    _sd_grid,
     _select_chunk,
     _test_chunk,
     expected_sample_size,
@@ -35,7 +35,7 @@ from seamsim.engine import (
 )
 from seamsim.selection import SelectionRule, select_population, select_treatments
 from seamsim.simmodel import ARM_CORRELATION, EffectSpec, SampleSizePlan, resolve_prevalence
-from seamsim.statdist import bvn_cdf, equicorr_max_cdf, replication_stream
+from seamsim.statdist import equicorr_max_cdf, replication_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -243,21 +243,15 @@ def test_pool_size_never_exceeds_cpus_or_chunks():
 
 
 GRID_MIDPOINTS = 0.5 * (_GRID[1:] + _GRID[:-1])
+DUNNETT_M = range(2, 9)
+DUNNETT_IDS = [f"dunnett-{m}-{ARM_CORRELATION}" for m in DUNNETT_M]
 
 
-@pytest.mark.parametrize(
-    "kind, m, corr",
-    [("dunnett", m, ARM_CORRELATION) for m in range(2, 9)]
-    + [("ct-sd", 2, tau) for tau in (0.3, 0.9)],
-)
-def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, corr):
+@pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
+def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(m):
     # midpoints are where linear interpolation is worst
-    if kind == "dunnett":
-        grid, direct = _dunnett_grid(m), equicorr_max_cdf(m, corr, GRID_MIDPOINTS)
-    else:
-        root_tau = np.sqrt(corr)
-        grid, direct = _sd_grid(root_tau), bvn_cdf(GRID_MIDPOINTS, GRID_MIDPOINTS, root_tau)
-    exact = _keep_quantile(direct)
+    grid = _dunnett_grid(m)
+    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
     inside = np.abs(exact) <= 6.0
     assert inside.sum() > 1000
     interpolated = np.interp(GRID_MIDPOINTS, _GRID, grid)
@@ -267,43 +261,38 @@ def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(kind, m, c
 TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
 
 
-@pytest.mark.parametrize(
-    "kind, m, corr",
-    [("dunnett", m, ARM_CORRELATION) for m in range(2, 9)]
-    + [("ct-sd", 2, tau) for tau in (0.3, 0.9)],
-)
-def test_grid_tails_beyond_8_5_match_direct_evaluation(kind, m, corr):
-    # np.interp holds the end values past the grid's +-8.5
-    if kind == "dunnett":
-        grid, direct = _dunnett_grid(m), equicorr_max_cdf(m, corr, TAIL_POINTS)
-    else:
-        root_tau = np.sqrt(corr)
-        grid, direct = _sd_grid(root_tau), bvn_cdf(TAIL_POINTS, TAIL_POINTS, root_tau)
-    exact = _keep_quantile(direct)
-    interpolated = np.interp(TAIL_POINTS, _GRID, grid)
-    if kind == "dunnett":
-        # both sit at the p-value clamp
-        np.testing.assert_array_equal(interpolated, exact)
-        np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
-    else:
-        # the upper plateau (7.809) lies below the clamp: bvn_cdf stops a few
-        # ulps short of 1, and direct evaluation scatters over 7.799-7.824
-        np.testing.assert_array_equal(interpolated[:4], _YMIN)
-        assert np.all(interpolated[4:] < _YMAX - 0.1)
-        np.testing.assert_allclose(interpolated, exact, rtol=0.0, atol=2e-2)
+@pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
+def test_grid_tails_beyond_8_5_match_direct_evaluation(m):
+    # np.interp holds the end values past the grid's +-8.5; both sit at the p-value clamp
+    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, TAIL_POINTS))
+    interpolated = np.interp(TAIL_POINTS, _GRID, _dunnett_grid(m))
+    np.testing.assert_array_equal(interpolated, exact)
+    np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
 
 
 def test_cached_grids_are_read_only_fresh_builds():
     _dunnett_grid.cache_clear()
-    _sd_grid.cache_clear()
-    dunnett, sd = _dunnett_grid(4), _sd_grid(np.sqrt(0.3))
-    assert _dunnett_grid(4) is dunnett and _sd_grid(np.sqrt(0.3)) is sd
-    for grid in (dunnett, sd):
-        assert not grid.flags.writeable
-        with pytest.raises(ValueError):
-            grid[0] = 0.0
+    dunnett = _dunnett_grid(4)
+    assert _dunnett_grid(4) is dunnett
+    assert not dunnett.flags.writeable
+    with pytest.raises(ValueError):
+        dunnett[0] = 0.0
     assert dunnett.tobytes() == _keep_quantile(equicorr_max_cdf(4, 0.5, _GRID)).tobytes()
-    assert sd.tobytes() == _keep_quantile(bvn_cdf(_GRID, _GRID, np.sqrt(0.3))).tobytes()
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["fixed-tau", "per-row-tau"])
+def test_saturated_subgroup_full_pvalue_counts_as_clamped(per_row):
+    # stage-1 statistics of 9 put every stage-1 p-value below the clamp: the
+    # singletons and the full intersection all read the clamp's quantile
+    scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)),
+                            method="spiessens-debois", prevalence_fixed=not per_row)
+    pre = _prepare(scn)
+    z1, z2, cont = np.full((1, 2), 9.0), np.zeros((1, 2)), np.ones((1, 2), dtype=bool)
+    taus = np.array([0.3]) if per_row else None
+    y1, i1, _ = _lattice_quantiles(pre, z1, cont, taus)
+    assert y1[i1[-1, 0]] == _YMAX
+    # three stage-1 cells at the clamp; the stage-2 cells, at statistics of 0, are not
+    assert _test_chunk(pre, z1, z2, cont, taus)[2] == 3
 
 
 def _dunnett(k):
@@ -323,27 +312,13 @@ def _dunnett(k):
     )
 
 
-def _ct_sd(prevalence):
-    return subgroup_scenario(
-        SelectionRule("futility-pair", limits=(0.0, 0.0)),
-        method="spiessens-debois",
-        reps=3000,
-        prevalence=prevalence,
-    )
-
-
-@pytest.mark.parametrize(
-    "first, second",
-    [(_dunnett(2), _dunnett(4)), (_ct_sd(0.3), _ct_sd(0.6))],
-    ids=["dunnett-m", "ct-sd-tau"],
-)
+@pytest.mark.parametrize("first, second", [(_dunnett(2), _dunnett(4))], ids=["dunnett-m"])
 def test_warm_grid_cache_gives_the_cold_cache_result(first, second):
     # the second run needs grids the first did not build (member counts 3
-    # and 4 beside the shared 2, or another tau), so a grid served under the
-    # wrong key would change its tallies
+    # and 4 beside the shared 2), so a grid served under the wrong key would
+    # change its tallies
     def cold(scenario):
         _dunnett_grid.cache_clear()
-        _sd_grid.cache_clear()
         return run_scenario(scenario)
 
     cold_first, cold_second = cold(first), cold(second)
@@ -590,10 +565,9 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
     everyone = range(1, k + 1) if follow_up else None
     if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
         z2 = np.where(cont, z2, z1)
-    # Dunnett and subgroup/full quantiles at a fixed prevalence come from grids;
-    # rows near a boundary within the grid error are not compared, and the exact
-    # tests compare every row
-    gridded = method == "dunnett" or (method == "spiessens-debois" and not per_row)
+    # Dunnett quantiles come from grids; rows near a boundary within the grid
+    # error are not compared, and the exact tests compare every row
+    gridded = method == "dunnett"
     excluded = 0
     for row in range(rows):
         tau = taus[row] if per_row else scn.prevalence

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from seamsim.statdist import _rekey, bvn_cdf, equicorr_max_cdf, replication_stream
+from seamsim.statdist import _rekey, bvn_cdf, bvn_max_sf, equicorr_max_cdf, replication_stream
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
 BVN_MC = (0.7453841, 1.38e-4)        # P(Z1 <= 1, Z2 <= 1), rho = 0.5
@@ -65,23 +65,58 @@ def _mp_bvn_cdf(h, k, rho):
 
 
 def test_bvn_cdf_error_is_below_1e_10_up_to_rho_0_999():
-    # the docstring's bound, on 125 points against an independent high-precision integral
+    # the docstring's bound, 1e-14, on 125 points against an independent high-precision integral
     limits = (-2.5, -0.7, 0.0, 1.3, 3.1)
     worst = 0.0
     for rho in (-0.999, -0.6, 0.25, 0.9, 0.999):
         for a in limits:
             for b in limits:
                 worst = max(worst, abs(bvn_cdf(a, b, rho) - _mp_bvn_cdf(a, b, rho)))
-    assert worst < 1e-10
+    assert worst < 1e-14
+
+
+def _mp_bvn_max_sf(c, rho):
+    """Phi(-c) + 2 T(c, a), a = sqrt((1 - rho)/(1 + rho)), with Owen's T as an mpmath integral:
+
+        T(h, a) = int_0^a exp(-h^2 (1 + x^2) / 2) / (2 pi (1 + x^2)) dx.
+    """
+    with mpmath.workdps(50):
+        c, rho = mpmath.mpf(c), mpmath.mpf(rho)
+        a = mpmath.sqrt((1 - rho) / (1 + rho))
+        t = mpmath.quad(lambda x: mpmath.exp(-c * c * (1 + x * x) / 2) / (1 + x * x), [0, a]) / (2 * mpmath.pi)
+        return mpmath.ncdf(-c) + 2 * t
+
+
+@pytest.mark.parametrize("tau", [0.05, 0.3, 0.5, 0.8, 0.95])
+def test_bvn_max_sf_relative_error_is_below_1e_13(tau):
+    # the subgroup/full test's tail at correlation sqrt(tau), out past the p-value clamp
+    c = np.linspace(-3.0, 12.0, 31)
+    got = bvn_max_sf(c, np.sqrt(tau))
+    want = np.array([float(_mp_bvn_max_sf(x, np.sqrt(tau))) for x in c])
+    assert np.max(np.abs(got - want) / want) < 1e-13
+
+
+def test_bvn_cdf_at_infinite_and_zero_limits():
+    # infinite limits, a zero limit and the origin, with every floating-point warning an error
+    with np.errstate(all="raise"):
+        for rho in (-0.9, 0.0, 0.3, 0.999):
+            assert bvn_cdf(1.0, np.inf, rho) == pytest.approx(ndtr(1.0), abs=1e-15)
+            assert bvn_cdf(np.inf, 1.0, rho) == pytest.approx(ndtr(1.0), abs=1e-15)
+            assert bvn_cdf(-np.inf, 1.0, rho) == pytest.approx(0.0, abs=1e-15)
+            assert bvn_cdf(np.inf, np.inf, rho) == 1.0
+            assert bvn_cdf(-np.inf, -np.inf, rho) == 0.0
+            for h, k in ((0.0, 1.3), (0.0, -1.3), (1.3, 0.0), (-1.3, 0.0), (-0.0, 1.3)):
+                assert bvn_cdf(h, k, rho) == pytest.approx(_mp_bvn_cdf(h, k, rho), abs=1e-15), (h, k)
+            assert abs(bvn_cdf(0.0, 0.0, rho) - (0.25 + math.asin(rho) / (2 * math.pi))) <= 1e-15
 
 
 def test_bvn_cdf_per_element_correlations_match_scalar_calls():
     rng = np.random.default_rng(5)
-    # include the +-9.5 clip of the integration limit and the far tails
-    c = np.concatenate([rng.normal(scale=3.0, size=200), [-12.0, -9.5, 9.5, 12.0]])
+    # include the far tails, the +-40 clip of the limits and zero
+    c = np.concatenate([rng.normal(scale=3.0, size=200), [-50.0, -12.0, 0.0, 12.0, 50.0]])
     rho = rng.uniform(0.05, 0.95, size=c.size)
     got = bvn_cdf(c, c, rho)
-    # the same quadrature as a scalar-rho call over the same batch, bit for bit
+    # the same closed form as a scalar-rho call over the same batch, bit for bit
     np.testing.assert_array_equal(got, [bvn_cdf(c, c, r)[i] for i, r in enumerate(rho)])
     # a row's value does not depend on the batch it arrives in
     np.testing.assert_array_equal(got, [bvn_cdf(ci, ci, ri) for ci, ri in zip(c, rho)])
@@ -168,8 +203,8 @@ def test_equicorr_max_cdf_one_point_calls_match_the_batch():
 
 @pytest.mark.parametrize("points", [255, 256, 257])
 def test_quadrature_slices_match_one_point_calls(points):
-    # the quadratures run 256 points at a time; values across a slice edge
-    # equal calls of one point each
+    # the quadrature runs 256 points at a time; values across a slice edge
+    # equal calls of one point each, as the closed form's do
     rng = np.random.default_rng(points)
     c = rng.normal(scale=3.0, size=points)
     rho = rng.uniform(0.05, 0.95, size=points)
@@ -199,12 +234,12 @@ def test_quadrature_memory_is_bounded_by_the_slice():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one 8705 x 512 temporary of a whole-batch evaluation takes 36 MB
+    # one 8705 x 192 temporary of a whole-batch quadrature takes 13 MB, and two are alive at once
     assert peak < 16 * 2**20
 
 
 def test_equicorr_max_cdf_matches_bvn_for_pairs():
-    # two independent quadratures must agree on P(max of a pair <= z)
+    # the quadrature and the closed form must agree on P(max of a pair <= z)
     for r in (0.2, 0.5, 0.8):
         for z in (-1.0, 0.5, 2.0):
             assert equicorr_max_cdf(2, r, z) == pytest.approx(
