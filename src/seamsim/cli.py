@@ -28,6 +28,7 @@ import yaml
 from .closedtest import CombinationConfig
 from .engine import (
     _BRANCHES,
+    _FieldError,
     InfeasibleScenarioError,
     OperatingCharacteristics,
     Scenario,
@@ -43,7 +44,7 @@ from .simmodel import (
     TREATMENT,
     EffectSpec,
     SampleSizePlan,
-    effect_to_expectation,
+    build_score_model,
 )
 
 __all__ = [
@@ -76,6 +77,9 @@ _SUBPOP_METHODS = {
     "CT-Bonferroni": "bonferroni",
 }
 _TREAT_METHODS = {"invnorm": "inverse-normal", "fisher": "fisher"}
+# the config key that sets each Scenario field whose check can fail
+_FIELD_KEYS = {"replications": "nsim", "master_seed": "seed", "ptest": "ptest",
+               "prevalence": "sprev", "effects": "effect"}
 # SubgroupCounts' rejection columns, as the report and the CSV export order them
 _REJECTION_COLUMNS = ("hs", "hf", "both", "intersection")
 
@@ -309,6 +313,8 @@ def parse_config(document, design: str) -> Scenario:
             master_seed=seed,
             **extra,
         )
+    except _FieldError as exc:
+        raise ConfigError(f"key '{_FIELD_KEYS[exc.field]}': {exc}") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -364,39 +370,20 @@ def _count_tables(oc: OperatingCharacteristics) -> tuple:
 
 
 def _expectation_lines(scenario: Scenario) -> list:
-    spec, plan = scenario.effects, scenario.plan
+    model = build_score_model(scenario.effects, scenario.plan, scenario.prevalence)
+    early, final1, final2 = model.mean.reshape(3, -1)
     lines = ["simulation of test statistics:"]
     if scenario.design == TREATMENT:
-        early = effect_to_expectation(spec, plan, "early", "stage1")
-        final1 = effect_to_expectation(spec, plan, "final", "stage1")
-        final2 = effect_to_expectation(spec, plan, "final", "stage2-full")
         fmt = lambda values: " ".join(format_number(v, 1) for v in values)  # noqa: E731
         lines.append(f"expectation early = {fmt(early)}")
-        lines.append(
-            f"expectation final stage 1 = {fmt(final1)} and stage 2 = {fmt(final2)}"
-        )
+        lines.append(f"expectation final stage 1 = {fmt(final1)} and stage 2 = {fmt(final2)}")
     else:
-        tau = scenario.prevalence
-        early = effect_to_expectation(spec, plan, "early", "stage1", tau)
-        final1 = effect_to_expectation(spec, plan, "final", "stage1", tau)
-        both = effect_to_expectation(spec, plan, "final", "stage2-full", tau)
-        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
-        sub_only = effect_to_expectation(spec, plan, "final", cohort, tau)
-        fmt = lambda v: format_number(v, 2)  # noqa: E731
-        lines.append(
-            f"expectation early: sub-pop = {fmt(early[0])} : full-pop = {fmt(early[1])}"
-        )
-        lines.append(
-            f"expectation final stage 1: sub-pop = {fmt(final1[0])} : full-pop = {fmt(final1[1])}"
-        )
-        lines.append(
-            "expectation final stage 2: "
-            f"sub-pop only = {fmt(sub_only[0])} : full-pop only = {fmt(both[1])}"
-        )
-        lines.append(
-            "expectation final stage 2, both groups selected: "
-            f"sub-pop = {fmt(both[0])} : full-pop = {fmt(both[1])}"
-        )
+        # (label, qualifier of both populations, their (subgroup, full) means)
+        rows = (("early", "", early), ("final stage 1", "", final1),
+                ("final stage 2", " only", (model.subgroup_only, final2[1])),
+                ("final stage 2, both groups selected", "", final2))
+        lines += [f"expectation {label}: sub-pop{only} = {format_number(sub, 2)} : "
+                  f"full-pop{only} = {format_number(full, 2)}" for label, only, (sub, full) in rows]
     config = scenario.test.config
     lines.append(
         f"weights: stage 1 = {format_number(config.w1, 2)}"

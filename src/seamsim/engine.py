@@ -26,10 +26,10 @@ falls when every intersection holding it does.
 Dunnett's map from a maximum statistic to Phi^-1(1 - p) is precomputed on a
 fine grid once per process for each m and interpolated. Against direct
 evaluation the absolute error is below 1e-6 (5e-8 measured) wherever the
-quantile lies in [-6, 6], i.e. for p down to 1e-9. Past that it grows to
-3e-5 for quantiles of 6 to 7 and 2e-2 above 7.8; beyond the grid's +-8.5 it
-holds the +-7.9414 of the p-value clamp. The subgroup/full, Bonferroni and
-Simes quantiles are exact up to the clamp.
+quantile q lies in [-6, 6], i.e. for p down to 1e-9. Past that it grows: below
+3e-5 for |q| in (6, 7], 5e-3 in (7, 7.8] and 2e-2 above; beyond the grid's
++-8.5 it holds the +-7.9414 of the p-value clamp. The subgroup/full,
+Bonferroni and Simes quantiles are exact up to the clamp.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .simmodel import (
     SampleSizePlan,
     _check_redraw_rate,
     build_score_model,
-    effect_to_expectation,
     larger_is_better,
 )
 from .selection import SelectionRule
@@ -94,6 +93,14 @@ _BRANCHES = ("sub", "full", "both")
 
 class InfeasibleScenarioError(ValueError):
     """A structurally valid configuration that cannot be simulated."""
+
+
+class _FieldError(ValueError):
+    """A Scenario check that fails on the field named by ``field``."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -148,9 +155,9 @@ class Scenario:
 
     def __post_init__(self):
         if not 1 <= self.replications <= MAX_REPLICATIONS:
-            raise ValueError(f"replications must lie in 1..{MAX_REPLICATIONS}")
+            raise _FieldError("replications", f"replications must lie in 1..{MAX_REPLICATIONS}")
         if not 0 <= self.master_seed <= _MASK64:
-            raise ValueError("seed must lie in 0..2**64 - 1")
+            raise _FieldError("master_seed", "seed must lie in 0..2**64 - 1")
         design = self.effects.design
         if self.rule.is_subgroup_rule != (design == SUBGROUP):
             raise ValueError(f"selection rule {self.rule.kind!r} does not fit a {design} design")
@@ -172,23 +179,26 @@ class Scenario:
                 raise ValueError("prevalence_fixed applies to subgroup designs only")
             if self.ptest is not None:
                 if not all(float(i).is_integer() for i in self.ptest):
-                    raise ValueError("ptest arms must be whole numbers")
+                    raise _FieldError("ptest", "ptest arms must be whole numbers")
                 arms = tuple(sorted({int(i) for i in self.ptest}))
                 if not arms or arms[0] < 1 or arms[-1] > self.effects.comparisons:
-                    raise ValueError("ptest arms must be a non-empty subset of 1..K")
+                    raise _FieldError("ptest", "ptest arms must be a non-empty subset of 1..K")
                 object.__setattr__(self, "ptest", arms)
         n = 2 * self.plan.stage1_per_arm  # treatment plus control recruit the stage-1 cohort
         if not self.prevalence_fixed:
-            _check_redraw_rate(self.prevalence, n)
+            try:
+                _check_redraw_rate(self.prevalence, n)
+            except ValueError as exc:
+                raise _FieldError("prevalence", str(exc)) from exc
         # every expected statistic must be finite, at each prevalence a replication can take
         for tau in (self.prevalence,) if self.prevalence_fixed else (1 / n, (n - 1) / n):
             at = "" if tau is None else f" at a prevalence of {tau:g}"
             try:
                 mean, _, shift = _model_parts(self.effects, self.plan, tau)
             except ValueError as exc:
-                raise ValueError(f"effects{at}: {exc}") from exc
+                raise _FieldError("effects", f"effects{at}: {exc}") from exc
             if not np.isfinite(np.append(mean, shift)).all():
-                raise ValueError(f"effects{at} give a non-finite expected statistic")
+                raise _FieldError("effects", f"effects{at} give a non-finite expected statistic")
 
     @property
     def design(self) -> str:
@@ -244,9 +254,6 @@ class OperatingCharacteristics:
 @dataclass
 class _Prepared:
     scenario: Scenario
-    k: int
-    orient_early: float
-    orient_final: float
     u1: float
     u2: float
     fisher_crit: float
@@ -272,34 +279,32 @@ def _dunnett_grid(m: int):
 @lru_cache(maxsize=8192)
 def _model_parts(spec: EffectSpec, plan: SampleSizePlan, prevalence: float | None):
     """The score model's mean and factor, and how far its stage-2 subgroup mean,
-    entry 4, moves when only the subgroup continues (0 in treatment designs)."""
+    entry 4, moves when only the subgroup continues (0 in treatment designs),
+    oriented so that larger favours treatment in every block: each statistic
+    drawn is the natural one times its block's sign, exactly."""
     model = build_score_model(spec, plan, prevalence)
+    early, final = (1.0 if larger_is_better(spec.design, code) else -1.0
+                    for code in (spec.early_outcome, spec.final_outcome))
+    sign = np.repeat([early, final, final], spec.comparisons)
     shift = 0.0
-    if spec.design == SUBGROUP:
-        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
-        sub_only = effect_to_expectation(spec, plan, "final", cohort)[0]
-        shift = float(sub_only) - float(model.mean[4])  # inf - inf is NaN, with no warning
-    return model.mean, model.cholesky, shift
+    if model.subgroup_only is not None:
+        shift = final * (model.subgroup_only - float(model.mean[4]))  # inf - inf: NaN, no warning
+    return sign * model.mean, sign[:, None] * model.cholesky, shift
 
 
 def _prepare(scenario: Scenario) -> _Prepared:
-    spec = scenario.effects
-    k = spec.comparisons
     if scenario.test.config.method == "inverse-normal":
         u1, u2 = spending_boundaries(scenario.test.config)
     else:
         u1 = u2 = math.inf
     pre = _Prepared(
         scenario=scenario,
-        k=k,
-        orient_early=1.0 if larger_is_better(spec.design, spec.early_outcome) else -1.0,
-        orient_final=1.0 if larger_is_better(spec.design, spec.final_outcome) else -1.0,
         u1=u1,
         u2=u2,
         fisher_crit=fisher_critical_value(scenario.test.config.alpha),
     )
     if scenario.test.intersection == "dunnett":
-        for m in range(2, k + 1):
+        for m in range(2, scenario.effects.comparisons + 1):
             pre.grids[m] = _dunnett_grid(m)
     return pre
 
@@ -316,8 +321,8 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
     """
     scenario = pre.scenario
     n = stop - start
-    d = 3 * pre.k
-    eps = np.empty((n, d))
+    k = scenario.effects.comparisons
+    eps = np.empty((n, 3 * k))
     varying = not scenario.prevalence_fixed
     taus = np.empty(n) if varying else None
     redraws = 0
@@ -333,14 +338,14 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
                     break
                 redraws += 1
             taus[row] = count / total_stage1
-        eps[row] = stream.standard_normal(d)
+        eps[row] = stream.standard_normal(3 * k)
         if rand_pick is not None:
-            rand_pick[row] = stream.integers(pre.k)
+            rand_pick[row] = stream.integers(k)
     return eps, taus, rand_pick, redraws
 
 
 def _statistics(pre: _Prepared, eps, taus):
-    """Native-scale statistic matrix (n, 3k) plus each row's subgroup shift.
+    """Oriented statistic matrix (n, 3k) plus each row's subgroup shift.
 
     Rows are grouped by prevalence; a fixed prevalence is one group. The shift
     moves a subgroup design's stage-2 subgroup mean to that of the cohort
@@ -359,17 +364,17 @@ def _statistics(pre: _Prepared, eps, taus):
     return z, shift
 
 
-def _select_chunk(pre: _Prepared, z_native, rand_pick):
+def _select_chunk(pre: _Prepared, z, rand_pick):
     """Vectorised interim selection: the (n, k) continued mask.
 
     A row with no comparison continued is the decision to stop for futility,
     in both designs. ``rand_pick`` holds each row's draw for random-1.
     """
     scenario = pre.scenario
-    n = z_native.shape[0]
-    k = pre.k
+    n = z.shape[0]
+    k = scenario.effects.comparisons
     if scenario.design == TREATMENT:
-        z = pre.orient_early * z_native[:, :k]
+        z = z[:, :k]
         rule = scenario.rule
         cont = np.zeros((n, k), dtype=bool)
         if rule.kind == "all":
@@ -388,7 +393,7 @@ def _select_chunk(pre: _Prepared, z_native, rand_pick):
             cont = z > rule.threshold
         return cont
     # subgroup rules act on the scale where smaller is better
-    s = -pre.orient_early * z_native[:, :2]
+    s = -z[:, :2]
     l1, l2 = scenario.rule.limits
     if scenario.rule.kind == "threshold-pair":
         diff = (s[:, 0] - s[:, 1])[:, None]  # d <= l1 drops the full population, d > l2 the subgroup
@@ -504,17 +509,16 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
 def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
     """One chunk's tallies, keyed by the OperatingCharacteristics fields they sum into."""
     scenario = pre.scenario
-    k = pre.k
+    k = scenario.effects.comparisons
     eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
     z, shift = _statistics(pre, eps, taus)
     cont = _select_chunk(pre, z, rand_pick)
 
-    z1 = pre.orient_final * z[:, k : 2 * k]
-    z2 = pre.orient_final * z[:, 2 * k :]
+    z1, z2 = z[:, k : 2 * k], z[:, 2 * k :]
     if scenario.design == SUBGROUP:
         # re-centre the subgroup statistic when stage 2 recruits it alone
         sub_only = cont[:, 0] & ~cont[:, 1]
-        z2[sub_only, 0] += pre.orient_final * shift[sub_only]
+        z2[sub_only, 0] += shift[sub_only]
     rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, taus)
 
     tally = {

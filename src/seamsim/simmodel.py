@@ -18,7 +18,7 @@ mean advantages over control, time-to-event effects are minus log hazard
 rates for treatment designs and hazard ratios for subgroup designs, binary
 effects are event rates for treatment designs and odds ratios for subgroup
 designs. Statistics keep their natural sign (hazard/odds-ratio statistics
-are negative for beneficial effects); the engine re-orients internally.
+are negative for beneficial effects); the engine orients them once.
 """
 
 from __future__ import annotations
@@ -296,8 +296,8 @@ class ScoreModel:
     the final-outcome stage-1 block, then the final-outcome block for the
     cohort recruited in stage 2. Each block holds the K comparisons in arm
     order, or (subgroup, full population) for subgroup designs. Subgroup
-    models carry the "both populations continue" stage-2 means; the engine
-    re-centres the subgroup entry when only the subgroup continues.
+    models carry the "both populations continue" stage-2 means, and apart
+    from them the stage-2 subgroup mean when only the subgroup continues.
 
     With U the equicorrelated comparison block and S the block pattern
     [[1, rho, 0], [rho, 1, 0], [0, 0, 1]], the covariance is kron(S, U) and
@@ -307,10 +307,13 @@ class ScoreModel:
     Attributes:
         mean: expected statistics, natural sign conventions.
         cholesky: lower-triangular factor of the correlation-scale covariance.
+        subgroup_only: the stage-2 subgroup mean when only the subgroup continues,
+            at the enriched size if the plan has one; None for treatment designs.
     """
 
     mean: np.ndarray
     cholesky: np.ndarray
+    subgroup_only: float | None
 
 
 def build_score_model(
@@ -331,12 +334,16 @@ def build_score_model(
     """
     blocks = (("early", "stage1"), ("final", "stage1"), ("final", "stage2-full"))
     mean = np.concatenate([effect_to_expectation(spec, plan, *b, prevalence) for b in blocks])
+    subgroup_only = None
+    if spec.design == SUBGROUP:
+        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
+        subgroup_only = float(effect_to_expectation(spec, plan, "final", cohort)[0])
     r = ARM_CORRELATION if spec.design == TREATMENT else math.sqrt(prevalence)
     unit = np.full((spec.comparisons, spec.comparisons), r)
     np.fill_diagonal(unit, 1.0)
     rho = spec.correlation
     stages_chol = np.array([[1.0, 0.0, 0.0], [rho, math.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
-    return ScoreModel(mean=mean, cholesky=np.kron(stages_chol, np.linalg.cholesky(unit)))
+    return ScoreModel(mean, np.kron(stages_chol, np.linalg.cholesky(unit)), subgroup_only)
 
 
 @dataclass(frozen=True)

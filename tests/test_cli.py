@@ -19,7 +19,7 @@ from seamsim.cli import (
     render_report,
     render_sweep,
 )
-from seamsim.engine import CHUNK_SIZE, run_scenario, sweep
+from seamsim.engine import CHUNK_SIZE, MAX_REPLICATIONS, run_scenario, sweep
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -483,6 +483,25 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
         path = write_config(tmp_path, treat_config(seed=seed, nsim=10))
         assert main(["treatsel", "run", "--config", path, "--format", "csv"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "key, command, doc, message",
+    [
+        ("nsim", "treatsel", treat_config(nsim=MAX_REPLICATIONS + 1), f"in 1..{MAX_REPLICATIONS}"),
+        ("ptest", "treatsel", treat_config(ptest=[9]), "subset of 1..K"),
+        ("seed", "treatsel", treat_config(seed=-1), "0..2**64 - 1"),
+        ("sprev", "subpop", subpop_config(sprev=1.0e-9, sprev_fixed=False), "non-empty"),
+        ("effect", "subpop", subpop_config(effect={"early": [0.6, 0.9], "final": [5.0e-324, 0.9]},
+                                           outcome={"early": "T", "final": "B"}, sprev=0.001),
+         "effects at a prevalence of 0.001: binary outcome is degenerate"),
+    ],
+    ids=["nsim", "ptest", "seed", "sprev", "effect"],
+)
+def test_scenario_errors_name_their_config_key(tmp_path, capsys, key, command, doc, message):
+    assert main([command, "run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: key '{key}': ") and message in err, err
 
 
 def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(

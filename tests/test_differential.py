@@ -6,7 +6,9 @@ spending, follow-up, power subsets, fixed or redrawn subgroup prevalence,
 replication counts across a chunk's edge cases and arbitrary seeds -- and
 every tally ``run_scenario`` reports must equal the replication-by-replication
 replay of ``oracle.replay`` exactly. Subgroup examples are drawn per interim
-branch, each with at least eight replications.
+branch, each with at least eight replications. Both designs draw a saturated
+stratum, whose final effects put every 1 - Phi(z) at exactly 0, so the stage
+p-values tie and reach the p-value clamp.
 """
 
 from dataclasses import asdict
@@ -20,7 +22,9 @@ from seamsim.engine import Scenario, TestSpec, run_scenario
 from seamsim.selection import SelectionRule
 from seamsim.simmodel import EffectSpec, SampleSizePlan
 
+# about half the examples are saturated; 150 leave some 80 to 90 unsaturated ones
 SETTINGS = settings(
+    max_examples=150,
     derandomize=True,
     deadline=None,
     database=None,
@@ -33,6 +37,11 @@ replications = st.integers(1, 200)
 seeds = st.integers(0, 2**64 - 1)
 exact_tests = st.sampled_from(("bonferroni", "simes"))
 exact_subgroup_tests = st.sampled_from(("bonferroni", "simes", "spiessens-debois"))
+# Saturated final effects: expected statistics of 20 or more, far past the 8.3 at which
+# 1 - Phi(z) underflows to 0, even in a subgroup of half a patient per arm.
+# Mean advantages or minus log hazards (treatment), hazard ratios (subgroup).
+saturated = st.floats(40.0, 80.0)
+saturated_hazard_ratios = st.floats(1e-60, 1e-40)
 
 # Subgroup examples are stratified by interim branch. Limits of +-50, far
 # beyond any interim statistic, send every replication down one branch
@@ -73,11 +82,12 @@ def treatment_scenarios(draw):
     k = draw(st.integers(1, 8))
     n1, n2 = draw(sizes), draw(sizes)
     ptest = draw(st.one_of(st.none(), st.sets(st.integers(1, k), min_size=1)))
+    saturate = k > 1 and draw(st.booleans())  # one arm has no tie
     return Scenario(
         effects=EffectSpec(
             design="treatment",
             early=draw(st.tuples(*[effect] * (k + 1))),
-            final=draw(st.tuples(*[effect] * (k + 1))),
+            final=draw(st.tuples(effect, *[saturated if saturate else effect] * k)),
             early_outcome=draw(st.sampled_from(("N", "T"))),
             final_outcome=draw(st.sampled_from(("N", "T"))),
             correlation=draw(st.floats(-1.0, 1.0, allow_nan=False)),
@@ -85,7 +95,9 @@ def treatment_scenarios(draw):
         plan=SampleSizePlan(n1, n2),
         rule=draw(treatment_rules),
         test=TestSpec(draw(exact_tests), draw(combinations(n1, n2))),
-        replications=draw(replications),
+        # a saturated replication ties at both stages and keeps every hypothesis
+        # standing, so the replay tests all 2^K - 1 intersections: a few suffice
+        replications=draw(st.integers(1, 8) if saturate else replications),
         master_seed=draw(seeds),
         ptest=None if ptest is None else tuple(ptest),
         follow_up=draw(st.booleans()),
@@ -97,12 +109,16 @@ def subgroup_scenarios(draw):
     early_outcome = draw(st.sampled_from(("N", "T")))
     final_outcome = draw(st.sampled_from(("N", "T")))
 
-    def effects(code):
+    def effects(code, saturate=False):
         # hazard ratios for time-to-event outcomes, mean advantages otherwise
-        values = st.floats(0.4, 1.5) if code == "T" else effect
+        if saturate:
+            values = saturated_hazard_ratios if code == "T" else saturated
+        else:
+            values = st.floats(0.4, 1.5) if code == "T" else effect
         return draw(st.tuples(values, values))
 
     branch = draw(st.sampled_from(BRANCHES))
+    saturate = branch != "futility" and draw(st.booleans())  # futility tests nothing
     kind = draw(st.sampled_from([kind for kind, forced in FORCING_LIMITS.items() if branch in forced]))
     limits = FORCING_LIMITS[kind][branch]
     if limits is None:
@@ -112,7 +128,7 @@ def subgroup_scenarios(draw):
         effects=EffectSpec(
             design="subgroup",
             early=effects(early_outcome),
-            final=effects(final_outcome),
+            final=effects(final_outcome, saturate),
             early_outcome=early_outcome,
             final_outcome=final_outcome,
             correlation=draw(st.floats(-1.0, 1.0, allow_nan=False)),

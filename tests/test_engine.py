@@ -25,6 +25,7 @@ from seamsim.engine import (
     _dunnett_grid,
     _keep_quantile,
     _lattice_quantiles,
+    _model_parts,
     _pool_size,
     _prepare,
     _select_chunk,
@@ -34,7 +35,13 @@ from seamsim.engine import (
     sweep,
 )
 from seamsim.selection import SelectionRule, select_population, select_treatments
-from seamsim.simmodel import ARM_CORRELATION, EffectSpec, SampleSizePlan, resolve_prevalence
+from seamsim.simmodel import (
+    ARM_CORRELATION,
+    EffectSpec,
+    SampleSizePlan,
+    build_score_model,
+    resolve_prevalence,
+)
 from seamsim.statdist import equicorr_max_cdf, replication_stream
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -122,6 +129,37 @@ def test_scenario_validation():
         treatment_scenario(SelectionRule("all"), reps=10_000_001)
     with pytest.raises(ValueError, match="unknown intersection"):
         TestSpec("holm", CombinationConfig())
+
+
+@pytest.mark.parametrize(
+    "design, early, final, signs",
+    [
+        ("treatment", "N", "T", (1.0, 1.0, 1.0)),
+        ("subgroup", "N", "N", (1.0, 1.0, 1.0)),
+        ("subgroup", "T", "T", (-1.0, -1.0, -1.0)),
+        ("subgroup", "T", "N", (-1.0, 1.0, 1.0)),
+        ("subgroup", "N", "T", (1.0, -1.0, -1.0)),
+    ],
+)
+def test_model_parts_orient_the_natural_model_exactly(design, early, final, signs):
+    # larger favours treatment in every block; negation is exact, so each
+    # statistic drawn from the parts is its natural value times its block's sign
+    effects = (0.0, 0.2, 0.4) if design == "treatment" else (0.7, 0.9)
+    spec = EffectSpec(design, effects, effects, early, final, correlation=0.4)
+    plan = SampleSizePlan(60, 120, enrich_per_arm=None if design == "treatment" else 90)
+    tau = None if design == "treatment" else 0.3
+    model = build_score_model(spec, plan, tau)
+    mean, chol, shift = _model_parts(spec, plan, tau)
+    sign = np.repeat(signs, spec.comparisons)
+    assert mean.tobytes() == (sign * model.mean).tobytes()
+    assert chol.tobytes() == (sign[:, None] * model.cholesky).tobytes()
+    if design == "treatment":
+        assert shift == 0.0
+    else:
+        assert shift == signs[2] * (model.subgroup_only - model.mean[4]) != 0.0
+    eps = np.random.default_rng(8).standard_normal((500, mean.size))
+    natural = model.mean + eps @ model.cholesky.T
+    assert (mean + eps @ chol.T).tobytes() == (sign * natural).tobytes()
 
 
 def test_ptest_arms_are_normalised():
@@ -258,6 +296,20 @@ def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(m):
     assert np.max(np.abs(interpolated - exact)[inside]) < 1e-6
 
 
+# the engine's stated bounds past |q| = 6, by regime (lo, hi] of the exact quantile q
+GRID_TAIL_BOUNDS = ((6.0, 7.0, 3e-5), (7.0, 7.8, 5e-3), (7.8, np.inf, 2e-2))
+
+
+@pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
+def test_grid_interpolation_error_past_quantile_6_meets_each_stated_bound(m):
+    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
+    error = np.abs(np.interp(GRID_MIDPOINTS, _GRID, _dunnett_grid(m)) - exact)
+    for lo, hi, bound in GRID_TAIL_BOUNDS:
+        regime = (np.abs(exact) > lo) & (np.abs(exact) <= hi)
+        assert regime.sum() > 500, (lo, hi)
+        assert np.max(error[regime]) < bound, (lo, hi)
+
+
 TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
 
 
@@ -358,7 +410,7 @@ def test_chunk_draws_replay_each_replication_stream(scn):
     eps, taus, picks, redraws = _draw_chunk(pre, 4101, 4301)
     total_redraws = 0
     for row, rep in enumerate(range(4101, 4301)):
-        want_eps, tau, extra, pick = _replay_draws(scn, rep, pre.k)
+        want_eps, tau, extra, pick = _replay_draws(scn, rep, scn.effects.comparisons)
         assert eps[row].tobytes() == want_eps.tobytes()
         if pick is not None:
             assert picks[row] == pick
@@ -644,7 +696,7 @@ SELECTION_RULES = {
 def test_chunk_selection_matches_the_scalar_selectors(rule):
     scn = subgroup_scenario(rule) if rule.is_subgroup_rule else treatment_scenario(rule)
     pre = _prepare(scn)
-    k, rows = pre.k, 400
+    k, rows = scn.effects.comparisons, 400
     z = np.zeros((rows, 3 * k))
     # statistics on a 0.1 grid: ties are common and many land on the limits
     z[:, :k] = np.round(np.random.default_rng(5).normal(0.3, 1.0, size=(rows, k)), 1)
@@ -654,7 +706,7 @@ def test_chunk_selection_matches_the_scalar_selectors(rule):
     rand_pick = np.array([np.random.default_rng(row).integers(k) for row in range(rows)])
     cont = _select_chunk(pre, z, rand_pick)
     for row in range(rows):
-        x = pre.orient_early * z[row, :k]
+        x = z[row, :k]
         if rule.is_subgroup_rule:
             outcome = select_population(-x[0], -x[1], rule)
         else:

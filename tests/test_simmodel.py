@@ -265,6 +265,18 @@ def test_subgroup_stage2_mean_uses_both_branch():
     np.testing.assert_allclose(model.mean[4:], both, rtol=1e-12)
 
 
+def test_subgroup_only_mean_follows_the_planned_cohort():
+    # the enriched cohort when the plan has one, else the planned stage-2 size
+    means = []
+    for plan, cohort in ((SampleSizePlan(100, 300), "stage2-subgroup-only"),
+                         (SampleSizePlan(100, 300, enrich_per_arm=200), "stage2-enriched")):
+        model = build_score_model(oncology_spec(), plan, prevalence=0.3)
+        assert model.subgroup_only == effect_to_expectation(oncology_spec(), plan, "final", cohort)[0]
+        means.append(model.subgroup_only)
+    assert means[0] != means[1]
+    assert build_score_model(copd_spec(), SampleSizePlan(100, 300)).subgroup_only is None
+
+
 def test_resolve_prevalence_fixed_passthrough():
     stream = replication_stream(1, 0)
     assert resolve_prevalence(0.3, True, stream, 200) == (0.3, 0)
