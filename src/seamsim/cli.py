@@ -28,7 +28,6 @@ import yaml
 from .closedtest import CombinationConfig
 from .engine import (
     _BRANCHES,
-    _FieldError,
     InfeasibleScenarioError,
     OperatingCharacteristics,
     Scenario,
@@ -39,11 +38,11 @@ from .engine import (
 )
 from .selection import _TREATMENT_KINDS, SelectionRule
 from .simmodel import (
-    OUTCOME_TYPES,
     SUBGROUP,
     TREATMENT,
     EffectSpec,
     SampleSizePlan,
+    _FieldError,
     build_score_model,
 )
 
@@ -70,16 +69,20 @@ _SUBPOP_SELECT = {
     "threshold": "threshold-pair",
     "futility": "futility-pair",
 }
-# config spelling (matched case-insensitively) -> intersection test
+# config spelling, lowercased to match any case -> intersection test
 _SUBPOP_METHODS = {
-    "CT-SD": "spiessens-debois",
-    "CT-Simes": "simes",
-    "CT-Bonferroni": "bonferroni",
+    "ct-sd": "spiessens-debois",
+    "ct-simes": "simes",
+    "ct-bonferroni": "bonferroni",
 }
 _TREAT_METHODS = {"invnorm": "inverse-normal", "fisher": "fisher"}
-# the config key that sets each Scenario field whose check can fail
-_FIELD_KEYS = {"replications": "nsim", "master_seed": "seed", "ptest": "ptest",
-               "prevalence": "sprev", "effects": "effect"}
+# the config key that sets each design field whose check can fail
+_FIELD_KEYS = {"stage1_per_arm": "n.stage1", "stage2_per_arm": "n.stage2",
+               "enrich_per_arm": "n.enrich", "effects": "effect", "correlation": "corr",
+               "early_outcome": "outcome.early", "final_outcome": "outcome.final",
+               "epsilon": "epsilon", "threshold": "thresh", "limits": "selim",
+               "alpha": "level", "weight": "weight", "replications": "nsim",
+               "master_seed": "seed", "ptest": "ptest", "prevalence": "sprev"}
 # SubgroupCounts' rejection columns, as the report and the CSV export order them
 _REJECTION_COLUMNS = ("hs", "hf", "both", "intersection")
 
@@ -112,10 +115,10 @@ def _load(document) -> dict:
     return _require_mapping(document, "<document>")
 
 
-def _require(block: dict, keys, prefix: str = "", note: str = "") -> None:
+def _require(block: dict, keys, prefix: str = "") -> None:
     for key in keys:
         if key not in block:
-            raise ConfigError(f"missing required key '{prefix}{key}'{note}")
+            raise ConfigError(f"missing required key '{prefix}{key}'")
 
 
 def _reject_unknown(doc: dict, allowed, path: str = "") -> None:
@@ -156,12 +159,6 @@ def _as_pair(value, path: str) -> tuple:
     return pair
 
 
-def _as_outcome(value, path: str) -> str:
-    if value not in OUTCOME_TYPES:
-        raise ConfigError(f"key '{path}': expected one of {', '.join(OUTCOME_TYPES)}")
-    return value
-
-
 def _parse_plan(doc: dict, design: str) -> SampleSizePlan:
     _require(doc, ("n",))
     block = _require_mapping(doc["n"], "n")
@@ -171,13 +168,10 @@ def _parse_plan(doc: dict, design: str) -> SampleSizePlan:
     n1 = _as_int(block["stage1"], "n.stage1")
     n2 = _as_int(block["stage2"], "n.stage2")
     enrich = _as_int(block["enrich"], "n.enrich") if "enrich" in block else None
-    try:
-        return SampleSizePlan(n1, n2, enrich_per_arm=enrich)
-    except ValueError as exc:
-        raise ConfigError(f"key 'n': {exc}") from exc
+    return SampleSizePlan(n1, n2, enrich_per_arm=enrich)
 
 
-def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
+def _parse_effects(doc: dict, design: str) -> EffectSpec:
     _require(doc, ("effect",))
     block = _require_mapping(doc["effect"], "effect")
     _reject_unknown(block, ("early", "final"), "effect")
@@ -187,19 +181,14 @@ def _parse_effects(doc: dict, design: str, corr: float) -> EffectSpec:
 
     outcome = _require_mapping(doc.get("outcome", {}), "outcome")
     _reject_unknown(outcome, ("early", "final"), "outcome")
-    early_outcome = _as_outcome(outcome.get("early", "N"), "outcome.early")
-    final_outcome = _as_outcome(outcome.get("final", "N"), "outcome.final")
-    try:
-        return EffectSpec(
-            design=design,
-            early=early,
-            final=final,
-            early_outcome=early_outcome,
-            final_outcome=final_outcome,
-            correlation=corr,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"key 'effect': {exc}") from exc
+    return EffectSpec(
+        design=design,
+        early=early,
+        final=final,
+        early_outcome=outcome.get("early", "N"),
+        final_outcome=outcome.get("final", "N"),
+        correlation=_as_float(doc.get("corr", DEFAULT_CORRELATION), "corr"),
+    )
 
 
 def _parse_treat_rule(doc: dict) -> SelectionRule:
@@ -210,17 +199,9 @@ def _parse_treat_rule(doc: dict) -> SelectionRule:
         raise ConfigError(
             "key 'select': expected a code 0-6 or one of " + ", ".join(sorted(_TREATMENT_KINDS))
         )
-    params, named = {}, "select"
-    for key, param, code in (("epsilon", "epsilon", 4), ("thresh", "threshold", 6)):
-        if kind == param:
-            _require(doc, (key,), note=f" (select={code} needs it)")
-            params[param], named = _as_float(doc[key], key), key
-        elif key in doc:
-            raise ConfigError(f"key '{key}' is only valid with the {param} rule (select={code})")
-    try:
-        return SelectionRule(kind, **params)
-    except ValueError as exc:
-        raise ConfigError(f"key '{named}': {exc}") from exc
+    params = {param: _as_float(doc[key], key)
+              for key, param in (("epsilon", "epsilon"), ("thresh", "threshold")) if key in doc}
+    return SelectionRule(kind, **params)
 
 
 def _parse_subpop_rule(doc: dict) -> SelectionRule:
@@ -229,14 +210,14 @@ def _parse_subpop_rule(doc: dict) -> SelectionRule:
         raise ConfigError("key 'select': expected 'thresh' or 'futility'")
     _require(doc, ("selim",))
     limits = _as_pair(doc["selim"], "selim")
-    try:
-        return SelectionRule(_SUBPOP_SELECT[select], limits=limits)
-    except ValueError as exc:
-        raise ConfigError(f"key 'selim': {exc}") from exc
+    return SelectionRule(_SUBPOP_SELECT[select], limits=limits)
 
 
 def parse_config(document, design: str) -> Scenario:
     """Validate a scenario document and build the Scenario it describes.
+
+    This checks the document's shape. Value rules belong to the design
+    classes, which name a failing field; it is reported as its config key.
 
     Args:
         document: YAML text or an already-loaded mapping.
@@ -249,54 +230,43 @@ def parse_config(document, design: str) -> Scenario:
     allowed = _TREAT_KEYS if design == TREATMENT else _SUBPOP_KEYS
     _reject_unknown(doc, allowed)
 
-    corr = _as_float(doc.get("corr", DEFAULT_CORRELATION), "corr")
-    if not -1.0 <= corr <= 1.0:
-        raise ConfigError("key 'corr': must lie in [-1, 1]")
-    plan = _parse_plan(doc, design)
-    effects = _parse_effects(doc, design, corr)
-
-    nsim = _as_int(doc.get("nsim", DEFAULT_NSIM), "nsim")
-    seed = _as_int(doc.get("seed", DEFAULT_SEED), "seed")
-    level = _as_float(doc.get("level", DEFAULT_LEVEL), "level")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("key 'level': must lie strictly between 0 and 1")
-    weight = _as_float(doc["weight"], "weight") if "weight" in doc else None
-    if weight is not None and not 0.0 < weight < 1.0:
-        raise ConfigError("key 'weight': must lie strictly between 0 and 1")
-
-    extra = {}
-    if design == TREATMENT:
-        rule = _parse_treat_rule(doc)
-        method = doc.get("method", "invnorm")
-        if not isinstance(method, str) or method not in _TREAT_METHODS:
-            raise ConfigError("key 'method': expected 'invnorm' or 'fisher'")
-        intersection = "dunnett"
-        combination = _TREAT_METHODS[method]
-        if "ptest" in doc:
-            ptest = doc["ptest"]
-            if not isinstance(ptest, (list, tuple)) or not ptest:
-                raise ConfigError("key 'ptest': expected a list of arm numbers")
-            extra["ptest"] = tuple(_as_int(v, f"ptest[{i}]") for i, v in enumerate(ptest))
-        if "fu" in doc:
-            extra["follow_up"] = _as_bool(doc["fu"], "fu")
-    else:
-        rule = _parse_subpop_rule(doc)
-        method = str(doc.get("method", "CT-SD"))
-        if method.lower() == "cef":
-            raise ConfigError("key 'method': the conditional error function method is not supported")
-        matches = [test for name, test in _SUBPOP_METHODS.items() if name.lower() == method.lower()]
-        if not matches:
-            raise ConfigError("key 'method': expected 'CT-SD', 'CT-Simes' or 'CT-Bonferroni'")
-        intersection = matches[0]
-        combination = "inverse-normal"
-        _require(doc, ("sprev",))
-        sprev = _as_float(doc["sprev"], "sprev")
-        if not 0.0 < sprev < 1.0:
-            raise ConfigError("key 'sprev': must lie strictly between 0 and 1")
-        extra["prevalence"] = sprev
-        extra["prevalence_fixed"] = _as_bool(doc.get("sprev_fixed", True), "sprev_fixed")
-
     try:
+        plan = _parse_plan(doc, design)
+        effects = _parse_effects(doc, design)
+
+        nsim = _as_int(doc.get("nsim", DEFAULT_NSIM), "nsim")
+        seed = _as_int(doc.get("seed", DEFAULT_SEED), "seed")
+        level = _as_float(doc.get("level", DEFAULT_LEVEL), "level")
+        weight = _as_float(doc["weight"], "weight") if "weight" in doc else None
+
+        extra = {}
+        if design == TREATMENT:
+            rule = _parse_treat_rule(doc)
+            method = doc.get("method", "invnorm")
+            if not isinstance(method, str) or method not in _TREAT_METHODS:
+                raise ConfigError("key 'method': expected 'invnorm' or 'fisher'")
+            intersection = "dunnett"
+            combination = _TREAT_METHODS[method]
+            if "ptest" in doc:
+                ptest = doc["ptest"]
+                if not isinstance(ptest, (list, tuple)) or not ptest:
+                    raise ConfigError("key 'ptest': expected a list of arm numbers")
+                extra["ptest"] = tuple(_as_int(v, f"ptest[{i}]") for i, v in enumerate(ptest))
+            if "fu" in doc:
+                extra["follow_up"] = _as_bool(doc["fu"], "fu")
+        else:
+            rule = _parse_subpop_rule(doc)
+            method = str(doc.get("method", "CT-SD")).lower()
+            if method == "cef":
+                raise ConfigError("key 'method': the conditional error function method is not supported")
+            if method not in _SUBPOP_METHODS:
+                raise ConfigError("key 'method': expected 'CT-SD', 'CT-Simes' or 'CT-Bonferroni'")
+            intersection = _SUBPOP_METHODS[method]
+            combination = "inverse-normal"
+            _require(doc, ("sprev",))
+            extra["prevalence"] = _as_float(doc["sprev"], "sprev")
+            extra["prevalence_fixed"] = _as_bool(doc.get("sprev_fixed", True), "sprev_fixed")
+
         config = CombinationConfig.from_sample_sizes(
             plan.stage1_per_arm,
             plan.stage2_per_arm,
@@ -315,8 +285,6 @@ def parse_config(document, design: str) -> Scenario:
         )
     except _FieldError as exc:
         raise ConfigError(f"key '{_FIELD_KEYS[exc.field]}': {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def parse_sweep_config(document) -> tuple:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import chdtri, ndtr, ndtri
 
+from .simmodel import _FieldError
 from .statdist import bvn_cdf, bvn_max_sf, equicorr_max_cdf
 
 __all__ = [
@@ -64,9 +66,9 @@ class CombinationConfig:
         if self.method not in ("inverse-normal", "fisher"):
             raise ValueError(f"unknown combination method {self.method!r}")
         if not 0.0 < self.weight < 1.0:
-            raise ValueError("squared stage-1 weight must lie in (0, 1)")
+            raise _FieldError("weight", "squared stage-1 weight must lie in (0, 1)")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise _FieldError("alpha", "alpha must lie in (0, 1)")
         if not 0.0 <= self.alpha1 <= self.alpha:
             raise ValueError("alpha1 must lie in [0, alpha]")
         if self.method == "fisher" and self.alpha1 > 0.0:
@@ -195,6 +197,7 @@ def combine(p1: float, p2: float, config: CombinationConfig) -> CombineResult:
     return CombineResult(stat, reject)
 
 
+@lru_cache(maxsize=256)  # combine() asks once per intersection; each miss is a Brent root
 def spending_boundaries(config: CombinationConfig) -> tuple:
     """Stage-wise efficacy boundaries (u1, u2) on the standardized scale.
 

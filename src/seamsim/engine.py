@@ -57,6 +57,7 @@ from .simmodel import (
     EffectSpec,
     SampleSizePlan,
     _check_redraw_rate,
+    _FieldError,
     build_score_model,
     larger_is_better,
 )
@@ -93,14 +94,6 @@ _BRANCHES = ("sub", "full", "both")
 
 class InfeasibleScenarioError(ValueError):
     """A structurally valid configuration that cannot be simulated."""
-
-
-class _FieldError(ValueError):
-    """A Scenario check that fails on the field named by ``field``."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(message)
-        self.field = field_name
 
 
 @dataclass(frozen=True)
@@ -167,7 +160,7 @@ class Scenario:
             raise ValueError("the subgroup/full-population test applies to subgroup designs")
         if design == SUBGROUP:
             if self.prevalence is None or not 0.0 < self.prevalence < 1.0:
-                raise ValueError("subgroup designs need a prevalence strictly in (0, 1)")
+                raise _FieldError("prevalence", "subgroup designs need a prevalence strictly in (0, 1)")
             if self.ptest is not None:
                 raise ValueError("ptest applies to treatment designs only")
             if self.follow_up:
@@ -186,10 +179,7 @@ class Scenario:
                 object.__setattr__(self, "ptest", arms)
         n = 2 * self.plan.stage1_per_arm  # treatment plus control recruit the stage-1 cohort
         if not self.prevalence_fixed:
-            try:
-                _check_redraw_rate(self.prevalence, n)
-            except ValueError as exc:
-                raise _FieldError("prevalence", str(exc)) from exc
+            _check_redraw_rate(self.prevalence, n)
         # every expected statistic must be finite, at each prevalence a replication can take
         for tau in (self.prevalence,) if self.prevalence_fixed else (1 / n, (n - 1) / n):
             at = "" if tau is None else f" at a prevalence of {tau:g}"
@@ -613,10 +603,10 @@ def expected_sample_size(scenario: Scenario, oc: OperatingCharacteristics) -> fl
         k = scenario.effects.comparisons
         continued = sum(m * c for m, c in enumerate(oc.selected_size_counts, start=1))
         return (k + 1) * plan.stage1_per_arm + plan.stage2_per_arm * (reps + continued) / reps
-    sub_only_n = plan.enrich_per_arm or plan.stage2_per_arm
     rows = oc.subgroup_counts
     stage2 = 2.0 * (
-        sub_only_n * rows["sub"].n + plan.stage2_per_arm * (rows["full"].n + rows["both"].n)
+        plan.subgroup_only_per_arm * rows["sub"].n
+        + plan.stage2_per_arm * (rows["full"].n + rows["both"].n)
     )
     return 2.0 * plan.stage1_per_arm + stage2 / reps
 

@@ -1,11 +1,11 @@
-"""Interim selection rules.
+"""Interim selection rules and the scalar reference selectors.
 
 Treatment designs pick a subset of experimental arms from the early-outcome
 statistics, on the scale where larger values are better. Subgroup designs
 choose between continuing in the subgroup, the full population, or both; the
 rules for that choice are written on the scale where *smaller* statistics
-are better (log hazard-ratio style), so the engine hands this module
-statistics on that orientation.
+are better (log hazard-ratio style). The engine selects whole chunks itself;
+the selectors here replay one replication at a time, as the test oracle does.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .simmodel import _FieldError
 
 __all__ = [
     "SelectionRule",
@@ -57,24 +59,24 @@ class SelectionRule:
             raise ValueError(f"unknown selection rule {self.kind!r}")
         if self.kind == "epsilon":
             if self.epsilon is None or not self.epsilon >= 0.0:
-                raise ValueError("epsilon rule needs a non-negative epsilon, not NaN")
+                raise _FieldError("epsilon", "the epsilon rule needs an epsilon >= 0 (a number, not NaN)")
         elif self.epsilon is not None:
-            raise ValueError("epsilon only applies to the epsilon rule")
+            raise _FieldError("epsilon", "epsilon only applies to the epsilon rule")
         if self.kind == "threshold":
             if self.threshold is None or np.isnan(self.threshold):
-                raise ValueError("threshold rule needs a threshold, not NaN")
+                raise _FieldError("threshold", "the threshold rule needs a threshold (a number, not NaN)")
         elif self.threshold is not None:
-            raise ValueError("threshold only applies to the threshold rule")
+            raise _FieldError("threshold", "threshold only applies to the threshold rule")
         if self.kind in _SUBGROUP_KINDS:
             if self.limits is None or len(self.limits) != 2:
-                raise ValueError(f"{self.kind} needs a (subgroup, full) limit pair")
+                raise _FieldError("limits", f"{self.kind} needs a (subgroup, full) limit pair")
             object.__setattr__(self, "limits", (float(self.limits[0]), float(self.limits[1])))
             if np.isnan(self.limits).any():
-                raise ValueError(f"{self.kind} limits must be numbers, not NaN")
+                raise _FieldError("limits", f"{self.kind} limits must be numbers, not NaN")
             if self.kind == "threshold-pair" and self.limits[0] > self.limits[1]:
-                raise ValueError("threshold-pair limits must satisfy l1 <= l2")
+                raise _FieldError("limits", "threshold-pair limits must satisfy l1 <= l2")
         elif self.limits is not None:
-            raise ValueError("limits only apply to subgroup rules")
+            raise _FieldError("limits", "limits only apply to subgroup rules")
 
     @property
     def is_subgroup_rule(self) -> bool:
@@ -149,11 +151,11 @@ def select_treatments(
 
 
 def select_population(z_sub: float, z_full: float, rule: SelectionRule) -> SelectionOutcome:
-    """Apply a subgroup selection rule at the interim.
+    """Apply a subgroup selection rule at the interim (scalar reference selector).
 
     Both statistics are on the selection scale where smaller values favour
-    the treatment (the natural scale of hazard/odds-ratio statistics; the
-    engine negates normal-outcome statistics before calling this).
+    the treatment: the natural scale of hazard/odds-ratio statistics, and the
+    negated one of normal-outcome statistics.
 
     threshold-pair: with limits (l1, l2) and difference d = z_sub - z_full,
         d <= l1 continues the subgroup only, d > l2 the full population only,

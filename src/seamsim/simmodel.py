@@ -59,6 +59,14 @@ ARM_CORRELATION = 0.5
 _MAX_EXP = math.log(sys.float_info.max)  # math.exp overflows above it
 
 
+class _FieldError(ValueError):
+    """A check that fails on the field named by ``field``."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
+
+
 @dataclass(frozen=True)
 class EffectSpec:
     """Assumed treatment effects for the early and final outcomes.
@@ -88,20 +96,21 @@ class EffectSpec:
         object.__setattr__(self, "early", tuple(float(v) for v in self.early))
         object.__setattr__(self, "final", tuple(float(v) for v in self.final))
         if len(self.early) != len(self.final):
-            raise ValueError("early and final effect vectors must have equal length")
+            raise _FieldError("effects", "early and final effect vectors must have equal length")
         if self.design == TREATMENT:
             if len(self.early) < 2:
-                raise ValueError("treatment designs need a control and at least one arm")
+                raise _FieldError("effects", "treatment designs need a control and at least one arm")
             if len(self.early) - 1 > MAX_COMPARISONS:
-                raise ValueError(f"at most {MAX_COMPARISONS} experimental arms are supported")
+                raise _FieldError("effects", f"at most {MAX_COMPARISONS} experimental arms are supported")
         else:
             if len(self.early) != 2:
-                raise ValueError("subgroup designs take exactly (subgroup, full) effects")
+                raise _FieldError("effects", "subgroup designs take exactly (subgroup, full) effects")
         for name, code in (("early", self.early_outcome), ("final", self.final_outcome)):
             if code not in OUTCOME_TYPES:
-                raise ValueError(f"{name} outcome type must be one of {OUTCOME_TYPES}")
+                raise _FieldError(f"{name}_outcome",
+                                  f"{name} outcome type must be one of {', '.join(OUTCOME_TYPES)}")
         if not -1.0 <= self.correlation <= 1.0:
-            raise ValueError("outcome correlation must lie in [-1, 1]")
+            raise _FieldError("correlation", "outcome correlation must lie in [-1, 1]")
         for code, effects in ((self.early_outcome, self.early), (self.final_outcome, self.final)):
             _validate_effects(self.design, code, effects)
 
@@ -113,17 +122,17 @@ class EffectSpec:
 
 def _validate_effects(design: str, code: str, effects: tuple) -> None:
     if not all(math.isfinite(v) for v in effects):
-        raise ValueError("effects must be finite numbers")
+        raise _FieldError("effects", "effects must be finite numbers")
     if design == TREATMENT and code == "B":
         if any(not 0.0 < v < 1.0 for v in effects):
-            raise ValueError("binary effects are event rates and must lie strictly in (0, 1)")
+            raise _FieldError("effects", "binary effects are event rates and must lie strictly in (0, 1)")
     if design == TREATMENT and code == "T" and min(effects) < -_MAX_EXP:
-        raise ValueError(f"minus log hazard rates below {-_MAX_EXP:.6g} overflow the hazard")
+        raise _FieldError("effects", f"minus log hazard rates below {-_MAX_EXP:.6g} overflow the hazard")
     if design == SUBGROUP and code in ("T", "B"):
         if any(v <= 0.0 for v in effects):
-            raise ValueError("hazard/odds ratios must be positive")
+            raise _FieldError("effects", "hazard/odds ratios must be positive")
         if code == "B" and max(effects) >= 2.0**53:  # the event rate or/(1 + or) would round to 1
-            raise ValueError("odds ratios must lie below 2**53")
+            raise _FieldError("effects", "odds ratios must lie below 2**53")
 
 
 @dataclass(frozen=True)
@@ -150,8 +159,13 @@ class SampleSizePlan:
             if v is None and name == "enrich_per_arm":
                 continue
             if int(v) != v or v <= 0:
-                raise ValueError(f"{name} must be a positive integer")
+                raise _FieldError(name, f"{name} must be a positive integer")
             object.__setattr__(self, name, int(v))
+
+    @property
+    def subgroup_only_per_arm(self) -> int:
+        """Stage-2 patients per arm when only the subgroup continues."""
+        return self.stage2_per_arm if self.enrich_per_arm is None else self.enrich_per_arm
 
 
 def larger_is_better(design: str, outcome: str) -> bool:
@@ -336,8 +350,8 @@ def build_score_model(
     mean = np.concatenate([effect_to_expectation(spec, plan, *b, prevalence) for b in blocks])
     subgroup_only = None
     if spec.design == SUBGROUP:
-        cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
-        subgroup_only = float(effect_to_expectation(spec, plan, "final", cohort)[0])
+        subgroup_only = _expected_statistic(SUBGROUP, spec.final_outcome, spec.final[0], 0.0,
+                                            plan.subgroup_only_per_arm)
     r = ARM_CORRELATION if spec.design == TREATMENT else math.sqrt(prevalence)
     unit = np.full((spec.comparisons, spec.comparisons), r)
     np.fill_diagonal(unit, 1.0)
@@ -377,7 +391,8 @@ def _check_redraw_rate(prevalence: float, total_stage1: int) -> None:
     """Reject a varying prevalence whose redraw loop would rarely end."""
     keep = -math.expm1(total_stage1 * math.log1p(-prevalence)) - prevalence**total_stage1
     if keep < _MIN_KEEP_PROBABILITY:
-        raise ValueError(
+        raise _FieldError(
+            "prevalence",
             f"a varying prevalence of {prevalence:g} over {total_stage1} stage-1 patients "
             f"leaves both populations non-empty in only {keep:.3g} of draws "
             f"(at least {_MIN_KEEP_PROBABILITY:g} needed)"

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from seamsim.cli import (
+    _FIELD_KEYS,
     ConfigError,
     export_csv,
     export_json,
@@ -502,6 +503,39 @@ def test_scenario_errors_name_their_config_key(tmp_path, capsys, key, command, d
     assert main([command, "run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: key '{key}': ") and message in err, err
+
+
+# one bad value for each design field a config sets; the design class names the field
+FIELD_ERRORS = {
+    "n.stage1": ("treatsel", treat_config(n={"stage1": 0, "stage2": 300})),
+    "n.stage2": ("treatsel", treat_config(n={"stage1": 100, "stage2": -1})),
+    "n.enrich": ("subpop", subpop_config(n={"stage1": 100, "stage2": 300, "enrich": 0})),
+    "effect": ("treatsel", treat_config(effect={"early": [0, 0.5], "final": [0, 0.5, 0.6]})),
+    "outcome.early": ("treatsel", treat_config(outcome={"early": "X"})),
+    "outcome.final": ("subpop", subpop_config(outcome={"early": "T", "final": "survival"})),
+    "corr": ("treatsel", treat_config(corr=1.5)),
+    "epsilon": ("treatsel", treat_config(select=4)),
+    "thresh": ("treatsel", treat_config(select=6)),
+    "selim": ("subpop", subpop_config(select="thresh", selim=[0.5, 0.1])),
+    "level": ("treatsel", treat_config(level=1.0)),
+    "weight": ("subpop", subpop_config(weight=0.0)),
+    "nsim": ("treatsel", treat_config(nsim=0)),
+    "seed": ("treatsel", treat_config(seed=2**64)),
+    "ptest": ("treatsel", treat_config(ptest=[0])),
+    "sprev": ("subpop", subpop_config(sprev=1.0)),
+}
+
+
+def test_every_design_field_has_a_bad_config_case():
+    assert sorted(FIELD_ERRORS) == sorted(_FIELD_KEYS.values())
+
+
+@pytest.mark.parametrize("key", FIELD_ERRORS)
+def test_each_field_error_names_its_config_key(tmp_path, capsys, key):
+    command, doc = FIELD_ERRORS[key]
+    assert main([command, "run", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: key '{key}': ") and err.count("\n") == 1, err
 
 
 def test_main_rejects_a_rarely_kept_varying_prevalence_before_drawing(

@@ -244,6 +244,15 @@ def test_split_spending_solves_the_joint_tail_equation():
     assert hit == pytest.approx(target, abs=3 * se)
 
 
+def test_combine_solves_the_spending_boundary_once_per_config():
+    config = default_config(alpha1=0.005)
+    spending_boundaries.cache_clear()
+    results = {combine(p1, 0.01, config) for p1 in np.linspace(0.001, 0.5, 50)}
+    info = spending_boundaries.cache_info()
+    assert (info.misses, info.hits) == (1, 49)
+    assert len(results) > 1
+
+
 def test_spending_requires_the_inverse_normal_combination():
     with pytest.raises(ValueError):
         spending_boundaries(default_config(method="fisher"))

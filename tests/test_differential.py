@@ -95,9 +95,7 @@ def treatment_scenarios(draw):
         plan=SampleSizePlan(n1, n2),
         rule=draw(treatment_rules),
         test=TestSpec(draw(exact_tests), draw(combinations(n1, n2))),
-        # a saturated replication ties at both stages and keeps every hypothesis
-        # standing, so the replay tests all 2^K - 1 intersections: a few suffice
-        replications=draw(st.integers(1, 8) if saturate else replications),
+        replications=draw(replications),
         master_seed=draw(seeds),
         ptest=None if ptest is None else tuple(ptest),
         follow_up=draw(st.booleans()),

@@ -13,6 +13,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seamsim.closedtest import CombinationConfig
+from seamsim.engine import (
+    OperatingCharacteristics,
+    Scenario,
+    SubgroupCounts,
+    TestSpec,
+    expected_sample_size,
+)
+from seamsim.selection import SelectionRule
 from seamsim.simmodel import (
     EffectSpec,
     SampleSizePlan,
@@ -275,6 +284,18 @@ def test_subgroup_only_mean_follows_the_planned_cohort():
         means.append(model.subgroup_only)
     assert means[0] != means[1]
     assert build_score_model(copd_spec(), SampleSizePlan(100, 300)).subgroup_only is None
+    # the expected sample size budgets the same cohort: 2 * 100 + 2 * (n * 10 + 300 * 8) / 20
+    counts = {"sub": SubgroupCounts(n=10), "full": SubgroupCounts(n=5), "both": SubgroupCounts(n=3)}
+    oc = OperatingCharacteristics(design="subgroup", replications=20, futility_count=2,
+                                  expected_total_sample_size=0.0, subgroup_counts=counts)
+    for enrich, subgroup_only, size in ((None, 300, 740.0), (200, 200, 640.0)):
+        plan = SampleSizePlan(100, 300, enrich_per_arm=enrich)
+        assert plan.subgroup_only_per_arm == subgroup_only
+        scenario = Scenario(effects=oncology_spec(), plan=plan,
+                            rule=SelectionRule("futility-pair", limits=(0.0, 0.0)),
+                            test=TestSpec("spiessens-debois", CombinationConfig()),
+                            replications=20, master_seed=1, prevalence=0.3)
+        assert expected_sample_size(scenario, oc) == size
 
 
 def test_resolve_prevalence_fixed_passthrough():
