@@ -8,6 +8,12 @@ same chunks over a process pool, and every tally is an integer count, so a
 run is bit-for-bit reproducible at any parallelism. The README section
 "Reproducibility contract, version 1" states this guarantee and the draw order.
 
+A run or a sweep starts one process pool at most and maps the chunks of all
+its scenarios over it. A task carries ``(scenario, start, stop)``, about 1 KB;
+the worker prepares the scenario itself, from caches it inherits warm under
+fork. The one matrix product per chunk goes in row blocks small enough that
+OpenBLAS never starts its own threads, so workers do not contend for cores.
+
 The closed test runs on the subset lattice, the bitmasks 1 .. 2^K - 1, in
 blocks of about 2^17 cells (intersections x rows), 1 MB per array at any K.
 Both stages take one path, given the members with stage data (at stage 1,
@@ -86,6 +92,9 @@ _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
 _BLOCK_CELLS = 1 << 17  # intersections x rows per block of the closed test
+# rows per statistics product: 256 x (3K)^2 stays within the M*N*K = 4 * 65536
+# up to which OpenBLAS runs a dgemm on the calling thread, for every K <= 8
+_BLAS_ROWS = 256
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
 # subgroup selection branches: subgroup only, full population only, both
@@ -350,7 +359,17 @@ def _statistics(pre: _Prepared, eps, taus):
     shift = np.empty(eps.shape[0])
     for tau, rows in groups:
         mean, chol, shift[rows] = _model_parts(scenario.effects, scenario.plan, tau)
-        z[rows] = mean + eps[rows] @ chol.T
+        # nearly equal blocks of at most _BLAS_ROWS rows, so OpenBLAS keeps each
+        # product on this thread; no block has the one row numpy would give to
+        # dgemv, so every row is bitwise that of one product over all of them
+        group = eps[rows]
+        blocks = -(-len(group) // _BLAS_ROWS)
+        edges = [len(group) * i // blocks for i in range(blocks + 1)]
+        product = np.empty_like(group)
+        for a, b in zip(edges, edges[1:]):
+            np.matmul(group[a:b], chol.T, out=product[a:b])
+        product += mean
+        z[rows] = product
     return z, shift
 
 
@@ -551,6 +570,43 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _chunk_task(scenario: Scenario, start: int, stop: int) -> dict:
+    """One chunk in a pool worker, which prepares the scenario from its own caches."""
+    return _simulate_chunk(_prepare(scenario), start, stop)
+
+
+def _simulate(scenarios: list, threads: int) -> list:
+    """Each scenario's OperatingCharacteristics; all their chunks go through one pool at most."""
+    bounds = [
+        [(start, min(start + CHUNK_SIZE, s.replications)) for start in range(0, s.replications, CHUNK_SIZE)]
+        for s in scenarios
+    ]
+    workers = _pool_size(threads, _usable_cpus(), sum(map(len, bounds)))
+    # with a pool, preparing here warms the caches that forked workers inherit
+    prepared = [_prepare(s) for s in scenarios]
+    if workers == 1:
+        tallies = [[_simulate_chunk(pre, a, b) for a, b in chunks] for pre, chunks in zip(prepared, bounds)]
+    else:
+        tasks = [(s, a, b) for s, chunks in zip(scenarios, bounds) for a, b in chunks]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = pool.map(_chunk_task, *zip(*tasks))
+            tallies = [[next(done) for _ in chunks] for chunks in bounds]
+    return [_characteristics(s, _merge_tallies(t)) for s, t in zip(scenarios, tallies)]
+
+
+def _characteristics(scenario: Scenario, total: dict) -> OperatingCharacteristics:
+    """The OperatingCharacteristics of a scenario's merged tallies."""
+    for key, value in total.items():
+        if np.ndim(value) == 2:  # subgroup branches, one row each
+            total[key] = {name: SubgroupCounts(*map(int, row)) for name, row in zip(_BRANCHES, value)}
+        elif np.ndim(value) == 1:
+            total[key] = tuple(map(int, value))
+    oc = OperatingCharacteristics(
+        design=scenario.design, expected_total_sample_size=0.0, ptest=scenario.ptest, **total
+    )
+    return replace(oc, expected_total_sample_size=expected_sample_size(scenario, oc))
+
+
 def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristics:
     """Simulate a scenario and aggregate its operating characteristics.
 
@@ -563,27 +619,7 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
         OperatingCharacteristics with integer tallies and the expected total
         sample size.
     """
-    pre = _prepare(scenario)
-    bounds = [
-        (start, min(start + CHUNK_SIZE, scenario.replications))
-        for start in range(0, scenario.replications, CHUNK_SIZE)
-    ]
-    workers = _pool_size(threads, _usable_cpus(), len(bounds))
-    if workers == 1:
-        tallies = [_simulate_chunk(pre, a, b) for a, b in bounds]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            tallies = list(pool.map(_simulate_chunk, [pre] * len(bounds), *zip(*bounds)))
-    total = _merge_tallies(tallies)
-    for key, value in total.items():
-        if np.ndim(value) == 2:  # subgroup branches, one row each
-            total[key] = {name: SubgroupCounts(*map(int, row)) for name, row in zip(_BRANCHES, value)}
-        elif np.ndim(value) == 1:
-            total[key] = tuple(map(int, value))
-    oc = OperatingCharacteristics(
-        design=scenario.design, expected_total_sample_size=0.0, ptest=scenario.ptest, **total
-    )
-    return replace(oc, expected_total_sample_size=expected_sample_size(scenario, oc))
+    return _simulate([scenario], threads)[0]
 
 
 def expected_sample_size(scenario: Scenario, oc: OperatingCharacteristics) -> float:
@@ -658,25 +694,34 @@ def sweep(base: Scenario, axis: str, values, threads: int = 1) -> list:
 
     Every grid point runs with an independently derived seed,
     ``master_seed + point_index``, so the first point of a one-value sweep
-    reproduces ``run_scenario(base)`` exactly.
+    reproduces ``run_scenario(base)`` exactly. Every point is built before
+    any is simulated, and the chunks of all points share one process pool.
 
     Args:
         base: scenario providing every non-swept setting.
         axis: "stage1-allocation", "threshold" or "futility-limits-grid".
         values: axis values (limit pairs for the futility grid).
-        threads: forwarded to run_scenario.
+        threads: worker processes, capped as in run_scenario.
 
     Returns:
         list of SweepPoint in input order.
+
+    Raises:
+        InfeasibleScenarioError: a point cannot be built; it names the axis value.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one axis value")
-    points = []
+    scenarios = []
     for index, value in enumerate(values):
-        scn = _apply_axis(base, axis, value)
-        scn = replace(scn, master_seed=(base.master_seed + index) & _MASK64)
-        points.append(SweepPoint(axis=axis, value=value, scenario=scn, oc=run_scenario(scn, threads)))
-    return points
+        try:
+            scn = _apply_axis(base, axis, value)
+        except ValueError as exc:  # a design check that this point fails
+            raise InfeasibleScenarioError(f"{axis} {value!r}: {exc}") from exc
+        scenarios.append(replace(scn, master_seed=(base.master_seed + index) & _MASK64))
+    return [
+        SweepPoint(axis=axis, value=value, scenario=scn, oc=oc)
+        for value, scn, oc in zip(values, scenarios, _simulate(scenarios, threads))
+    ]

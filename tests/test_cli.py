@@ -562,6 +562,14 @@ def test_main_exit_code_for_infeasible_scenarios(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert main(["sweep", "--config", path]) == 3
     assert "budget" in capsys.readouterr().err
+    # the first point is valid; at stage1 = 290 the early statistic, sqrt(145) * 1.5e307,
+    # overflows, and the sweep stops before it simulates any point
+    doc["effect"] = {"early": [0, 1.5e307, 0.5], "final": [0, 0.2, 0.3]}
+    doc["sweep"] = {"axis": "stage1-allocation", "values": [100, 290]}
+    path = write_config(tmp_path, doc)
+    assert main(["sweep", "--config", path, "--threads", "2"]) == 3
+    err = capsys.readouterr().err
+    assert "stage1-allocation 290: " in err and "non-finite expected statistic" in err
 
 
 def test_main_exit_code_for_io_errors(tmp_path, capsys):

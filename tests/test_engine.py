@@ -1,6 +1,7 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
 import itertools
+import pickle
 import tracemalloc
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
@@ -10,9 +11,11 @@ import pytest
 from scipy.special import ndtr, ndtri
 
 from oracle import replay
-from seamsim.cli import parse_config
+from seamsim import engine
+from seamsim.cli import parse_config, parse_sweep_config
 from seamsim.closedtest import P_CLAMP, CombinationConfig, closed_test, intersection_pvalue
 from seamsim.engine import (
+    _BLAS_ROWS,
     _GRID,
     _YMAX,
     _YMIN,
@@ -29,6 +32,7 @@ from seamsim.engine import (
     _pool_size,
     _prepare,
     _select_chunk,
+    _statistics,
     _test_chunk,
     expected_sample_size,
     run_scenario,
@@ -274,6 +278,75 @@ def test_pool_size_never_exceeds_cpus_or_chunks():
     assert _pool_size(4, 8, 10) == 4
     assert _pool_size(1, 8, 10) == 1
     assert _pool_size(0, 8, 10) == 1
+
+
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Count the process pools the engine starts and the pickled size of each task."""
+    log = {"pools": 0, "task_bytes": []}
+
+    class CountingPool(engine.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            log["pools"] += 1
+
+        def submit(self, fn, /, *args, **kwargs):
+            log["task_bytes"].append(len(pickle.dumps(args)))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: 2)  # a pool even on one CPU
+    return log
+
+
+def test_a_sweep_starts_one_pool_for_all_its_points(pool_log):
+    base, axis, values = parse_sweep_config((CONFIG_DIR / "copd_threshold_sweep.yaml").read_text())
+    serial = sweep(base, axis, values, threads=1)
+    assert pool_log["pools"] == 0
+    parallel = sweep(base, axis, values, threads=2)
+    assert pool_log["pools"] == 1
+    assert len(pool_log["task_bytes"]) == 13 * 3  # every chunk of every point
+    assert [p.oc for p in parallel] == [p.oc for p in serial]
+
+
+def test_pool_tasks_carry_the_scenario_not_its_grids(pool_log):
+    scn = parse_config((CONFIG_DIR / "copd_setting1.yaml").read_text(), "treatment")
+    assert run_scenario(scn, threads=2) == run_scenario(scn, threads=1)
+    assert pool_log["pools"] == 1
+    assert len(pool_log["task_bytes"]) == 3
+    assert max(pool_log["task_bytes"]) < 4096
+
+
+def _blocked_product_cases():
+    for k in range(1, 9):
+        effects = EffectSpec(design="treatment", early=tuple(0.1 * i for i in range(k + 1)),
+                             final=tuple(0.05 * i for i in range(k + 1)), correlation=0.4)
+        scn = replace(treatment_scenario(SelectionRule("all"), reps=4096 + 17), effects=effects)
+        for rows in (4096, 4096 + 17):
+            yield pytest.param(scn, rows, id=f"K{k}-{rows}")
+    # a small stage-1 cohort puts hundreds of rows at each redrawn prevalence
+    scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=4096 + 17,
+                            prevalence_fixed=False)
+    scn = replace(scn, plan=SampleSizePlan(stage1_per_arm=5, stage2_per_arm=300, enrich_per_arm=200))
+    yield pytest.param(scn, 4096 + 17, id="varying-prevalence")
+
+
+@pytest.mark.parametrize("scn, rows", _blocked_product_cases())
+def test_blocked_statistics_product_equals_one_product_bitwise(scn, rows):
+    pre = _prepare(scn)
+    eps, taus, _, _ = _draw_chunk(pre, 0, rows)
+    z, _ = _statistics(pre, eps, taus)
+    expected = np.empty_like(eps)
+    if taus is None:
+        groups = [(scn.prevalence, slice(None))]
+    else:
+        groups = [(float(tau), taus == tau) for tau in np.unique(taus)]
+    for tau, at in groups:
+        mean, chol, _ = _model_parts(scn.effects, scn.plan, tau)
+        expected[at] = mean + eps[at] @ chol.T  # one product per prevalence
+    assert np.array_equal(z, expected)
+    if taus is not None:  # some prevalence spans several blocks
+        assert np.unique(taus, return_counts=True)[1].max() > 2 * _BLAS_ROWS
 
 
 # ---------------------------------------------------------------------------
