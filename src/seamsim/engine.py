@@ -3,10 +3,11 @@
 Each replication draws its statistics from its own counter-based random
 stream keyed by ``(master_seed, replication_index)``, so results depend only
 on the scenario and seed -- never on chunking or worker count. Replications
-are processed in fixed-size chunks of 4096; ``threads`` only distributes the
-same chunks over a process pool, and every tally is an integer count, so a
-run is bit-for-bit reproducible at any parallelism. The README section
-"Reproducibility contract, version 1" states this guarantee and the draw order.
+are processed in fixed-size chunks of 4096, whose streams one vectorised pass
+computes; ``threads`` only distributes the chunks over a process pool, and
+every tally is an integer count, so a run is bit-for-bit reproducible at any
+parallelism. The README's "Reproducibility contract, version 2" states this
+guarantee, the draw order and how raw words become draws.
 
 A run or a sweep starts one process pool at most and maps the chunks of all
 its scenarios over it. A task carries ``(scenario, start, stop)``, about 1 KB;
@@ -68,7 +69,8 @@ from .simmodel import (
     larger_is_better,
 )
 from .selection import SelectionRule
-from .statdist import _MASK64, _rekey, bvn_max_sf, equicorr_max_cdf, replication_stream
+from .statdist import (_MASK64, _binomial_counts, _normals, _philox_words, _picks, _read_only, bvn_max_sf,
+                       equicorr_max_cdf)
 
 __all__ = [
     "TestSpec",
@@ -264,11 +266,6 @@ def _keep_quantile(p_keep):
     return ndtri(np.clip(p_keep, P_CLAMP, 1.0 - P_CLAMP))
 
 
-def _read_only(grid):
-    grid.flags.writeable = False
-    return grid
-
-
 @lru_cache(maxsize=None)  # one per m, at most MAX_COMPARISONS - 1 of about 70 KB
 def _dunnett_grid(m: int):
     """Dunnett quantile grid of m equally allocated arms (shared, read-only)."""
@@ -313,34 +310,34 @@ def _prepare(scenario: Scenario) -> _Prepared:
 
 
 def _draw_chunk(pre: _Prepared, start: int, stop: int):
-    """Per-replication draws; consumption order is part of the contract.
+    """Per-replication draws, in the order the README's contract, version 2, fixes.
 
-    One generator serves the chunk: re-keyed for each replication, it draws
-    exactly what that replication's own ``replication_stream`` would.
+    Row r reads replication r's own Philox words, computed for the whole chunk at once:
+    one per prevalence try until both populations are non-empty, 3K normals, the random-1 pick.
     """
     scenario = pre.scenario
-    n = stop - start
-    k = scenario.effects.comparisons
-    eps = np.empty((n, 3 * k))
-    varying = not scenario.prevalence_fixed
-    taus = np.empty(n) if varying else None
-    redraws = 0
-    rand_pick = np.empty(n, dtype=np.int64) if scenario.rule.kind == "random-1" else None
-    total_stage1 = 2 * scenario.plan.stage1_per_arm  # treatment plus control recruit stage 1
-    stream = replication_stream(scenario.master_seed, start)
-    for row, rep in enumerate(range(start, stop)):
-        _rekey(stream, scenario.master_seed, rep)
-        if varying:
-            while True:
-                count = int(stream.binomial(total_stage1, scenario.prevalence))
-                if 0 < count < total_stage1:
-                    break
-                redraws += 1
-            taus[row] = count / total_stage1
-        eps[row] = stream.standard_normal(3 * k)
-        if rand_pick is not None:
-            rand_pick[row] = stream.integers(k)
-    return eps, taus, rand_pick, redraws
+    seed, k = scenario.master_seed, scenario.effects.comparisons
+    reps = np.arange(start, stop, dtype=np.uint64)
+    width = 3 * k + (scenario.rule.kind == "random-1")  # words after the prevalence tries
+    if scenario.prevalence_fixed:
+        taus, redraws, words = None, 0, _philox_words(seed, reps, 0, -(-width // 4))
+    else:
+        n, counts, first = 2 * scenario.plan.stage1_per_arm, np.empty(reps.size), np.empty(reps.size, int)
+        pending, block = np.arange(reps.size), 0
+        # a pass tries a Philox block of each pending row; Scenario checks a try is kept w.p. >= 0.1
+        while pending.size:
+            tries = _binomial_counts(_philox_words(seed, reps[pending], block, 1), n, scenario.prevalence)
+            kept = (0 < tries) & (tries < n)
+            done = kept.any(axis=1)
+            rows, at = pending[done], kept[done].argmax(axis=1)
+            counts[rows], first[rows] = tries[done, at], 4 * block + at + 1
+            pending, block = pending[~done], block + 1
+        taus, redraws = counts / n, int(first.sum()) - reps.size  # every try but the kept one
+        lead = first % 4  # each row's normals start at word `first`
+        words = _philox_words(seed, reps, first // 4, (int(lead.max()) + width + 3) // 4)
+        words = np.take_along_axis(words, lead[:, None] + np.arange(width), axis=1)
+    rand_pick = _picks(words[:, 3 * k], k) if width > 3 * k else None
+    return _normals(words[:, : 3 * k]), taus, rand_pick, redraws
 
 
 def _statistics(pre: _Prepared, eps, taus):

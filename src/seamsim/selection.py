@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .simmodel import _FieldError
+from .statdist import _picks
 
 __all__ = [
     "SelectionRule",
@@ -144,7 +145,7 @@ def select_treatments(
     elif rule.kind == "random-1":
         if stream is None:
             raise ValueError("random-1 selection needs a random stream")
-        keep = [stream.integers(k)]
+        keep = _picks(stream.bit_generator.random_raw(1), k)
     else:  # threshold
         keep = np.nonzero(z > rule.threshold)[0]
     return SelectionOutcome(frozenset(int(i) + 1 for i in keep))

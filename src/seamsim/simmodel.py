@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .statdist import _binomial_counts, _normals
+
 __all__ = [
     "TREATMENT",
     "SUBGROUP",
@@ -370,10 +372,10 @@ class StageStatistics:
 def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
     """Draw one replication's statistic vector from its stream.
 
-    Consumes exactly ``model.mean.size`` standard normal variates, so results
-    are reproducible from the stream state alone.
+    Consumes exactly ``model.mean.size`` raw words, one standard normal each,
+    so results are reproducible from the stream state alone.
     """
-    eps = stream.standard_normal(model.mean.size)
+    eps = _normals(stream.bit_generator.random_raw(model.mean.size))
     return StageStatistics(values=model.mean + model.cholesky @ eps)
 
 
@@ -408,10 +410,10 @@ def resolve_prevalence(
     """Stage-1 subgroup prevalence for one replication.
 
     With ``fixed`` the configured value is used as-is. Otherwise the realised
-    prevalence is a binomial draw over the total stage-1 recruitment; draws in
-    which the subgroup or its complement would be empty describe a trial the
-    design cannot run, so they are discarded and redrawn. A prevalence for
-    which fewer than one draw in ten is kept is rejected before drawing.
+    prevalence is a binomial draw, one raw word, over the stage-1 recruitment;
+    draws in which the subgroup or its complement would be empty describe a
+    trial the design cannot run, so they are discarded and redrawn. A prevalence
+    for which fewer than one draw in ten is kept is rejected before drawing.
 
     Args:
         prevalence: configured prevalence in (0, 1).
@@ -431,7 +433,7 @@ def resolve_prevalence(
     _check_redraw_rate(prevalence, total_stage1)
     redraws = 0
     while True:
-        count = int(stream.binomial(total_stage1, prevalence))
+        count = int(_binomial_counts(stream.bit_generator.random_raw(1), total_stage1, prevalence)[0])
         if 0 < count < total_stage1:
             return count / total_stage1, redraws
         redraws += 1

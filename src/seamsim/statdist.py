@@ -1,16 +1,18 @@
 """Normal-theory numerics shared by the simulation and testing code.
 
 Everything in here is deterministic: Owen's closed forms and a fixed-node
-Gauss-Hermite rule for the normal probabilities and a counter-based random stream
-constructor that gives every simulated trial replication its own reproducible
-generator (and a re-keying helper with which the engine walks one generator
-through a chunk's replications).
+Gauss-Hermite rule for the normal probabilities, and the random streams: each
+replication's own counter-based Philox stream, a vectorised Philox4x64-10 that
+computes the raw words of many replications at once, and three recipes that
+turn words into normals, random-1 picks and binomial counts.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
-from scipy.special import ndtr, owens_t
+from scipy.special import bdtr, ndtr, ndtri, owens_t
 
 __all__ = ["bvn_cdf", "bvn_max_sf", "equicorr_max_cdf", "replication_stream"]
 
@@ -112,20 +114,13 @@ def equicorr_max_cdf(m, r, z):
     return float(out) if scalar else out
 
 
-def _replication_key(master_seed: int, replication_index: int) -> list:
-    """Philox key of one replication's stream: ``(master_seed, replication_index)`` mod 2**64."""
-    if replication_index < 0:
-        raise ValueError("replication_index must be non-negative")
-    return [int(master_seed) & _MASK64, int(replication_index) & _MASK64]
-
-
 def replication_stream(master_seed: int, replication_index: int) -> np.random.Generator:
     """Independent random generator for one simulation replication.
 
     Streams are produced by keying a counter-based Philox generator with the
     pair ``(master_seed, replication_index)``, so the draws consumed by a
     replication depend only on that pair -- never on execution order, chunking
-    or worker count.
+    or worker count. A replication's draws read its raw words by the recipes below.
 
     Args:
         master_seed: scenario-level seed (any python int; taken mod 2**64).
@@ -134,28 +129,71 @@ def replication_stream(master_seed: int, replication_index: int) -> np.random.Ge
     Returns:
         numpy Generator backed by Philox.
     """
-    key = np.array(_replication_key(master_seed, replication_index), dtype=np.uint64)
+    if replication_index < 0:
+        raise ValueError("replication_index must be non-negative")
+    key = np.array([int(master_seed) & _MASK64, int(replication_index) & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _rekey(stream: np.random.Generator, master_seed: int, replication_index: int) -> None:
-    """Reset a Philox-backed generator to the start of another replication's stream.
+def _read_only(array):
+    array.flags.writeable = False
+    return array
 
-    Afterwards ``stream`` draws exactly what
-    ``replication_stream(master_seed, replication_index)`` would: counter zero,
-    output buffer empty and no buffered 32-bit half-word, which is the state
-    ``Philox(key=...)`` starts in. (The generator's only other state, the
-    binomial sampler's setup constants, is a pure function of (n, p).) One
-    generator re-keyed per replication costs a fraction of constructing one.
+
+# Philox4x64-10 (Salmon et al., SC'11): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = 0xFFFFFFFF
+
+
+def _mulhilo(a, m: int):
+    """High and low 64-bit halves of the uint64 array ``a`` times ``m``, in 32-bit limbs."""
+    a_lo, a_hi = a & _LO32, a >> 32
+    mid = a_hi * (m & _LO32) + ((a_lo * (m & _LO32)) >> 32)
+    cross = a_lo * (m >> 32) + (mid & _LO32)
+    return a_hi * (m >> 32) + (mid >> 32) + (cross >> 32), a * m
+
+
+def _philox_words(master_seed: int, replications, base, blocks: int) -> np.ndarray:
+    """Words 4 * base .. 4 * (base + blocks) - 1 of each replication's raw stream, (rows, 4 * blocks).
+
+    Block b is Philox4x64-10 of the counter (b + 1, 0, 0, 0) under the key (master_seed, r),
+    as in ``replication_stream``; ``base`` is one block index or one per replication. uint64
+    arrays wrap silently; the key's scalar half is a python int (a numpy scalar warns).
     """
-    stream.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {
-            "counter": [0, 0, 0, 0],
-            "key": _replication_key(master_seed, replication_index),
-        },
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    key1 = np.asarray(replications, dtype=np.uint64).reshape(-1, 1)
+    c0 = np.asarray(base, dtype=np.uint64).reshape(-1, 1) + np.arange(1, blocks + 1, dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    key0 = int(master_seed) & _MASK64
+    for _ in range(10):
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+        key0, key1 = (key0 + _PHILOX_W[0]) & _MASK64, key1 + _PHILOX_W[1]
+    return np.stack((c0, c1, c2, c3), axis=-1).reshape(key1.shape[0], 4 * blocks)
+
+
+def _uniforms(words):
+    """((w >> 12) + 0.5) * 2**-52: 52-bit uniforms strictly inside (0, 1), also at the top word."""
+    return ((words >> 12) + 0.5) * 2.0**-52
+
+
+def _normals(words):
+    """Standard normals from raw words, by inversion: finite, within +-8.2095."""
+    return ndtri(_uniforms(words))
+
+
+def _picks(words, k: int):
+    """Arms 0 .. k - 1 from raw words: ((w >> 11) * k) >> 53."""
+    return ((words >> 11) * k) >> 53
+
+
+@lru_cache(maxsize=64)
+def _binomial_cdf(n: int, p: float) -> np.ndarray:
+    """P(X <= c) for c = 0 .. n of a Binomial(n, p) count (shared, read-only)."""
+    return _read_only(bdtr(np.arange(n + 1), n, p))  # ends at 1: every uniform finds a count
+
+
+def _binomial_counts(words, n: int, p: float):
+    """Binomial(n, p) counts from raw words, by inverting the CDF at their uniforms."""
+    return np.searchsorted(_binomial_cdf(n, p), _uniforms(words))

@@ -595,34 +595,34 @@ def test_main_threads_flag_does_not_change_output(tmp_path, capsys):
 # SHA-256 of the (table, csv, json) output of each bundled config at one worker
 FROZEN_OUTPUTS = {
     "copd_binary_final": (
-        "8b3a9fccadb888c88320764147430ba8dfea4c60790190f6ad1dc4a26353db17",
-        "5287e50593cfaca401cb2dfe2a3bafd50252b2fd83e2bb1b73bce5ba5d484cb6",
-        "5547b8d169bf1242c2cf1a162d1624278eaaf254947077b5b819f07b68147fb9",
+        "fa3a7f8ca728308a8830aa7adb3d338b621f273aab37e7d20fb338caa398c135",
+        "a3191ca2d04b7027849344ae366af0409262ad23bf30b4da5e4f8ef4b264b492",
+        "6cd84dfc5240edf082a9ac573dd32e41404d314987568815fc0417727b3d966d",
     ),
     "copd_setting1": (
-        "a15d52e1efa57ef8b33fee5c1ad8b676f0244bde13c471de267d5c0435f5e3b3",
-        "d948298005cf167d7edeeaf9184e7cf826a746813e4e4dfb4220cead14f2b04e",
-        "0361dedb70cce5b03e531631015b32656cd7c3510c45fdaaffc67b24a380df75",
+        "8ffb4b8a368559ee044a185f554b3a877a5374267ea346539b9f1727216bdc0c",
+        "a1f19619cc8fa1d6d06244dc255c6b631de65ce133e72989c15465eef68c2957",
+        "59c754af30005419c4f9f4d85e8b56c73f2d0c87758854ca6b7266289297ab7c",
     ),
     "copd_threshold": (
-        "438dece99af545bd92237a037d4c6c6f5a70fb9ef63c3b8e82ecca9ca0d73fb9",
-        "1630da4fa757c3e4fc70f8cbd4666b2bd2b0028ac3b57cbdbddc0decb0de3f3d",
-        "900202d9ae98a6ea423e1a44d8ada778d581739e901f422214d47b761b55c5bb",
+        "13234e0539df73906b1fbb322f2d73181c867515afc1f68b0b24409bed53b735",
+        "529a745f2c3ad0dfcfc3fa693b1528e796cb481e107a3a5be9da17b1d11b471f",
+        "8ba1109ca4712070c234de93e56462ffc37a5448dc1a0aae58b628d7512ce6c5",
     ),
     "copd_threshold_sweep": (
-        "0b7a346b3fd183a1d3b7b85d2a049c1a844d091487cdc5d139cd8ddc16e318da",
-        "5b2ddde11d2a5c96bef0adafb0521d15c2da4d51bf155361e5566435edd96bf9",
-        "a423798897b95fd645836ae71e886b7f3f9bb25cfbb06d4c49988b89789ce87c",
+        "dce4e4731a0049e55b69ab9243c8308f99c88e253f8a6e02e2919fcb08536d94",
+        "6805bb37a9a7de3f703410882b975a67df0c418b7490a5752afc49656a17ad4c",
+        "39b381080c65404d172393baa7ded0443909d8d5ee5459b3b7419c99c146df2e",
     ),
     "oncology": (
-        "49eb799cc32b1234bb9998a7e22750b00cf258741ca1e750b19d50d82bc94e14",
-        "a495f636e0828fa70c73c96481a17cd2bbe7918ef7fc23f4d9b1c17ede346e7f",
-        "4f10be843f4c33d411560771c035e1afbbc51ae76773fcd56fb02ddfa6883f02",
+        "ae8e2b0151ef57d3297d620a70df7ced2f2eb3bb9a9bf4db2d284ed881a6b368",
+        "99ea3127fc7aa15e7f4561a81af483fc022672c5dfce769609259d8eed0c89c4",
+        "70b58ca8ead3477c0ca08a2d2a33c05e87c771b08515d8da5cb1fe400df95b1f",
     ),
     "oncology_limits_sweep": (
-        "b99f7be4680146e3c7fda07dff10f3faf63cd194863aef5219906b3f44cf6536",
-        "0ac49b016f016bf6f526483d9710dd0f52d9be189841c92c5f57d7c5acfbb5a8",
-        "8f56338948d6fdaa7dc89584b97c88795e2c4de81dc1b69e1e0087b27f830df7",
+        "d04502114c7093ac96970547abdf9522cb9336ba877efe7d014057b4964d45f7",
+        "d5277a62024cad980e8b03b3b2b2c8328fcaf3710f1b14e9eb4dbb89244a9094",
+        "c627aa95986358a89744819eb235f1a967d4c621a0c4ed39ff61cbb56a989709",
     ),
 }
 

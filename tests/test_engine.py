@@ -3,6 +3,7 @@
 import itertools
 import pickle
 import tracemalloc
+import warnings
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -43,8 +44,10 @@ from seamsim.simmodel import (
     ARM_CORRELATION,
     EffectSpec,
     SampleSizePlan,
+    ScoreModel,
     build_score_model,
     resolve_prevalence,
+    sample_replication,
 )
 from seamsim.statdist import equicorr_max_cdf, replication_stream
 
@@ -263,12 +266,12 @@ def test_varying_prevalence_subgroup_full_test_tallies_are_frozen():
     doc = (CONFIG_DIR / "oncology.yaml").read_text() + "sprev_fixed: false\n"
     scn = replace(parse_config(doc, "subgroup"), replications=2 * 4096 + 5)
     oc = run_scenario(scn)
-    assert (oc.futility_count, oc.prevalence_redraws, oc.clamped_pvalues) == (412, 0, 0)
-    assert oc.union_rejected_count == 6223
+    assert (oc.futility_count, oc.prevalence_redraws, oc.clamped_pvalues) == (435, 0, 0)
+    assert oc.union_rejected_count == 6237
     assert oc.subgroup_counts == {
-        "sub": SubgroupCounts(n=1909, hs=1830, hf=0, both=0, intersection=1831),
-        "full": SubgroupCounts(n=182, hs=0, hf=39, both=0, intersection=46),
-        "both": SubgroupCounts(n=5694, hs=4327, hf=1376, both=1349, intersection=4379),
+        "sub": SubgroupCounts(n=1880, hs=1809, hf=0, both=0, intersection=1810),
+        "full": SubgroupCounts(n=181, hs=0, hf=30, both=0, intersection=33),
+        "both": SubgroupCounts(n=5701, hs=4381, hf=1365, both=1348, intersection=4416),
     }
 
 
@@ -454,30 +457,48 @@ def test_warm_grid_cache_gives_the_cold_cache_result(first, second):
 
 
 def _replay_draws(scn, rep, k):
-    """One replication's draws through its own stream, in the engine's order."""
+    """One replication's draws through its own stream and the scalar functions, in the engine's order."""
     stream = replication_stream(scn.master_seed, rep)
     tau = redraws = pick = None
     if scn.design == "subgroup":
-        tau, redraws = resolve_prevalence(scn.prevalence, False, stream, 2 * scn.plan.stage1_per_arm)
-    eps = stream.standard_normal(3 * k)
+        n = 2 * scn.plan.stage1_per_arm
+        tau, redraws = resolve_prevalence(scn.prevalence, scn.prevalence_fixed, stream, n)
+    # under a zero mean and a unit factor the statistics are the normals themselves
+    eps = sample_replication(ScoreModel(np.zeros(3 * k), np.eye(3 * k), None), stream).values
     if scn.rule.kind == "random-1":
-        pick = stream.integers(k)
+        pick = min(select_treatments(np.zeros(k), scn.rule, stream).continued) - 1
     return eps, tau, redraws, pick
 
 
-@pytest.mark.parametrize(
-    "scn",
-    [
-        treatment_scenario(SelectionRule("random-1"), reps=4301),
-        replace(
-            subgroup_scenario(
-                SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=4301, prevalence_fixed=False
-            ),
-            plan=SampleSizePlan(stage1_per_arm=5, stage2_per_arm=300, enrich_per_arm=200),
-        ),
-    ],
-    ids=["random-1", "varying-prevalence"],
-)
+def _treatment_arms(k, rule=SelectionRule("best-1"), reps=4301):
+    """A K-arm treatment scenario, for the draw-layer tests."""
+    effects = EffectSpec(design="treatment", early=(0.0,) + (0.2,) * k, final=(0.0,) + (0.1,) * k,
+                         correlation=0.4)
+    return replace(treatment_scenario(rule, reps=reps), effects=effects)
+
+
+def _varying(stage1, prevalence, reps=4301):
+    scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=reps,
+                            prevalence=prevalence, prevalence_fixed=False)
+    return replace(scn, plan=SampleSizePlan(stage1_per_arm=stage1, stage2_per_arm=300, enrich_per_arm=200))
+
+
+# one replication's consumption, in each order the engine draws: 6, 12 and 24
+# normals; normals then the random-1 pick; kept binomial tries then normals,
+# with redraws common at n = 10 and n = 20
+DRAW_SCENARIOS = {
+    "random-1": treatment_scenario(SelectionRule("random-1"), reps=4301),
+    "varying-prevalence": _varying(5, 0.3),
+    "normal-6": _treatment_arms(2),
+    "normal-12": _treatment_arms(4),
+    "normal-24": _treatment_arms(8),
+    "normal-then-integers": _treatment_arms(3, SelectionRule("random-1")),
+    "binomial-200": _varying(100, 0.3),
+    "binomial-20-redraws": _varying(10, 0.02),
+}
+
+
+@pytest.mark.parametrize("scn", DRAW_SCENARIOS.values(), ids=DRAW_SCENARIOS.keys())
 def test_chunk_draws_replay_each_replication_stream(scn):
     pre = _prepare(scn)
     eps, taus, picks, redraws = _draw_chunk(pre, 4101, 4301)
@@ -491,8 +512,30 @@ def test_chunk_draws_replay_each_replication_stream(scn):
             assert taus[row] == tau
             total_redraws += extra
     assert redraws == total_redraws
-    if scn.design == "subgroup":
+    if scn.design == "subgroup" and scn.plan.stage1_per_arm <= 10:
         assert redraws > 0
+
+
+PREFIX_SCENARIOS = {f"K={k}": _treatment_arms(k, reps=9000) for k in range(1, 9)}
+PREFIX_SCENARIOS["random-1"] = _treatment_arms(5, SelectionRule("random-1"), reps=9000)
+PREFIX_SCENARIOS["varying-prevalence"] = _varying(10, 0.05, reps=9000)
+
+
+@pytest.mark.parametrize("scn", PREFIX_SCENARIOS.values(), ids=PREFIX_SCENARIOS.keys())
+def test_chunk_draws_are_prefix_stable_and_raise_no_warning(scn):
+    # rows a .. c equal rows a .. b followed by b .. c, b off the chunk grid,
+    # with every warning (a uint64 overflow, say) an error
+    pre = _prepare(scn)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        whole = _draw_chunk(pre, 100, 8292)
+        parts = [_draw_chunk(pre, 100, 5000), _draw_chunk(pre, 5000, 8292)]
+    for got, first, second in list(zip(whole, *parts))[:3]:
+        if got is None:
+            assert first is None and second is None
+        else:
+            assert got.tobytes() == np.concatenate([first, second]).tobytes()
+    assert whole[3] == parts[0][3] + parts[1][3]
 
 
 # ---------------------------------------------------------------------------
@@ -532,62 +575,62 @@ def _oncology_scenario(fixed):
     )
 
 
-_K8_SELECTED = ((0, 8209, 0, 0, 0, 0, 0, 0), (0, 16, 219, 586, 1332, 2602, 4461, 7202))
+_K8_SELECTED = ((0, 8209, 0, 0, 0, 0, 0, 0), (1, 21, 252, 605, 1310, 2594, 4506, 7129))
 
 # every OperatingCharacteristics field, as dataclasses.astuple gives it,
-# recorded from the per-intersection kernel the lattice kernel replaced
+# recorded from the engine under the contract's version 2 draws
 FROZEN_CLOSED_TESTS = {
     "dunnett-inverse-normal": (
         _k8_scenario("dunnett"),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 4, 54, 193, 529, 1295, 2697, 4775), 5950, (7, 8), 5620, None, None),
+         (0, 6, 56, 186, 535, 1318, 2687, 4692), 5924, (7, 8), 5553, None, None),
     ),
     "dunnett-fisher": (
         _k8_scenario("dunnett", "fisher"),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 3, 50, 175, 479, 1215, 2504, 4515), 5666, (7, 8), 5321, None, None),
+         (0, 6, 49, 165, 483, 1202, 2496, 4441), 5622, (7, 8), 5255, None, None),
     ),
     "simes-inverse-normal": (
         _k8_scenario("simes"),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 3, 49, 179, 493, 1193, 2506, 4484), 5577, (7, 8), 5265, None, None),
+         (0, 6, 57, 172, 495, 1221, 2506, 4393), 5572, (7, 8), 5215, None, None),
     ),
     "simes-fisher": (
         _k8_scenario("simes", "fisher"),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 2, 47, 171, 460, 1153, 2398, 4358), 5478, (7, 8), 5137, None, None),
+         (0, 6, 50, 156, 458, 1141, 2389, 4257), 5412, (7, 8), 5049, None, None),
     ),
     "bonferroni-inverse-normal": (
         _k8_scenario("bonferroni"),
-        ("treatment", 8209, 0, 1800.0, 0, 239492, *_K8_SELECTED,
-         (0, 2, 37, 143, 360, 953, 1906, 3475), 4478, (7, 8), 4156, None, None),
+        ("treatment", 8209, 0, 1800.0, 0, 232544, *_K8_SELECTED,
+         (0, 5, 41, 133, 365, 922, 1903, 3343), 4401, (7, 8), 4061, None, None),
     ),
     "bonferroni-fisher": (
         _k8_scenario("bonferroni", "fisher"),
-        ("treatment", 8209, 0, 1800.0, 0, 239492, *_K8_SELECTED,
-         (0, 2, 38, 151, 410, 1060, 2201, 4074), 5143, (7, 8), 4815, None, None),
+        ("treatment", 8209, 0, 1800.0, 0, 232544, *_K8_SELECTED,
+         (0, 6, 43, 145, 421, 1043, 2196, 3955), 5071, (7, 8), 4706, None, None),
     ),
     "dunnett-alpha1": (
         _k8_scenario("dunnett", alpha1=0.005),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 4, 52, 180, 504, 1241, 2598, 4620), 5779, (7, 8), 5453, None, None),
+         (0, 6, 52, 179, 505, 1242, 2591, 4536), 5749, (7, 8), 5393, None, None),
     ),
     "simes-follow-up": (
         _k8_scenario("simes", follow_up=True),
         ("treatment", 8209, 0, 1800.0, 0, 0, *_K8_SELECTED,
-         (0, 1, 28, 108, 291, 781, 1711, 3285), 4268, (7, 8), 3972, None, None),
+         (0, 4, 30, 103, 297, 784, 1667, 3242), 4237, (7, 8), 3880, None, None),
     ),
     "oncology-fixed": (
         _oncology_scenario(True),
-        ("subgroup", 8209, 416, 723.6204166159093, 0, 0, None, None, None, None, None, None,
-         {"sub": (1887, 1815, 0, 0, 1815), "full": (199, 0, 32, 0, 39),
-          "both": (5707, 4355, 1413, 1389, 4391)}, 6226),
+        ("subgroup", 8209, 405, 724.4975027408941, 0, 0, None, None, None, None, None, None,
+         {"sub": (1884, 1820, 0, 0, 1821), "full": (190, 0, 41, 0, 46),
+          "both": (5730, 4297, 1295, 1273, 4346)}, 6180),
     ),
     "oncology-varying": (
         _oncology_scenario(False),
-        ("subgroup", 8209, 412, 723.2793275673042, 0, 0, None, None, None, None, None, None,
-         {"sub": (1913, 1834, 0, 0, 1835), "full": (182, 0, 39, 0, 46),
-          "both": (5702, 4335, 1377, 1350, 4387)}, 6235),
+        ("subgroup", 8209, 435, 722.3535144353758, 0, 0, None, None, None, None, None, None,
+         {"sub": (1882, 1811, 0, 0, 1812), "full": (181, 0, 30, 0, 33),
+          "both": (5711, 4389, 1367, 1350, 4424)}, 6247),
     ),
 }
 
@@ -776,14 +819,17 @@ def test_chunk_selection_matches_the_scalar_selectors(rule):
     z[0, :k] = 0.5                          # every arm tied, on a limit
     z[1, :k] = -np.arange(1.0, k + 1)       # every arm negative
     z[2, :2], z[3, :2] = (1.0, 1.5), (1.5, 1.0)  # differences of exactly +-0.5
-    rand_pick = np.array([np.random.default_rng(row).integers(k) for row in range(rows)])
+    # each row's random-1 pick, from its own stream through the scalar selector
+    random_1 = SelectionRule("random-1")
+    rand_pick = np.array([min(select_treatments(z[row, :k], random_1, replication_stream(5, row)).continued) - 1
+                          for row in range(rows)])
     cont = _select_chunk(pre, z, rand_pick)
     for row in range(rows):
         x = z[row, :k]
         if rule.is_subgroup_rule:
             outcome = select_population(-x[0], -x[1], rule)
         else:
-            outcome = select_treatments(x, rule, np.random.default_rng(row))
+            outcome = select_treatments(x, rule, replication_stream(5, row))
         assert {i + 1 for i in np.flatnonzero(cont[row])} == outcome.continued, row
 
 

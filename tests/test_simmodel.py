@@ -259,10 +259,7 @@ def test_perfect_correlation_ties_endpoints():
 def test_sampling_moments_match_model():
     model = build_score_model(copd_spec(), SampleSizePlan(100, 300))
     stream = replication_stream(17, 0)
-    draws = np.array(
-        [model.mean + model.cholesky @ stream.standard_normal(model.mean.size)
-         for _ in range(200_000)]
-    )
+    draws = np.array([sample_replication(model, stream).values for _ in range(200_000)])
     np.testing.assert_allclose(draws.mean(axis=0), model.mean, atol=0.02)
     np.testing.assert_allclose(np.cov(draws.T), model.cholesky @ model.cholesky.T, atol=0.02)
 

@@ -11,9 +11,21 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import chdtrc, ndtr
 
-from seamsim.statdist import _rekey, bvn_cdf, bvn_max_sf, equicorr_max_cdf, replication_stream
+from seamsim.engine import MAX_REPLICATIONS
+from seamsim.statdist import (
+    _binomial_cdf,
+    _binomial_counts,
+    _normals,
+    _philox_words,
+    _picks,
+    _uniforms,
+    bvn_cdf,
+    bvn_max_sf,
+    equicorr_max_cdf,
+    replication_stream,
+)
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
 BVN_MC = (0.7453841, 1.38e-4)        # P(Z1 <= 1, Z2 <= 1), rho = 0.5
@@ -300,43 +312,92 @@ def test_replication_stream_rejects_negative_index():
         replication_stream(1, -1)
 
 
-def _kept_binomial(n, p):
-    """Binomial draws until one lies strictly inside (0, n), then six normals."""
-    def draw(stream):
-        counts = [stream.binomial(n, p)]
-        while not 0 < counts[-1] < n:
-            counts.append(stream.binomial(n, p))
-        return [np.array(counts), stream.standard_normal(6)]
-    return draw
+# ---------------------------------------------------------------------------
+# random streams: the vectorised Philox kernel and the word recipes
+
+KEY_SEEDS = (0, 1, 2**64 - 1)
+KEY_REPLICATIONS = (0, 4095, 4096, MAX_REPLICATIONS - 1, 2**63)
 
 
-# one replication's consumption, in the orders the engine draws
-REKEY_DRAWS = {
-    "normal-6": lambda g: [g.standard_normal(6)],
-    "normal-12": lambda g: [g.standard_normal(12)],
-    "normal-24": lambda g: [g.standard_normal(24)],
-    # random-1 picks its arm last: a half-used 32-bit word stays buffered
-    "normal-then-integers": lambda g: [g.standard_normal(9), np.array([g.integers(3)])],
-    "binomial-200": _kept_binomial(200, 0.3),
-    "binomial-20-redraws": _kept_binomial(20, 0.02),
-}
+@pytest.mark.parametrize("seed", KEY_SEEDS)
+def test_philox_words_equal_the_raw_stream_of_each_replication(seed):
+    raw = {r: replication_stream(seed, r).bit_generator.random_raw(24) for r in KEY_REPLICATIONS}
+    for base in range(6):  # every block base up to the sixth, to the end of 24 words
+        got = _philox_words(seed, KEY_REPLICATIONS, base, 6 - base)
+        assert got.dtype == np.uint64 and got.shape == (len(KEY_REPLICATIONS), 24 - 4 * base)
+        for row, r in enumerate(KEY_REPLICATIONS):
+            assert got[row].tobytes() == raw[r][4 * base :].tobytes(), (base, r)
+    bases = np.array([5, 0, 3, 1, 2])  # a base per row
+    got = _philox_words(seed, KEY_REPLICATIONS, bases, 1)
+    for row, r in enumerate(KEY_REPLICATIONS):
+        assert got[row].tobytes() == raw[r][4 * bases[row] : 4 * bases[row] + 4].tobytes(), r
 
 
-@pytest.mark.parametrize("name", REKEY_DRAWS)
-def test_rekeyed_generator_replays_each_replication_stream(name):
-    draw = REKEY_DRAWS[name]
-    seed, first = 2**63 + 12345, 4101  # a chunk offset other than 0
-    shared = replication_stream(seed, first)
-    leftovers = redraws = 0
-    for rep in range(first, 4301):
-        _rekey(shared, seed, rep)
-        got = draw(shared)
-        leftovers += shared.bit_generator.state["has_uint32"]
-        if name.startswith("binomial"):
-            redraws += got[0].size - 1
-        want = draw(replication_stream(seed, rep))
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], rep
-    if name == "normal-then-integers":
-        assert leftovers > 0  # the buffered half-word reset is exercised
-    if name == "binomial-20-redraws":
-        assert redraws > 0
+def test_word_recipes_at_the_extreme_words():
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    # the 53-bit form ((w >> 11) + 0.5) * 2**-53 rounds to 1 at the top word
+    # and its normal is +inf; the 52-bit form stays inside (0, 1)
+    assert 0.0 < _uniforms(words)[0] and _uniforms(words)[1] < 1.0
+    normals = _normals(words)
+    assert np.isfinite(normals).all()
+    np.testing.assert_allclose(normals, [-8.2095, 8.2095], atol=5e-5)
+    for k in range(1, 9):
+        assert _picks(words, k).tolist() == [0, k - 1]
+        # the first word of each arm's share of 2**53 picks that arm, the word before it the one below
+        edges = np.array([(((j << 53) + k - 1) // k) << 11 for j in range(k)], dtype=np.uint64)
+        assert _picks(edges, k).tolist() == list(range(k))
+        assert _picks(edges[1:] - np.uint64(1), k).tolist() == list(range(k - 1))
+
+
+BINOMIALS = ((2, 0.9), (10, 0.5), (20, 0.02), (200, 0.3), (200, 1e-3), (600, 0.999), (1000, 0.5))
+
+
+@pytest.mark.parametrize("n, p", BINOMIALS)
+def test_binomial_cdf_table_is_the_binomial_cdf(n, p):
+    table = _binomial_cdf(n, p)
+    assert table.shape == (n + 1,) and not table.flags.writeable
+    assert table[0] >= 0.0 and (np.diff(table) >= 0.0).all() and table[-1] == 1.0
+    pmf = [math.comb(n, c) * p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
+    np.testing.assert_allclose(table, np.minimum(np.cumsum(pmf), 1.0), rtol=1e-9, atol=1e-15)
+    # the extreme words invert to the least count whose CDF reaches their uniform
+    extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
+    want = [next(c for c in range(n + 1) if table[c] >= u) for u in _uniforms(extremes)]
+    assert _binomial_counts(extremes, n, p).tolist() == want
+
+
+def _chi_square_pvalue(observed, expected):
+    """Upper tail of Pearson's statistic, bins pooled from the left to an expected count of 5."""
+    bins, obs, exp = [], 0.0, 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            bins.append([obs, exp])
+            obs = exp = 0.0
+    bins[-1][0] += obs  # the right tail joins the last bin
+    bins[-1][1] += exp
+    o, e = np.array(bins).T
+    return chdtrc(len(bins) - 1, ((o - e) ** 2 / e).sum())
+
+
+# Fixed before the first run: 65536 words (4096 replications x 16) at seed
+# 16161, ten cells, a family error of 1e-3 shared equally (Bonferroni)
+STREAM_SEED, STREAM_CELLS, STREAM_ALPHA = 16161, 10, 1e-3
+
+
+@pytest.fixture(scope="module")
+def stream_words():
+    return _philox_words(STREAM_SEED, np.arange(4096), 0, 4).ravel()
+
+
+@pytest.mark.parametrize("n, p", [(10, 0.5), (20, 0.02), (200, 0.3)])
+def test_binomial_counts_follow_the_binomial_law(stream_words, n, p):
+    observed = np.bincount(_binomial_counts(stream_words, n, p), minlength=n + 1)
+    pmf = [math.comb(n, c) * p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
+    assert _chi_square_pvalue(observed, stream_words.size * np.array(pmf)) > STREAM_ALPHA / STREAM_CELLS
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_random_picks_are_uniform_over_the_arms(stream_words, k):
+    observed = np.bincount(_picks(stream_words, k), minlength=k)
+    assert observed.size == k
+    assert _chi_square_pvalue(observed, np.full(k, stream_words.size / k)) > STREAM_ALPHA / STREAM_CELLS
