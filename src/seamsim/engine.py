@@ -9,11 +9,17 @@ every tally is an integer count, so a run is bit-for-bit reproducible at any
 parallelism. The README's "Reproducibility contract, version 2" states this
 guarantee, the draw order and how raw words become draws.
 
-A run or a sweep starts one process pool at most and maps the chunks of all
-its scenarios over it. A task carries ``(scenario, start, stop)``, about 1 KB;
-the worker prepares the scenario itself, from caches it inherits warm under
-fork. The one matrix product per chunk goes in row blocks small enough that
-OpenBLAS never starts its own threads, so workers do not contend for cores.
+A run or a sweep maps the chunks of all its scenarios through one ``map``, a
+process pool's above one worker. A task carries ``(prepared scenario, start,
+stop)``, under 1 KB; workers read the Dunnett grids from caches they inherit
+warm under fork. The one matrix product per chunk goes in row blocks small
+enough that OpenBLAS never starts its own threads, so workers do not contend.
+
+Both designs tally alike: a row's outcome code holds one base-3 digit per
+comparison, 0 dropped, 1 continued, 2 rejected, plus 3^K if the intersection of
+all is rejected. A chunk's tally is the histogram of its codes, 2 * 3^K bins,
+then its prevalence redraws and clamped p-values. A scenario's tallies merge as
+a running sum, one chunk at a time; every operating characteristic sums bins.
 
 The closed test runs on the subset lattice, the bitmasks 1 .. 2^K - 1, in
 blocks of about 2^17 cells (intersections x rows), 1 MB per array at any K.
@@ -44,7 +50,8 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -258,7 +265,6 @@ class _Prepared:
     u1: float
     u2: float
     fisher_crit: float
-    grids: dict = field(default_factory=dict)  # member count m -> Phi^-1(1-p) on _GRID
 
 
 def _keep_quantile(p_keep):
@@ -293,16 +299,10 @@ def _prepare(scenario: Scenario) -> _Prepared:
         u1, u2 = spending_boundaries(scenario.test.config)
     else:
         u1 = u2 = math.inf
-    pre = _Prepared(
-        scenario=scenario,
-        u1=u1,
-        u2=u2,
-        fisher_crit=fisher_critical_value(scenario.test.config.alpha),
-    )
-    if scenario.test.intersection == "dunnett":
+    if scenario.test.intersection == "dunnett":  # warm the grids, which forked workers inherit
         for m in range(2, scenario.effects.comparisons + 1):
-            pre.grids[m] = _dunnett_grid(m)
-    return pre
+            _dunnett_grid(m)
+    return _Prepared(scenario, u1, u2, fisher_critical_value(scenario.test.config.alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +470,7 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
             elif size == 1:
                 table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
             elif method == "dunnett":
-                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, pre.grids[size])
+                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, _dunnett_grid(size))
             else:  # the subgroup/full test, at a fixed or per-row prevalence
                 tau = pre.scenario.prevalence if taus is None else taus[:, None]
                 p = np.clip(bvn_max_sf(ranked[:, :cut], np.sqrt(tau)), P_CLAMP, 1.0 - P_CLAMP)
@@ -512,8 +512,8 @@ def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
     return rejected, full_reject, clamps
 
 
-def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
-    """One chunk's tallies, keyed by the OperatingCharacteristics fields they sum into."""
+def _simulate_chunk(pre: _Prepared, start: int, stop: int):
+    """One chunk's tally: its outcome-code histogram, then its redraws and clamps."""
     scenario = pre.scenario
     k = scenario.effects.comparisons
     eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
@@ -525,35 +525,14 @@ def _simulate_chunk(pre: _Prepared, start: int, stop: int) -> dict:
         # re-centre the subgroup statistic when stage 2 recruits it alone
         sub_only = cont[:, 0] & ~cont[:, 1]
         z2[sub_only, 0] += shift[sub_only]
-    rejected, full_reject, clamps = _test_chunk(pre, z1, z2, cont, taus)
-
-    tally = {
-        "replications": stop - start,
-        "futility_count": int((~cont.any(axis=1)).sum()),
-        "prevalence_redraws": redraws,
-        "clamped_pvalues": clamps,
-    }
-    if scenario.design == TREATMENT:
-        tally["selected_size_counts"] = np.bincount(cont.sum(axis=1), minlength=k + 1)[1:]
-        tally["arm_selected_counts"] = cont.sum(axis=0)
-        tally["hypothesis_rejected_counts"] = rejected.sum(axis=0)
-        tally["any_rejected_count"] = int(rejected.any(axis=1).sum())
-        if scenario.ptest is not None:
-            cols = [i - 1 for i in scenario.ptest]
-            tally["ptest_rejected_count"] = int(rejected[:, cols].any(axis=1).sum())
-    else:
-        sub, full = cont[:, 0], cont[:, 1]
-        rej_sub, rej_full = rejected[:, 0], rejected[:, 1]
-        branches = np.array([sub & ~full, full & ~sub, sub & full])  # _BRANCHES order
-        events = np.array([sub | full, rej_sub, rej_full, rej_sub & rej_full, full_reject])
-        tally["subgroup_counts"] = (branches[:, None, :] & events[None, :, :]).sum(axis=2)
-        tally["union_rejected_count"] = int((rej_sub | rej_full).sum())
-    return tally
+    rejected, all_rejected, clamps = _test_chunk(pre, z1, z2, cont, taus)
+    code = (cont + rejected.astype(np.int64)) @ 3 ** np.arange(k) + 3**k * all_rejected
+    return np.append(np.bincount(code, minlength=2 * 3**k), [redraws, clamps])
 
 
-def _merge_tallies(tallies: list) -> dict:
-    """Key-wise sum of chunk tallies."""
-    return {key: sum(t[key] for t in tallies) for key in tallies[0]}
+def _merge_tallies(tallies):
+    """Running sum of one scenario's chunk tallies, holding one chunk's at a time."""
+    return sum(tallies)
 
 
 def _pool_size(threads: int, cpus: int, chunks: int) -> int:
@@ -567,39 +546,57 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _chunk_task(scenario: Scenario, start: int, stop: int) -> dict:
-    """One chunk in a pool worker, which prepares the scenario from its own caches."""
-    return _simulate_chunk(_prepare(scenario), start, stop)
-
-
 def _simulate(scenarios: list, threads: int) -> list:
     """Each scenario's OperatingCharacteristics; all their chunks go through one pool at most."""
-    bounds = [
-        [(start, min(start + CHUNK_SIZE, s.replications)) for start in range(0, s.replications, CHUNK_SIZE)]
-        for s in scenarios
-    ]
-    workers = _pool_size(threads, _usable_cpus(), sum(map(len, bounds)))
-    # with a pool, preparing here warms the caches that forked workers inherit
-    prepared = [_prepare(s) for s in scenarios]
-    if workers == 1:
-        tallies = [[_simulate_chunk(pre, a, b) for a, b in chunks] for pre, chunks in zip(prepared, bounds)]
+    chunks = [range(0, s.replications, CHUNK_SIZE) for s in scenarios]
+    prepared = [_prepare(s) for s in scenarios]  # this warms the caches forked workers inherit
+    tasks = [(pre, a, min(a + CHUNK_SIZE, pre.scenario.replications))
+             for pre, starts in zip(prepared, chunks) for a in starts]
+    workers = _pool_size(threads, _usable_cpus(), len(tasks))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        done = (pool.map if pool else map)(_simulate_chunk, *zip(*tasks))
+        return [_characteristics(s, _merge_tallies(next(done) for _ in starts))
+                for s, starts in zip(scenarios, chunks)]
+
+
+@lru_cache(maxsize=None)  # one per K, like _lattice
+def _outcome_digits(k: int):
+    """The (K + 1, 2 * 3^K) digits of every outcome code, lowest first: one per
+    comparison, 0 dropped, 1 continued, 2 rejected; then 1 if all is rejected."""
+    return _read_only(np.indices((2,) + (3,) * k, dtype=np.uint8).reshape(k + 1, -1)[::-1])
+
+
+def _characteristics(scenario: Scenario, total) -> OperatingCharacteristics:
+    """The OperatingCharacteristics of a scenario's merged tally."""
+    k = scenario.effects.comparisons
+    hist, (redraws, clamps) = total[:-2], map(int, total[-2:])
+    digits = _outcome_digits(k)
+    continued, rejected = digits[:k] > 0, digits[:k] == 2
+
+    def counts(events):  # replications with each event, given as a row over the codes
+        return tuple(map(int, events @ hist))
+
+    size = continued.sum(axis=0)
+    fields = {"futility_count": int((size == 0) @ hist)}
+    if scenario.design == TREATMENT:
+        fields.update(
+            selected_size_counts=counts(np.arange(1, k + 1)[:, None] == size),
+            arm_selected_counts=counts(continued),
+            hypothesis_rejected_counts=counts(rejected),
+            any_rejected_count=int(rejected.any(axis=0) @ hist),
+        )
+        if scenario.ptest is not None:
+            fields["ptest_rejected_count"] = int(rejected[[i - 1 for i in scenario.ptest]].any(axis=0) @ hist)
     else:
-        tasks = [(s, a, b) for s, chunks in zip(scenarios, bounds) for a, b in chunks]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = pool.map(_chunk_task, *zip(*tasks))
-            tallies = [[next(done) for _ in chunks] for chunks in bounds]
-    return [_characteristics(s, _merge_tallies(t)) for s, t in zip(scenarios, tallies)]
-
-
-def _characteristics(scenario: Scenario, total: dict) -> OperatingCharacteristics:
-    """The OperatingCharacteristics of a scenario's merged tallies."""
-    for key, value in total.items():
-        if np.ndim(value) == 2:  # subgroup branches, one row each
-            total[key] = {name: SubgroupCounts(*map(int, row)) for name, row in zip(_BRANCHES, value)}
-        elif np.ndim(value) == 1:
-            total[key] = tuple(map(int, value))
+        (sub, full), (rej_sub, rej_full) = continued, rejected
+        events = np.array([size > 0, rej_sub, rej_full, rej_sub & rej_full, digits[k] == 1])
+        branches = (sub & ~full, full & ~sub, sub & full)  # _BRANCHES order
+        fields["subgroup_counts"] = {name: SubgroupCounts(*counts(events & branch))
+                                     for name, branch in zip(_BRANCHES, branches)}
+        fields["union_rejected_count"] = int((rej_sub | rej_full) @ hist)
     oc = OperatingCharacteristics(
-        design=scenario.design, expected_total_sample_size=0.0, ptest=scenario.ptest, **total
+        design=scenario.design, replications=scenario.replications, expected_total_sample_size=0.0,
+        prevalence_redraws=redraws, clamped_pvalues=clamps, ptest=scenario.ptest, **fields,
     )
     return replace(oc, expected_total_sample_size=expected_sample_size(scenario, oc))
 
@@ -715,7 +712,7 @@ def sweep(base: Scenario, axis: str, values, threads: int = 1) -> list:
     for index, value in enumerate(values):
         try:
             scn = _apply_axis(base, axis, value)
-        except ValueError as exc:  # a design check that this point fails
+        except (ValueError, TypeError, OverflowError) as exc:  # a design check, or a value of the wrong kind
             raise InfeasibleScenarioError(f"{axis} {value!r}: {exc}") from exc
         scenarios.append(replace(scn, master_seed=(base.master_seed + index) & _MASK64))
     return [

@@ -792,6 +792,26 @@ def test_chunk_kernel_memory_is_bounded_by_the_block():
     assert peak < 16 * 2**20
 
 
+def test_merging_holds_one_chunk_tally_at_a_time(monkeypatch):
+    scn = replace(_k8_scenario("bonferroni"), replications=10**6)  # 245 chunks
+
+    def fresh_tally(pre, start, stop):  # a 2 * 3^8-bin histogram, redraws and clamps
+        tally = np.zeros(2 * 3**8 + 2, dtype=np.int64)
+        tally[0] = stop - start  # every row stops for futility
+        return tally
+
+    monkeypatch.setattr(engine, "_simulate_chunk", fresh_tally)
+    tracemalloc.start()
+    try:
+        oc = run_scenario(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oc.futility_count == scn.replications
+    # a list of all 245 tallies alone would take 25 MB
+    assert peak < 8 * 2**20
+
+
 SELECTION_RULES = {
     "all": SelectionRule("all"),
     "best-1": SelectionRule("best-1"),
@@ -964,6 +984,12 @@ def test_sweep_validation_errors():
     thresh = treatment_scenario(SelectionRule("threshold", threshold=1.0), reps=100)
     with pytest.raises(InfeasibleScenarioError, match="best-m"):
         sweep(thresh, "stage1-allocation", [30])
+    # values of the wrong kind name the axis value too
+    with pytest.raises(InfeasibleScenarioError, match="stage1-allocation inf"):
+        sweep(base, "stage1-allocation", [float("inf")])
+    sub = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=100)
+    with pytest.raises(InfeasibleScenarioError, match="futility-limits-grid 0.5"):
+        sweep(sub, "futility-limits-grid", [0.5])
 
 
 def test_futility_limit_sweep_reruns_the_subgroup_rule():
