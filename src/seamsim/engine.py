@@ -36,13 +36,13 @@ Simes's table, ranked by p, holds every set of ranks T at m * least(T), where
 least(T) = min(least(T without top), p_top / |T|). An elementary hypothesis
 falls when every intersection holding it does.
 
-Dunnett's map from a maximum statistic to Phi^-1(1 - p) is precomputed on a
-fine grid once per process for each m and interpolated. Against direct
-evaluation the absolute error is below 1e-6 (5e-8 measured) wherever the
-quantile q lies in [-6, 6], i.e. for p down to 1e-9. Past that it grows: below
-3e-5 for |q| in (6, 7], 5e-3 in (7, 7.8] and 2e-2 above; beyond the grid's
-+-8.5 it holds the +-7.9414 of the p-value clamp. The subgroup/full,
-Bonferroni and Simes quantiles are exact up to the clamp.
+Dunnett's map from a maximum statistic to Phi^-1(1 - p) is precomputed on a fine
+grid once per process for each number of arms K, every m from one quadrature
+pass, and interpolated. Against direct evaluation the absolute error is below
+1e-6 (5e-8 measured) wherever the quantile q lies in [-6, 6], i.e. for p down to
+1e-9. Past that it grows: below 3e-5 for |q| in (6, 7], 5e-3 in (7, 7.8] and
+2e-2 above; beyond the grid's +-8.5 it holds the +-7.9414 of the p-value clamp.
+The subgroup/full, Bonferroni and Simes quantiles are exact up to the clamp.
 """
 
 from __future__ import annotations
@@ -272,10 +272,10 @@ def _keep_quantile(p_keep):
     return ndtri(np.clip(p_keep, P_CLAMP, 1.0 - P_CLAMP))
 
 
-@lru_cache(maxsize=None)  # one per m, at most MAX_COMPARISONS - 1 of about 70 KB
-def _dunnett_grid(m: int):
-    """Dunnett quantile grid of m equally allocated arms (shared, read-only)."""
-    return _read_only(_keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)))
+@lru_cache(maxsize=None)  # one per K > 1, at most MAX_COMPARISONS - 1 of (K - 1) x 70 KB
+def _dunnett_grids(k: int):
+    """Dunnett quantile grids of m = 2 .. k equally allocated arms, row m - 2 (shared, read-only)."""
+    return _read_only(_keep_quantile(equicorr_max_cdf(range(2, k + 1), ARM_CORRELATION, _GRID)))
 
 
 @lru_cache(maxsize=8192)
@@ -299,9 +299,9 @@ def _prepare(scenario: Scenario) -> _Prepared:
         u1, u2 = spending_boundaries(scenario.test.config)
     else:
         u1 = u2 = math.inf
-    if scenario.test.intersection == "dunnett":  # warm the grids, which forked workers inherit
-        for m in range(2, scenario.effects.comparisons + 1):
-            _dunnett_grid(m)
+    k = scenario.effects.comparisons
+    if scenario.test.intersection == "dunnett" and k > 1:  # warm the grids, which forked workers inherit
+        _dunnett_grids(k)
     return _Prepared(scenario, u1, u2, fisher_critical_value(scenario.test.config.alpha))
 
 
@@ -470,7 +470,7 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
             elif size == 1:
                 table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
             elif method == "dunnett":
-                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, _dunnett_grid(size))
+                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, _dunnett_grids(k)[size - 2])
             else:  # the subgroup/full test, at a fixed or per-row prevalence
                 tau = pre.scenario.prevalence if taus is None else taus[:, None]
                 p = np.clip(bvn_max_sf(ranked[:, :cut], np.sqrt(tau)), P_CLAMP, 1.0 - P_CLAMP)

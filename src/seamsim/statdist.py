@@ -10,6 +10,7 @@ turn words into normals, random-1 picks and binomial counts.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 import numpy as np
 from scipy.special import bdtr, ndtr, ndtri, owens_t
@@ -25,8 +26,8 @@ _MASK64 = (1 << 64) - 1
 _GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(192)
 _INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
 
-# The quadrature runs over the points in slices of 256: 384 KB per points x
-# nodes temporary, and a point's sum never depends on its batch, so values match.
+# The quadrature runs over the points in slices of 256, 384 KB per points x nodes array of Phi
+# or a running power of it; a point's sums never depend on its batch or the other m asked for.
 _SLICE_POINTS = 256
 
 
@@ -79,7 +80,7 @@ def bvn_cdf(z1, z2, rho):
 
 
 def equicorr_max_cdf(m, r, z):
-    """CDF of the maximum of m equicorrelated standard normals.
+    """CDF of the maximum of m equicorrelated standard normals, for one m or many.
 
     Evaluates ``P(max_i Z_i <= z)`` for ``Z`` multivariate normal with unit
     variances and common correlation ``r`` using the one-factor representation
@@ -87,31 +88,39 @@ def equicorr_max_cdf(m, r, z):
 
         P = E_U[ Phi((z - sqrt(r) U) / sqrt(1-r))^m ].
 
+    Phi is evaluated once per point and node for all m, its powers as a running product
+    (Phi^3 = Phi^2 * Phi): for m <= 8 the CDF is within 1.5 eps (3.3e-16) of that of
+    ``Phi ** m`` at r = 1/2, 2.5 eps at r = 0, and equal to it for m <= 2.
+
     Args:
-        m: number of coordinates (positive integer).
+        m: number of coordinates (positive integer), or a sequence of them.
         r: common correlation in [0, 1).
         z: threshold; scalar or array (vectorised over z).
 
     Returns:
-        Probability in [0, 1], with absolute error below 1e-9 for r <= 0.8.
-        Beyond that the fixed rule loses digits: against mpmath for m in
-        {2, 4, 8} and z in {-1, 0, 1, 2, 3} the worst error is 6e-9 at
-        r = 0.85, 9e-7 at 0.9, 5e-5 at 0.95 and 4e-3 at 0.99.
+        Probability in [0, 1] of shape m.shape + z.shape (a float for scalar m
+        and z), with absolute error below 1e-9 for r <= 0.8. Beyond that the
+        fixed rule loses digits: against mpmath for m in {2, 4, 8} and z in
+        {-1, 0, 1, 2, 3} the worst error is 6e-9 at r = 0.85, 9e-7 at 0.9,
+        5e-5 at 0.95 and 4e-3 at 0.99.
     """
-    if m < 1 or int(m) != m:
-        raise ValueError("m must be a positive integer")
+    ms = np.asarray(m, dtype=float)
+    if ms.size == 0 or not np.all(np.isfinite(ms) & (ms >= 1) & (ms == np.floor(ms))):
+        raise ValueError("m must be a positive integer or a non-empty sequence of them")
     if not 0.0 <= r < 1.0:
         raise ValueError("common correlation must lie in [0, 1)")
-    scalar = np.ndim(z) == 0
     zz = np.asarray(z, dtype=float)
-    x = zz.ravel()
-    out = np.empty(x.size)
+    x, powers = zz.ravel(), ms.ravel()
+    out = np.empty((powers.size, x.size))
     for lo in range(0, x.size, _SLICE_POINTS):
         sl = slice(lo, lo + _SLICE_POINTS)
-        arg = (x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r)
-        out[sl] = (ndtr(arg) ** int(m) * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
-    out = np.clip(out.reshape(zz.shape), 0.0, 1.0)
-    return float(out) if scalar else out
+        cdf = ndtr((x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r))
+        for p, power in enumerate(accumulate(repeat(cdf, int(powers.max())), np.multiply), 1):
+            if p in powers:  # power = Phi^p, as Phi^(p - 1) * Phi
+                out[powers == p, sl] = (power * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
+        del cdf, power  # before the next slice's, so that at most three 384 KB arrays are live
+    out = np.clip(out, 0.0, 1.0, out=out).reshape(ms.shape + zz.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def replication_stream(master_seed: int, replication_index: int) -> np.random.Generator:

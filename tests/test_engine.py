@@ -26,7 +26,7 @@ from seamsim.engine import (
     SubgroupCounts,
     TestSpec,
     _draw_chunk,
-    _dunnett_grid,
+    _dunnett_grids,
     _keep_quantile,
     _lattice_quantiles,
     _model_parts,
@@ -364,7 +364,7 @@ DUNNETT_IDS = [f"dunnett-{m}-{ARM_CORRELATION}" for m in DUNNETT_M]
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(m):
     # midpoints are where linear interpolation is worst
-    grid = _dunnett_grid(m)
+    grid = _dunnett_grids(max(DUNNETT_M))[m - 2]
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
     inside = np.abs(exact) <= 6.0
     assert inside.sum() > 1000
@@ -379,7 +379,7 @@ GRID_TAIL_BOUNDS = ((6.0, 7.0, 3e-5), (7.0, 7.8, 5e-3), (7.8, np.inf, 2e-2))
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_interpolation_error_past_quantile_6_meets_each_stated_bound(m):
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
-    error = np.abs(np.interp(GRID_MIDPOINTS, _GRID, _dunnett_grid(m)) - exact)
+    error = np.abs(np.interp(GRID_MIDPOINTS, _GRID, _dunnett_grids(max(DUNNETT_M))[m - 2]) - exact)
     for lo, hi, bound in GRID_TAIL_BOUNDS:
         regime = (np.abs(exact) > lo) & (np.abs(exact) <= hi)
         assert regime.sum() > 500, (lo, hi)
@@ -393,19 +393,44 @@ TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
 def test_grid_tails_beyond_8_5_match_direct_evaluation(m):
     # np.interp holds the end values past the grid's +-8.5; both sit at the p-value clamp
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, TAIL_POINTS))
-    interpolated = np.interp(TAIL_POINTS, _GRID, _dunnett_grid(m))
+    interpolated = np.interp(TAIL_POINTS, _GRID, _dunnett_grids(max(DUNNETT_M))[m - 2])
     np.testing.assert_array_equal(interpolated, exact)
     np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
 
 
 def test_cached_grids_are_read_only_fresh_builds():
-    _dunnett_grid.cache_clear()
-    dunnett = _dunnett_grid(4)
-    assert _dunnett_grid(4) is dunnett
+    _dunnett_grids.cache_clear()
+    dunnett = _dunnett_grids(4)
+    assert _dunnett_grids(4) is dunnett
     assert not dunnett.flags.writeable
     with pytest.raises(ValueError):
-        dunnett[0] = 0.0
-    assert dunnett.tobytes() == _keep_quantile(equicorr_max_cdf(4, 0.5, _GRID)).tobytes()
+        dunnett[0, 0] = 0.0
+    assert dunnett.shape == (3, _GRID.size)  # m = 2, 3, 4
+    for m in (2, 3, 4):
+        assert dunnett[m - 2].tobytes() == _keep_quantile(equicorr_max_cdf(m, 0.5, _GRID)).tobytes()
+
+
+def test_cold_prepare_builds_every_dunnett_grid_in_one_quadrature_call(monkeypatch):
+    calls = []
+
+    def counted(m, r, z):
+        calls.append(m)
+        return equicorr_max_cdf(m, r, z)
+
+    monkeypatch.setattr(engine, "equicorr_max_cdf", counted)
+    _dunnett_grids.cache_clear()
+    effects = EffectSpec(design="treatment", early=(0.0, 0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7),
+                         final=(0.0, 0.05, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20), correlation=0.4)
+    scn = replace(_dunnett(2), effects=effects)
+    _prepare(scn)
+    _prepare(scn)  # warm
+    assert len(calls) == 1 and list(calls[0]) == list(range(2, 9))
+    grids = _dunnett_grids(8)
+    one_arm = EffectSpec(design="treatment", early=(0.0, 0.2), final=(0.0, 0.1), correlation=0.4)
+    run_scenario(replace(scn, effects=one_arm, rule=SelectionRule("best-1")))  # no m >= 2 to build
+    assert len(calls) == 1
+    for m in range(2, 9):
+        assert grids[m - 2].tobytes() == _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)).tobytes()
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["fixed-tau", "per-row-tau"])
@@ -442,11 +467,10 @@ def _dunnett(k):
 
 @pytest.mark.parametrize("first, second", [(_dunnett(2), _dunnett(4))], ids=["dunnett-m"])
 def test_warm_grid_cache_gives_the_cold_cache_result(first, second):
-    # the second run needs grids the first did not build (member counts 3
-    # and 4 beside the shared 2), so a grid served under the wrong key would
-    # change its tallies
+    # the second run needs a table the first did not build (K = 4 beside
+    # K = 2), so a table served under the wrong key would change its tallies
     def cold(scenario):
-        _dunnett_grid.cache_clear()
+        _dunnett_grids.cache_clear()
         return run_scenario(scenario)
 
     cold_first, cold_second = cold(first), cold(second)

@@ -13,8 +13,12 @@ import numpy as np
 import pytest
 from scipy.special import chdtrc, ndtr
 
-from seamsim.engine import MAX_REPLICATIONS
+from seamsim.engine import _GRID, MAX_REPLICATIONS
+from seamsim.simmodel import ARM_CORRELATION
 from seamsim.statdist import (
+    _GH_NODES,
+    _GH_WEIGHTS,
+    _INV_SQRT_PI,
     _binomial_cdf,
     _binomial_counts,
     _normals,
@@ -236,6 +240,49 @@ def test_quadrature_slices_keep_2d_shapes():
     assert outer[2, 170] == bvn_cdf(z[2, 0], z[0, 170], 0.4)
 
 
+SEQUENCE_POINTS = {
+    "255-points": np.random.default_rng(255).normal(scale=3.0, size=255),
+    "256-points": np.random.default_rng(256).normal(scale=3.0, size=256),
+    "257-points": np.random.default_rng(257).normal(scale=3.0, size=257),
+    "2d-points": np.random.default_rng(7).normal(scale=3.0, size=(3, 171)),
+}
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("points", SEQUENCE_POINTS.values(), ids=SEQUENCE_POINTS.keys())
+def test_equicorr_max_cdf_sequence_matches_single_m_calls(points, r):
+    # one quadrature pass for m = 1 .. 8 gives each m the bits of its own call,
+    # across the 256-point slice edges and for 2-d thresholds
+    batch = equicorr_max_cdf(range(1, 9), r, points)
+    assert batch.shape == (8,) + points.shape
+    for m in range(1, 9):
+        np.testing.assert_array_equal(batch[m - 1], equicorr_max_cdf(m, r, points))
+    np.testing.assert_array_equal(equicorr_max_cdf((8, 2, 5), r, 1.5),
+                                  [equicorr_max_cdf(m, r, 1.5) for m in (8, 2, 5)])
+
+
+@pytest.mark.parametrize("m", [[], [1, 0], range(0, 3), [2, 2.5], [3, math.inf], [math.nan]],
+                         ids=["empty", "zero", "range-from-0", "non-integer", "inf", "nan"])
+def test_equicorr_max_cdf_rejects_bad_sequences(m):
+    with pytest.raises(ValueError):
+        equicorr_max_cdf(m, 0.5, 1.0)
+
+
+def test_running_product_is_within_2_eps_of_pow_on_the_engine_grid():
+    # the reference raises Phi to the m-th power with pow; the running product
+    # may round differently for m >= 3, never for m <= 2 (numpy squares by x * x)
+    r, eps = ARM_CORRELATION, np.finfo(float).eps
+    batch = equicorr_max_cdf(range(1, 9), r, _GRID)
+    for part in np.array_split(np.arange(_GRID.size), 35):
+        cdf = ndtr((_GRID[part, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r))
+        for m in range(1, 9):
+            reference = np.clip((cdf ** m * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI, 0.0, 1.0)
+            if m <= 2:
+                np.testing.assert_array_equal(batch[m - 1, part], reference)
+            else:
+                assert np.max(np.abs(batch[m - 1, part] - reference)) <= 2 * eps, m
+
+
 def test_quadrature_memory_is_bounded_by_the_slice():
     grid = np.linspace(-8.5, 8.5, 8705)  # the engine's quantile grid size
     tracemalloc.start()
@@ -243,6 +290,7 @@ def test_quadrature_memory_is_bounded_by_the_slice():
         bvn_cdf(grid, grid, 0.5)
         bvn_cdf(grid, grid, np.full(grid.size, 0.5))
         equicorr_max_cdf(8, 0.5, grid)
+        equicorr_max_cdf(range(1, 9), 0.5, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
