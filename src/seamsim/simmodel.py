@@ -13,12 +13,13 @@ structure combines
 * independence between the stage-1 and stage-2 recruitment cohorts, which is
   what makes the stage-wise p-values of the combination test independent.
 
-Outcome conventions follow the usual reporting scales: normal effects are
-mean advantages over control, time-to-event effects are minus log hazard
-rates for treatment designs and hazard ratios for subgroup designs, binary
-effects are event rates for treatment designs and odds ratios for subgroup
-designs. Statistics keep their natural sign (hazard/odds-ratio statistics
-are negative for beneficial effects); the engine orients them once.
+Each outcome type has one expected-statistic law shared by both designs; a
+design sets only the effect scale that feeds it. Normal effects are mean
+advantages over control; time-to-event effects (log-rank law) are minus log
+hazard rates for treatment designs and hazard ratios for subgroup designs;
+binary effects (log-odds law) are event rates for treatment designs and odds
+ratios for subgroup designs. Statistics keep their natural sign (hazard/odds-ratio
+statistics are negative for beneficial effects); the engine orients them once.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from .statdist import _binomial_counts, _normals
 __all__ = [
     "TREATMENT",
     "SUBGROUP",
-    "OUTCOME_TYPES",
-    "COHORTS",
     "EffectSpec",
     "SampleSizePlan",
     "ScoreModel",
@@ -49,8 +48,8 @@ __all__ = [
 
 TREATMENT = "treatment"
 SUBGROUP = "subgroup"
-OUTCOME_TYPES = ("N", "T", "B")
-COHORTS = ("stage1", "stage2-full", "stage2-subgroup-only", "stage2-enriched")
+_OUTCOME_TYPES = ("N", "T", "B")
+_COHORTS = ("stage1", "stage2-full", "stage2-subgroup-only", "stage2-enriched")
 
 MAX_COMPARISONS = 8
 
@@ -108,9 +107,9 @@ class EffectSpec:
             if len(self.early) != 2:
                 raise _FieldError("effects", "subgroup designs take exactly (subgroup, full) effects")
         for name, code in (("early", self.early_outcome), ("final", self.final_outcome)):
-            if code not in OUTCOME_TYPES:
+            if code not in _OUTCOME_TYPES:
                 raise _FieldError(f"{name}_outcome",
-                                  f"{name} outcome type must be one of {', '.join(OUTCOME_TYPES)}")
+                                  f"{name} outcome type must be one of {', '.join(_OUTCOME_TYPES)}")
         if not -1.0 <= self.correlation <= 1.0:
             raise _FieldError("correlation", "outcome correlation must lie in [-1, 1]")
         for code, effects in ((self.early_outcome, self.early), (self.final_outcome, self.final)):
@@ -185,57 +184,30 @@ def larger_is_better(design: str, outcome: str) -> bool:
 # effect translations
 
 
-def _z_normal(theta: float, theta0: float, n: float) -> float:
-    return math.sqrt(n / 2.0) * (theta - theta0)
-
-
-def _z_survival_minus_log_hazard(theta: float, theta0: float, n: float) -> float:
-    # Exponential event times observed over one unit of follow-up; hazard in
-    # arm k is exp(-theta_k). Expected events drive the log-rank information.
-    events = n * (1.0 - math.exp(-math.exp(-theta0))) + n * (1.0 - math.exp(-math.exp(-theta)))
-    return math.sqrt(events / 4.0) * (theta - theta0)
-
-
-def _z_binary_rates(rate: float, rate0: float, n: float) -> float:
-    # Effects arrive as event rates; the test statistic is the log odds ratio
-    # over its standard error, oriented so fewer events score higher.
-    theta = math.log((1.0 - rate) / rate)
-    theta0 = math.log((1.0 - rate0) / rate0)
+def _expected_statistic(design: str, code: str, effect: float, control: float, n: float) -> float:
+    """One comparison's expected statistic; subgroup designs ignore ``control``."""
+    if code == "N":
+        return math.sqrt(n / 2.0) * (effect - control)
+    treatment = design == TREATMENT
+    if code == "T":
+        # Log-rank law: exponential event times observed over one unit of
+        # follow-up, expected events pooled over both arms. Treatment effects
+        # are minus log hazard rates, subgroup effects hazard ratios.
+        hazard, hazard0 = (math.exp(-effect), math.exp(-control)) if treatment else (effect, 1.0)
+        events = n * (1.0 - math.exp(-hazard0)) + n * (1.0 - math.exp(-hazard))
+        log_ratio = effect - control if treatment else math.log(effect)
+        return math.sqrt(events / 4.0) * log_ratio
+    # Log-odds law. Treatment effects are event rates, their logit difference
+    # oriented so fewer events score higher; subgroup effects are odds ratios,
+    # whose log is taken once the check has rejected non-positive ones.
+    if treatment:
+        log_ratio = math.log((1.0 - effect) / effect) - math.log((1.0 - control) / control)
+    rate, rate0 = (effect, control) if treatment else (effect / (1.0 + effect), 0.5)
     events, events0 = n * rate, n * rate0
-    for o in (events, events0):
-        if not 0.0 < o < n:
-            raise ValueError("binary outcome is degenerate: expected events outside (0, n)")
-    var = 1.0 / events + 1.0 / (n - events) + 1.0 / events0 + 1.0 / (n - events0)
-    return (theta - theta0) / math.sqrt(var)
-
-
-def _z_hazard_ratio(hr: float, n: float) -> float:
-    # Subgroup designs: effect is the hazard ratio against a unit-hazard
-    # control, so expected events pool both arms.
-    events = n * (1.0 - math.exp(-1.0)) + n * (1.0 - math.exp(-hr))
-    return math.log(hr) * math.sqrt(events / 4.0)
-
-
-def _z_odds_ratio(orr: float, n: float) -> float:
-    # Analogous binary convention: odds ratio against a control at rate 1/2.
-    rate = orr / (1.0 + orr)
-    events, events0 = n * rate, n * 0.5
-    if not 0.0 < events < n:
+    if not (0.0 < events < n and 0.0 < events0 < n):
         raise ValueError("binary outcome is degenerate: expected events outside (0, n)")
     var = 1.0 / events + 1.0 / (n - events) + 1.0 / events0 + 1.0 / (n - events0)
-    return math.log(orr) / math.sqrt(var)
-
-
-def _expected_statistic(design: str, code: str, effect: float, control: float, n: float) -> float:
-    if code == "N":
-        return _z_normal(effect, control, n)
-    if design == TREATMENT:
-        if code == "T":
-            return _z_survival_minus_log_hazard(effect, control, n)
-        return _z_binary_rates(effect, control, n)
-    if code == "T":
-        return _z_hazard_ratio(effect, n)
-    return _z_odds_ratio(effect, n)
+    return (log_ratio if treatment else math.log(effect)) / math.sqrt(var)
 
 
 def effect_to_expectation(
@@ -266,7 +238,7 @@ def effect_to_expectation(
     """
     if endpoint not in ("early", "final"):
         raise ValueError("endpoint must be 'early' or 'final'")
-    if cohort not in COHORTS:
+    if cohort not in _COHORTS:
         raise ValueError(f"unknown cohort {cohort!r}")
     code = spec.early_outcome if endpoint == "early" else spec.final_outcome
     effects = spec.early if endpoint == "early" else spec.final

@@ -112,6 +112,37 @@ def test_survival_hazard_ratio_expectations_match_printed_run():
     assert sub_only[0] == pytest.approx(math.log(0.6) * math.sqrt(o / 4), rel=1e-12)
 
 
+def test_time_to_event_and_binary_expectations_are_frozen():
+    # exact values of the T and B laws under both designs' effect scales:
+    # treatment T reads effects as minus log hazard rates, subgroup B as odds
+    # ratios against a control at rate 1/2
+    treat_t = EffectSpec("treatment", COPD_EARLY, COPD_FINAL, "T", "T", 0.4)
+    plan = SampleSizePlan(100, 300)
+    assert effect_to_expectation(treat_t, plan, "final", "stage1").tolist() == [
+        0.7169317053818021, 0.931899809306327, 1.2493937132735717, 1.0913888092176751,
+    ]
+    assert effect_to_expectation(treat_t, plan, "final", "stage2-full").tolist() == [
+        1.2417621392782827, 1.6140978172823064, 2.164013390046968, 1.89034086837711,
+    ]
+    assert effect_to_expectation(treat_t, plan, "early", "stage1").tolist() == [
+        3.4499363877002045, 4.076072441407697, 4.636675396084507, 4.46616842028011,
+    ]
+    sub_b = EffectSpec("subgroup", (0.6, 0.9), (0.6, 0.9), "B", "B", 0.5)
+    plan = SampleSizePlan(100, 300, enrich_per_arm=200)
+    cohorts = {
+        "stage1": [-0.9731237863984853, -0.3722472601094759],
+        "stage2-full": [-1.68549984009598, -0.6447511674879196],
+        "stage2-enriched": [-2.512594812346425],
+        "stage2-subgroup-only": [-3.0772876103063957],
+    }
+    for cohort, values in cohorts.items():
+        assert effect_to_expectation(sub_b, plan, "final", cohort, prevalence=0.3).tolist() == values
+    treat_b = copd_spec(final=(0.50, 0.45, 0.45, 0.40, 0.40), final_outcome="B")
+    assert effect_to_expectation(treat_b, SampleSizePlan(100, 300), "final", "stage1")[2] == 1.418832319096315
+    sub_t = effect_to_expectation(oncology_spec(), plan, "final", "stage2-enriched")
+    assert sub_t.tolist() == [-3.7595324373526493]
+
+
 def test_effect_to_expectation_requires_prevalence_for_stage1():
     with pytest.raises(ValueError):
         effect_to_expectation(oncology_spec(), SampleSizePlan(100, 300), "early", "stage1")
