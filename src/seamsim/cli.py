@@ -533,6 +533,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        print(f"error: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "sweep":

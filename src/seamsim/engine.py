@@ -10,10 +10,11 @@ parallelism. The README's "Reproducibility contract, version 2" states this
 guarantee, the draw order and how raw words become draws.
 
 A run or a sweep maps the chunks of all its scenarios through one ``map``, a
-process pool's above one worker. A task carries ``(prepared scenario, start,
-stop)``, under 1 KB; workers read the Dunnett grids from caches they inherit
-warm under fork. The one matrix product per chunk goes in row blocks small
-enough that OpenBLAS never starts its own threads, so workers do not contend.
+process pool's above one worker. A task carries ``(scenario, start, stop)``,
+under 1 KB; workers read the Dunnett grids and spending boundaries from caches
+they inherit warm under fork. The one matrix product per chunk goes in row
+blocks small enough that OpenBLAS never starts its own threads, so workers do
+not contend.
 
 Both designs tally alike: a row's outcome code holds one base-3 digit per
 comparison, 0 dropped, 1 continued, 2 rejected, plus 3^K if the intersection of
@@ -48,6 +49,7 @@ The subgroup/full, Bonferroni and Simes quantiles are exact up to the clamp.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
@@ -86,7 +88,6 @@ __all__ = [
     "OperatingCharacteristics",
     "InfeasibleScenarioError",
     "run_scenario",
-    "expected_sample_size",
     "sweep",
     "SweepPoint",
     "SWEEP_AXES",
@@ -165,6 +166,11 @@ class Scenario:
     follow_up: bool = False
 
     def __post_init__(self):
+        for name in ("replications", "master_seed"):  # a float would truncate or fail later
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise _FieldError(name, f"{name} must be an integer, not {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer would reach the JSON export
         if not 1 <= self.replications <= MAX_REPLICATIONS:
             raise _FieldError("replications", f"replications must lie in 1..{MAX_REPLICATIONS}")
         if not 0 <= self.master_seed <= _MASK64:
@@ -259,14 +265,6 @@ class OperatingCharacteristics:
 # preparation
 
 
-@dataclass
-class _Prepared:
-    scenario: Scenario
-    u1: float
-    u2: float
-    fisher_crit: float
-
-
 def _keep_quantile(p_keep):
     """Phi^-1(1 - p) from the probability 1 - p of keeping an intersection."""
     return ndtri(np.clip(p_keep, P_CLAMP, 1.0 - P_CLAMP))
@@ -294,28 +292,25 @@ def _model_parts(spec: EffectSpec, plan: SampleSizePlan, prevalence: float | Non
     return sign * model.mean, sign[:, None] * model.cholesky, shift
 
 
-def _prepare(scenario: Scenario) -> _Prepared:
+def _prepare(scenario: Scenario) -> None:
+    """Warm the caches that forked workers inherit: the spending boundaries and Dunnett grids."""
     if scenario.test.config.method == "inverse-normal":
-        u1, u2 = spending_boundaries(scenario.test.config)
-    else:
-        u1 = u2 = math.inf
+        spending_boundaries(scenario.test.config)
     k = scenario.effects.comparisons
-    if scenario.test.intersection == "dunnett" and k > 1:  # warm the grids, which forked workers inherit
+    if scenario.test.intersection == "dunnett" and k > 1:
         _dunnett_grids(k)
-    return _Prepared(scenario, u1, u2, fisher_critical_value(scenario.test.config.alpha))
 
 
 # ---------------------------------------------------------------------------
 # chunk simulation
 
 
-def _draw_chunk(pre: _Prepared, start: int, stop: int):
+def _draw_chunk(scenario: Scenario, start: int, stop: int):
     """Per-replication draws, in the order the README's contract, version 2, fixes.
 
     Row r reads replication r's own Philox words, computed for the whole chunk at once:
     one per prevalence try until both populations are non-empty, 3K normals, the random-1 pick.
     """
-    scenario = pre.scenario
     seed, k = scenario.master_seed, scenario.effects.comparisons
     reps = np.arange(start, stop, dtype=np.uint64)
     width = 3 * k + (scenario.rule.kind == "random-1")  # words after the prevalence tries
@@ -340,14 +335,13 @@ def _draw_chunk(pre: _Prepared, start: int, stop: int):
     return _normals(words[:, : 3 * k]), taus, rand_pick, redraws
 
 
-def _statistics(pre: _Prepared, eps, taus):
+def _statistics(scenario: Scenario, eps, taus):
     """Oriented statistic matrix (n, 3k) plus each row's subgroup shift.
 
     Rows are grouped by prevalence; a fixed prevalence is one group. The shift
     moves a subgroup design's stage-2 subgroup mean to that of the cohort
     recruited when only the subgroup continues.
     """
-    scenario = pre.scenario
     if taus is None:
         groups = [(scenario.prevalence, slice(None))]
     else:
@@ -370,13 +364,12 @@ def _statistics(pre: _Prepared, eps, taus):
     return z, shift
 
 
-def _select_chunk(pre: _Prepared, z, rand_pick):
+def _select_chunk(scenario: Scenario, z, rand_pick):
     """Vectorised interim selection: the (n, k) continued mask.
 
     A row with no comparison continued is the decision to stop for futility,
     in both designs. ``rand_pick`` holds each row's draw for random-1.
     """
-    scenario = pre.scenario
     n = z.shape[0]
     k = scenario.effects.comparisons
     if scenario.design == TREATMENT:
@@ -386,7 +379,7 @@ def _select_chunk(pre: _Prepared, z, rand_pick):
         if rule.kind == "all":
             cont[:] = True
         elif rule.kind == "random-1":
-            cont = _random_pick_mask(cont, rand_pick)
+            cont[np.arange(n), rand_pick] = True
         elif rule.best_count is not None:
             order = np.argsort(-z, axis=1, kind="stable")
             np.put_along_axis(cont, order[:, : rule.best_count], True, axis=1)
@@ -407,11 +400,6 @@ def _select_chunk(pre: _Prepared, z, rand_pick):
     return s < [l1, l2]
 
 
-def _random_pick_mask(cont, rand_pick):
-    cont[np.arange(cont.shape[0]), rand_pick] = True
-    return cont
-
-
 @lru_cache(maxsize=None)  # one per K, built on first use
 def _lattice(k: int):
     """Tables over the bitmasks below 2^K, as sets of members or of ranks.
@@ -427,14 +415,14 @@ def _lattice(k: int):
     return _read_only(popcount), _read_only(popcount * k + lowest), _read_only(member)
 
 
-def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
+def _lattice_quantiles(scenario: Scenario, z, contrib, taus):
     """Phi^-1(1 - p) of one stage's (intersection, row) cells as (table, index, image).
 
     ``contrib`` marks each row's members with stage data (all of them at
     stage 1). A cell's image is the bitmask of its data members' ranks, 0
     without data; its value is ``table[index]``, the row's table at the image.
     """
-    method = pre.scenario.test.intersection
+    method = scenario.test.intersection
     rows, k = z.shape
     popcount, slot, _ = _lattice(k)
     scores = z if method in ("dunnett", "spiessens-debois") else 1.0 - ndtr(z)
@@ -472,67 +460,65 @@ def _lattice_quantiles(pre: _Prepared, z, contrib, taus):
             elif method == "dunnett":
                 table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, _dunnett_grids(k)[size - 2])
             else:  # the subgroup/full test, at a fixed or per-row prevalence
-                tau = pre.scenario.prevalence if taus is None else taus[:, None]
+                tau = scenario.prevalence if taus is None else taus[:, None]
                 p = np.clip(bvn_max_sf(ranked[:, :cut], np.sqrt(tau)), P_CLAMP, 1.0 - P_CLAMP)
                 table[:, size, :cut] = ndtri(1.0 - p)
         columns = np.take(slot, image)
     return table.ravel(), np.arange(rows) * (table.size // rows) + columns, image
 
 
-def _test_chunk(pre: _Prepared, z1, z2, cont, taus):
+def _test_chunk(scenario: Scenario, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
     member = _lattice(k)[2]
     every = np.ones_like(cont)
-    if pre.scenario.follow_up:
+    if scenario.follow_up:
         # arms dropped at the interim contribute their stage-1 final statistic
         contrib, z2 = every, np.where(cont, z2, z1)
     else:
         contrib = cont
-    config = pre.scenario.test.config
+    config = scenario.test.config
+    if config.method == "inverse-normal":
+        u1, u2 = spending_boundaries(config)
+    else:
+        crit = fisher_critical_value(config.alpha)
     rejected, full_reject, clamps = np.empty_like(cont), np.empty(n, dtype=bool), 0
     step = max(1, _BLOCK_CELLS // member.shape[1])
     for a in range(0, n, step):
         b = min(a + step, n)
         tau = None if taus is None else taus[a:b]
-        y1, i1, _ = _lattice_quantiles(pre, z1[a:b], every[a:b], tau)
-        y2, i2, image2 = _lattice_quantiles(pre, z2[a:b], contrib[a:b], tau)
+        y1, i1, _ = _lattice_quantiles(scenario, z1[a:b], every[a:b], tau)
+        y2, i2, image2 = _lattice_quantiles(scenario, z2[a:b], contrib[a:b], tau)
         # clamp saturation; stage-2 cells without data are structural, not counted
         clamps += int(np.count_nonzero(np.take((y1 <= _YMIN) | (y1 >= _YMAX), i1)))
         clamps += int(np.count_nonzero(np.take((y2 <= _YMIN) | (y2 >= _YMAX), i2) & (image2 > 0)))
         if config.method == "inverse-normal":
-            reject = np.take(config.w1 * y1, i1) + np.take(config.w2 * y2, i2) >= pre.u2
-            if math.isfinite(pre.u1):
-                reject |= np.take(y1, i1) >= pre.u1
+            reject = np.take(config.w1 * y1, i1) + np.take(config.w2 * y2, i2) >= u2
+            if math.isfinite(u1):
+                reject |= np.take(y1, i1) >= u1
         else:
-            reject = np.take(ndtr(-y1), i1) * np.take(ndtr(-y2), i2) <= pre.fisher_crit
+            reject = np.take(ndtr(-y1), i1) * np.take(ndtr(-y2), i2) <= crit
         # an elementary hypothesis falls when every intersection holding it does
         rejected[a:b] = cont[a:b] & ~(member @ ~reject).T
         full_reject[a:b] = reject[-1] & cont[a:b].any(axis=1)
     return rejected, full_reject, clamps
 
 
-def _simulate_chunk(pre: _Prepared, start: int, stop: int):
+def _simulate_chunk(scenario: Scenario, start: int, stop: int):
     """One chunk's tally: its outcome-code histogram, then its redraws and clamps."""
-    scenario = pre.scenario
     k = scenario.effects.comparisons
-    eps, taus, rand_pick, redraws = _draw_chunk(pre, start, stop)
-    z, shift = _statistics(pre, eps, taus)
-    cont = _select_chunk(pre, z, rand_pick)
+    eps, taus, rand_pick, redraws = _draw_chunk(scenario, start, stop)
+    z, shift = _statistics(scenario, eps, taus)
+    cont = _select_chunk(scenario, z, rand_pick)
 
     z1, z2 = z[:, k : 2 * k], z[:, 2 * k :]
     if scenario.design == SUBGROUP:
         # re-centre the subgroup statistic when stage 2 recruits it alone
         sub_only = cont[:, 0] & ~cont[:, 1]
         z2[sub_only, 0] += shift[sub_only]
-    rejected, all_rejected, clamps = _test_chunk(pre, z1, z2, cont, taus)
+    rejected, all_rejected, clamps = _test_chunk(scenario, z1, z2, cont, taus)
     code = (cont + rejected.astype(np.int64)) @ 3 ** np.arange(k) + 3**k * all_rejected
     return np.append(np.bincount(code, minlength=2 * 3**k), [redraws, clamps])
-
-
-def _merge_tallies(tallies):
-    """Running sum of one scenario's chunk tallies, holding one chunk's at a time."""
-    return sum(tallies)
 
 
 def _pool_size(threads: int, cpus: int, chunks: int) -> int:
@@ -549,14 +535,14 @@ def _usable_cpus() -> int:
 def _simulate(scenarios: list, threads: int) -> list:
     """Each scenario's OperatingCharacteristics; all their chunks go through one pool at most."""
     chunks = [range(0, s.replications, CHUNK_SIZE) for s in scenarios]
-    prepared = [_prepare(s) for s in scenarios]  # this warms the caches forked workers inherit
-    tasks = [(pre, a, min(a + CHUNK_SIZE, pre.scenario.replications))
-             for pre, starts in zip(prepared, chunks) for a in starts]
+    for s in scenarios:
+        _prepare(s)
+    tasks = [(s, a, min(a + CHUNK_SIZE, s.replications)) for s, starts in zip(scenarios, chunks) for a in starts]
     workers = _pool_size(threads, _usable_cpus(), len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         done = (pool.map if pool else map)(_simulate_chunk, *zip(*tasks))
-        return [_characteristics(s, _merge_tallies(next(done) for _ in starts))
-                for s, starts in zip(scenarios, chunks)]
+        # a running sum holds one chunk's tally at a time
+        return [_characteristics(s, sum(next(done) for _ in starts)) for s, starts in zip(scenarios, chunks)]
 
 
 @lru_cache(maxsize=None)  # one per K, like _lattice
@@ -568,7 +554,7 @@ def _outcome_digits(k: int):
 
 def _characteristics(scenario: Scenario, total) -> OperatingCharacteristics:
     """The OperatingCharacteristics of a scenario's merged tally."""
-    k = scenario.effects.comparisons
+    k, plan, reps = scenario.effects.comparisons, scenario.plan, scenario.replications
     hist, (redraws, clamps) = total[:-2], map(int, total[-2:])
     digits = _outcome_digits(k)
     continued, rejected = digits[:k] > 0, digits[:k] == 2
@@ -587,6 +573,11 @@ def _characteristics(scenario: Scenario, total) -> OperatingCharacteristics:
         )
         if scenario.ptest is not None:
             fields["ptest_rejected_count"] = int(rejected[[i - 1 for i in scenario.ptest]].any(axis=0) @ hist)
+        # every arm plus control recruits stage 1; in stage 2 each continued arm adds a cohort and
+        # the control's is budgeted in every replication, as the published threshold-sweep sample
+        # sizes count it, even when every arm stops
+        arms = int(size @ hist)
+        total_size = (k + 1) * plan.stage1_per_arm + plan.stage2_per_arm * (reps + arms) / reps
     else:
         (sub, full), (rej_sub, rej_full) = continued, rejected
         events = np.array([size > 0, rej_sub, rej_full, rej_sub & rej_full, digits[k] == 1])
@@ -594,11 +585,16 @@ def _characteristics(scenario: Scenario, total) -> OperatingCharacteristics:
         fields["subgroup_counts"] = {name: SubgroupCounts(*counts(events & branch))
                                      for name, branch in zip(_BRANCHES, branches)}
         fields["union_rejected_count"] = int((rej_sub | rej_full) @ hist)
-    oc = OperatingCharacteristics(
-        design=scenario.design, replications=scenario.replications, expected_total_sample_size=0.0,
+        # both arms recruit each stage unless the trial stops for futility, at the
+        # enriched size when only the subgroup continues
+        rows = fields["subgroup_counts"]
+        total_size = 2.0 * plan.stage1_per_arm + 2.0 * (
+            plan.subgroup_only_per_arm * rows["sub"].n + plan.stage2_per_arm * (rows["full"].n + rows["both"].n)
+        ) / reps
+    return OperatingCharacteristics(
+        design=scenario.design, replications=reps, expected_total_sample_size=total_size,
         prevalence_redraws=redraws, clamped_pvalues=clamps, ptest=scenario.ptest, **fields,
     )
-    return replace(oc, expected_total_sample_size=expected_sample_size(scenario, oc))
 
 
 def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristics:
@@ -614,31 +610,6 @@ def run_scenario(scenario: Scenario, threads: int = 1) -> OperatingCharacteristi
         sample size.
     """
     return _simulate([scenario], threads)[0]
-
-
-def expected_sample_size(scenario: Scenario, oc: OperatingCharacteristics) -> float:
-    """Expected total sample size implied by the simulated selections.
-
-    Treatment designs recruit every arm plus control in stage 1; in stage 2
-    each continued arm adds a cohort and the control cohort is budgeted in
-    every replication (the convention behind the published threshold-sweep
-    sample sizes, which count the control follow-through even when all
-    experimental arms stop). Subgroup designs recruit both arms in stage 1
-    and, unless the trial stops for futility, both arms in stage 2 -- at the
-    enriched size when only the subgroup continues.
-    """
-    plan = scenario.plan
-    reps = oc.replications
-    if scenario.design == TREATMENT:
-        k = scenario.effects.comparisons
-        continued = sum(m * c for m, c in enumerate(oc.selected_size_counts, start=1))
-        return (k + 1) * plan.stage1_per_arm + plan.stage2_per_arm * (reps + continued) / reps
-    rows = oc.subgroup_counts
-    stage2 = 2.0 * (
-        plan.subgroup_only_per_arm * rows["sub"].n
-        + plan.stage2_per_arm * (rows["full"].n + rows["both"].n)
-    )
-    return 2.0 * plan.stage1_per_arm + stage2 / reps
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ turn words into normals, random-1 picks and binomial counts.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -198,11 +199,19 @@ def _picks(words, k: int):
 
 
 @lru_cache(maxsize=64)
-def _binomial_cdf(n: int, p: float) -> np.ndarray:
-    """P(X <= c) for c = 0 .. n of a Binomial(n, p) count (shared, read-only)."""
-    return _read_only(bdtr(np.arange(n + 1), n, p))  # ends at 1: every uniform finds a count
+def _binomial_cdf(n: int, p: float):
+    """(lo, P(X <= c) for c = lo .. hi) of a Binomial(n, p) count X, the table shared and read-only.
+
+    The window is np -+ t, t = 5 sqrt(n) + 1, within 0 .. n: O(sqrt(n)) entries, not n + 1.
+    By Hoeffding's bound, P(|X - np| >= t) <= exp(-2 t^2 / n) < 2^-72 on each side, so every
+    uniform, in [2^-53, 1 - 2^-53], inverts to a count inside it, as with the full table.
+    """
+    t = 5.0 * math.sqrt(n) + 1.0
+    lo, hi = max(0, math.floor(n * p - t)), min(n, math.ceil(n * p + t))
+    return lo, _read_only(bdtr(np.arange(lo, hi + 1), n, p))
 
 
 def _binomial_counts(words, n: int, p: float):
     """Binomial(n, p) counts from raw words, by inverting the CDF at their uniforms."""
-    return np.searchsorted(_binomial_cdf(n, p), _uniforms(words))
+    lo, table = _binomial_cdf(n, p)
+    return lo + np.searchsorted(table, _uniforms(words))

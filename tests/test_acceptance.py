@@ -31,7 +31,7 @@ from seamsim.cli import (
     parse_config,
     parse_sweep_config,
 )
-from seamsim.engine import expected_sample_size, sweep
+from seamsim.engine import sweep
 from seamsim.simmodel import build_score_model
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -112,7 +112,7 @@ def test_threshold_sweep_expected_sample_sizes(criterion):
         2199.5, 2197.3, 2188.1, 2164.3, 2109.0, 1991.2, 1802.5,
         1548.2, 1264.0, 1004.2, 807.9, 688.2, 631.0,
     )  # tolerance 30 patients each
-    sizes = [expected_sample_size(p.scenario, p.oc) for p in points]
+    sizes = [p.oc.expected_total_sample_size for p in points]
     worst = max(abs(a - b) for a, b in zip(sizes, reference))
     ok = len(sizes) == len(reference) and worst <= 30.0
     criterion(4, ok, f"13-point threshold sweep: worst E[N] diff {worst:.1f} (tol 30)")

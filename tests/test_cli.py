@@ -486,6 +486,16 @@ def test_main_exit_code_for_config_errors(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # 0xff never occurs in UTF-8: decoding fails before YAML sees the text
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"n: {stage1: 100, stage2: 300}\nseed: \xff\n")
+    for command in (["treatsel", "run"], ["subpop", "run"], ["sweep"]):
+        assert main(command + ["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not UTF-8 text: ") and "0xff" in err
+
+
 @pytest.mark.parametrize(
     "key, command, doc, message",
     [

@@ -14,7 +14,14 @@ from scipy.special import ndtr, ndtri
 from oracle import replay
 from seamsim import engine
 from seamsim.cli import parse_config, parse_sweep_config
-from seamsim.closedtest import P_CLAMP, CombinationConfig, closed_test, intersection_pvalue
+from seamsim.closedtest import (
+    P_CLAMP,
+    CombinationConfig,
+    closed_test,
+    fisher_critical_value,
+    intersection_pvalue,
+    spending_boundaries,
+)
 from seamsim.engine import (
     _BLAS_ROWS,
     _GRID,
@@ -35,7 +42,6 @@ from seamsim.engine import (
     _select_chunk,
     _statistics,
     _test_chunk,
-    expected_sample_size,
     run_scenario,
     sweep,
 )
@@ -45,6 +51,7 @@ from seamsim.simmodel import (
     EffectSpec,
     SampleSizePlan,
     ScoreModel,
+    _FieldError,
     build_score_model,
     resolve_prevalence,
     sample_replication,
@@ -134,6 +141,16 @@ def test_scenario_validation():
         treatment_scenario(SelectionRule("all"), reps=0)
     with pytest.raises(ValueError, match="replications"):
         treatment_scenario(SelectionRule("all"), reps=10_000_001)
+    # a float or a bool is not a count or a seed, even at a whole value; numpy integers are
+    not_integers = {"replications": (100.5, 100.0, True), "master_seed": (1.5, 1.0, np.float64(2.0), False)}
+    for field, values in not_integers.items():
+        for value in values:
+            with pytest.raises(_FieldError, match=f"{field} must be an integer") as caught:
+                replace(treatment_scenario(SelectionRule("all")), **{field: value})
+            assert caught.value.field == field
+    scn = treatment_scenario(SelectionRule("all"), reps=np.int64(100), seed=np.uint64(7))
+    assert type(scn.replications) is int and type(scn.master_seed) is int
+    assert run_scenario(scn) == run_scenario(treatment_scenario(SelectionRule("all"), reps=100, seed=7))
     with pytest.raises(ValueError, match="unknown intersection"):
         TestSpec("holm", CombinationConfig())
 
@@ -336,9 +353,8 @@ def _blocked_product_cases():
 
 @pytest.mark.parametrize("scn, rows", _blocked_product_cases())
 def test_blocked_statistics_product_equals_one_product_bitwise(scn, rows):
-    pre = _prepare(scn)
-    eps, taus, _, _ = _draw_chunk(pre, 0, rows)
-    z, _ = _statistics(pre, eps, taus)
+    eps, taus, _, _ = _draw_chunk(scn, 0, rows)
+    z, _ = _statistics(scn, eps, taus)
     expected = np.empty_like(eps)
     if taus is None:
         groups = [(scn.prevalence, slice(None))]
@@ -439,13 +455,12 @@ def test_saturated_subgroup_full_pvalue_counts_as_clamped(per_row):
     # singletons and the full intersection all read the clamp's quantile
     scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)),
                             method="spiessens-debois", prevalence_fixed=not per_row)
-    pre = _prepare(scn)
     z1, z2, cont = np.full((1, 2), 9.0), np.zeros((1, 2)), np.ones((1, 2), dtype=bool)
     taus = np.array([0.3]) if per_row else None
-    y1, i1, _ = _lattice_quantiles(pre, z1, cont, taus)
+    y1, i1, _ = _lattice_quantiles(scn, z1, cont, taus)
     assert y1[i1[-1, 0]] == _YMAX
     # three stage-1 cells at the clamp; the stage-2 cells, at statistics of 0, are not
-    assert _test_chunk(pre, z1, z2, cont, taus)[2] == 3
+    assert _test_chunk(scn, z1, z2, cont, taus)[2] == 3
 
 
 def _dunnett(k):
@@ -524,8 +539,7 @@ DRAW_SCENARIOS = {
 
 @pytest.mark.parametrize("scn", DRAW_SCENARIOS.values(), ids=DRAW_SCENARIOS.keys())
 def test_chunk_draws_replay_each_replication_stream(scn):
-    pre = _prepare(scn)
-    eps, taus, picks, redraws = _draw_chunk(pre, 4101, 4301)
+    eps, taus, picks, redraws = _draw_chunk(scn, 4101, 4301)
     total_redraws = 0
     for row, rep in enumerate(range(4101, 4301)):
         want_eps, tau, extra, pick = _replay_draws(scn, rep, scn.effects.comparisons)
@@ -549,11 +563,10 @@ PREFIX_SCENARIOS["varying-prevalence"] = _varying(10, 0.05, reps=9000)
 def test_chunk_draws_are_prefix_stable_and_raise_no_warning(scn):
     # rows a .. c equal rows a .. b followed by b .. c, b off the chunk grid,
     # with every warning (a uint64 overflow, say) an error
-    pre = _prepare(scn)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        whole = _draw_chunk(pre, 100, 8292)
-        parts = [_draw_chunk(pre, 100, 5000), _draw_chunk(pre, 5000, 8292)]
+        whole = _draw_chunk(scn, 100, 8292)
+        parts = [_draw_chunk(scn, 100, 5000), _draw_chunk(scn, 5000, 8292)]
     for got, first, second in list(zip(whole, *parts))[:3]:
         if got is None:
             assert first is None and second is None
@@ -693,12 +706,12 @@ def _grid_error(y):
     return 1e-6 if abs(y) <= 6 else 3e-5 if abs(y) <= 7 else 2e-2
 
 
-def _near_a_boundary(pre, z1, z2, contributors, tau):
+def _near_a_boundary(scn, z1, z2, contributors, tau):
     """Whether some intersection's combination statistic lies within the grid error of its boundary.
 
     The statistic is the one ``combine`` computes, from the scalar stage p-values.
     """
-    method, config = pre.scenario.test.intersection, pre.scenario.test.config
+    method, config = scn.test.intersection, scn.test.config
     for size in range(1, len(z1) + 1):
         for members in itertools.combinations(range(len(z1)), size):
             stages = []
@@ -709,10 +722,11 @@ def _near_a_boundary(pre, z1, z2, contributors, tau):
             (y1, e1), (y2, e2) = stages
             if config.method == "fisher":
                 low, high = (ndtr(-(y1 + s * e1)) * ndtr(-(y2 + s * e2)) for s in (1.0, -1.0))
-                near = low <= pre.fisher_crit <= high
+                near = low <= fisher_critical_value(config.alpha) <= high
             else:
-                near = (abs(config.w1 * y1 + config.w2 * y2 - pre.u2) <= config.w1 * e1 + config.w2 * e2
-                        or abs(y1 - pre.u1) <= e1)
+                u1, u2 = spending_boundaries(config)
+                near = (abs(config.w1 * y1 + config.w2 * y2 - u2) <= config.w1 * e1 + config.w2 * e2
+                        or abs(y1 - u1) <= e1)
             if near:
                 return True
     return False
@@ -752,8 +766,7 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
     z1, z2, cont = _hand_built_chunk(k, rows={2: 400, 5: 64, 8: 520}[k])
     rows = z1.shape[0]
     taus = np.random.default_rng(5).uniform(0.05, 0.95, rows) if per_row else None
-    pre = _prepare(scn)
-    rejected, _, _ = _test_chunk(pre, z1, z2, cont, taus)
+    rejected, _, _ = _test_chunk(scn, z1, z2, cont, taus)
     everyone = range(1, k + 1) if follow_up else None
     if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
         z2 = np.where(cont, z2, z1)
@@ -765,7 +778,7 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
         tau = taus[row] if per_row else scn.prevalence
         continued = {i + 1 for i in np.flatnonzero(cont[row])}
         contributors = set(range(k)) if follow_up else {i - 1 for i in continued}
-        if gridded and _near_a_boundary(pre, z1[row], z2[row], contributors, tau):
+        if gridded and _near_a_boundary(scn, z1[row], z2[row], contributors, tau):
             excluded += 1
             continue
         scalar = closed_test(z1[row], z2[row], continued, method, config, tau=tau,
@@ -787,28 +800,27 @@ def test_permuting_the_arms_permutes_the_rejections(method, fixed):
         k = 8
     z1, z2, cont = _hand_built_chunk(k, rows=600, seed=k)  # two blocks at K = 8
     taus = None if fixed else np.full(z1.shape[0], 0.3)
-    pre = _prepare(scn)
-    expected = _test_chunk(pre, z1, z2, cont, taus)
+    expected = _test_chunk(scn, z1, z2, cont, taus)
     assert expected[0].any() and expected[1].any()
     for perm in np.random.default_rng(1).permutation(np.tile(np.arange(k), (3, 1)), axis=1):
-        rejected, full, clamps = _test_chunk(pre, z1[:, perm], z2[:, perm], cont[:, perm], taus)
+        rejected, full, clamps = _test_chunk(scn, z1[:, perm], z2[:, perm], cont[:, perm], taus)
         np.testing.assert_array_equal(rejected, expected[0][:, perm])
         np.testing.assert_array_equal(full, expected[1])
         assert clamps == expected[2]
     # a chunk in which every row stops for futility rejects nothing
-    rejected, full, _ = _test_chunk(pre, z1, z2, np.zeros_like(cont), taus)
+    rejected, full, _ = _test_chunk(scn, z1, z2, np.zeros_like(cont), taus)
     assert not rejected.any() and not full.any()
 
 
 def test_chunk_kernel_memory_is_bounded_by_the_block():
-    pre = _prepare(_k8_scenario("simes", follow_up=True))
+    scn = _k8_scenario("simes", follow_up=True)
     rng = np.random.default_rng(2)
     z1, z2 = rng.normal(size=(2, 4096, 8))
     cont = rng.random((4096, 8)) < 0.25
-    _test_chunk(pre, z1, z2, cont, None)  # build the lattice outside the measurement
+    _test_chunk(scn, z1, z2, cont, None)  # build the lattice outside the measurement
     tracemalloc.start()
     try:
-        _test_chunk(pre, z1, z2, cont, None)
+        _test_chunk(scn, z1, z2, cont, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -819,7 +831,7 @@ def test_chunk_kernel_memory_is_bounded_by_the_block():
 def test_merging_holds_one_chunk_tally_at_a_time(monkeypatch):
     scn = replace(_k8_scenario("bonferroni"), replications=10**6)  # 245 chunks
 
-    def fresh_tally(pre, start, stop):  # a 2 * 3^8-bin histogram, redraws and clamps
+    def fresh_tally(scn, start, stop):  # a 2 * 3^8-bin histogram, redraws and clamps
         tally = np.zeros(2 * 3**8 + 2, dtype=np.int64)
         tally[0] = stop - start  # every row stops for futility
         return tally
@@ -855,7 +867,6 @@ SELECTION_RULES = {
 @pytest.mark.parametrize("rule", SELECTION_RULES.values(), ids=SELECTION_RULES.keys())
 def test_chunk_selection_matches_the_scalar_selectors(rule):
     scn = subgroup_scenario(rule) if rule.is_subgroup_rule else treatment_scenario(rule)
-    pre = _prepare(scn)
     k, rows = scn.effects.comparisons, 400
     z = np.zeros((rows, 3 * k))
     # statistics on a 0.1 grid: ties are common and many land on the limits
@@ -867,7 +878,7 @@ def test_chunk_selection_matches_the_scalar_selectors(rule):
     random_1 = SelectionRule("random-1")
     rand_pick = np.array([min(select_treatments(z[row, :k], random_1, replication_stream(5, row)).continued) - 1
                           for row in range(rows)])
-    cont = _select_chunk(pre, z, rand_pick)
+    cont = _select_chunk(scn, z, rand_pick)
     for row in range(rows):
         x = z[row, :k]
         if rule.is_subgroup_rule:
@@ -1023,8 +1034,3 @@ def test_futility_limit_sweep_reruns_the_subgroup_rule():
     # a stricter subgroup limit can only shrink the subgroup-side branches
     assert points[1].oc.subgroup_counts["sub"].n <= points[0].oc.subgroup_counts["sub"].n
 
-
-def test_expected_sample_size_matches_the_recorded_value():
-    scn = treatment_scenario(SelectionRule("threshold", threshold=0.8), reps=2000)
-    oc = run_scenario(scn)
-    assert expected_sample_size(scn, oc) == oc.expected_total_sample_size

@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from seamsim.closedtest import CombinationConfig
-from seamsim.engine import (
-    OperatingCharacteristics,
-    Scenario,
-    SubgroupCounts,
-    TestSpec,
-    expected_sample_size,
-)
+from seamsim.engine import Scenario, TestSpec, run_scenario
 from seamsim.selection import SelectionRule
 from seamsim.simmodel import (
     EffectSpec,
@@ -312,18 +306,33 @@ def test_subgroup_only_mean_follows_the_planned_cohort():
         means.append(model.subgroup_only)
     assert means[0] != means[1]
     assert build_score_model(copd_spec(), SampleSizePlan(100, 300)).subgroup_only is None
-    # the expected sample size budgets the same cohort: 2 * 100 + 2 * (n * 10 + 300 * 8) / 20
-    counts = {"sub": SubgroupCounts(n=10), "full": SubgroupCounts(n=5), "both": SubgroupCounts(n=3)}
-    oc = OperatingCharacteristics(design="subgroup", replications=20, futility_count=2,
-                                  expected_total_sample_size=0.0, subgroup_counts=counts)
-    for enrich, subgroup_only, size in ((None, 300, 740.0), (200, 200, 640.0)):
-        plan = SampleSizePlan(100, 300, enrich_per_arm=enrich)
-        assert plan.subgroup_only_per_arm == subgroup_only
-        scenario = Scenario(effects=oncology_spec(), plan=plan,
-                            rule=SelectionRule("futility-pair", limits=(0.0, 0.0)),
+
+
+# (rule, enriched size, E[N] at n1 = 100 and n2 = 300): each rule sends every replication
+# down one branch; a treatment design budgets the control's stage-2 cohort even when
+# every arm stops, and a subgroup design recruits the enriched cohort, n2 by default,
+# when only the subgroup continues
+ONE_BRANCH_SIZES = {
+    "treatment-all": (SelectionRule("all"), None, 5 * 100 + 5 * 300),
+    "treatment-none": (SelectionRule("threshold", threshold=math.inf), None, 5 * 100 + 300),
+    "subgroup-only": (SelectionRule("futility-pair", limits=(50.0, -50.0)), 200, 2 * 100 + 2 * 200),
+    "subgroup-only-unenriched": (SelectionRule("futility-pair", limits=(50.0, -50.0)), None, 2 * 100 + 2 * 300),
+    "subgroup-and-full": (SelectionRule("futility-pair", limits=(50.0, 50.0)), 200, 2 * 100 + 2 * 300),
+    "subgroup-futility": (SelectionRule("futility-pair", limits=(-50.0, -50.0)), 200, 2 * 100),
+}
+
+
+@pytest.mark.parametrize("rule, enrich, size", ONE_BRANCH_SIZES.values(), ids=ONE_BRANCH_SIZES.keys())
+def test_expected_sample_size_of_runs_down_one_branch(rule, enrich, size):
+    plan = SampleSizePlan(100, 300, enrich_per_arm=enrich)
+    if rule.is_subgroup_rule:
+        scenario = Scenario(effects=oncology_spec(), plan=plan, rule=rule,
                             test=TestSpec("spiessens-debois", CombinationConfig()),
-                            replications=20, master_seed=1, prevalence=0.3)
-        assert expected_sample_size(scenario, oc) == size
+                            replications=50, master_seed=1, prevalence=0.3)
+    else:
+        scenario = Scenario(effects=copd_spec(), plan=plan, rule=rule,
+                            test=TestSpec("bonferroni", CombinationConfig()), replications=50, master_seed=1)
+    assert run_scenario(scenario).expected_total_sample_size == size
 
 
 def test_resolve_prevalence_fixed_passthrough():

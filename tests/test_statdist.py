@@ -11,7 +11,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from scipy.special import chdtrc, ndtr
+from scipy.special import bdtr, chdtrc, ndtr
 
 from seamsim.engine import _GRID, MAX_REPLICATIONS
 from seamsim.simmodel import ARM_CORRELATION
@@ -402,15 +402,43 @@ BINOMIALS = ((2, 0.9), (10, 0.5), (20, 0.02), (200, 0.3), (200, 1e-3), (600, 0.9
 
 @pytest.mark.parametrize("n, p", BINOMIALS)
 def test_binomial_cdf_table_is_the_binomial_cdf(n, p):
-    table = _binomial_cdf(n, p)
-    assert table.shape == (n + 1,) and not table.flags.writeable
-    assert table[0] >= 0.0 and (np.diff(table) >= 0.0).all() and table[-1] == 1.0
+    lo, table = _binomial_cdf(n, p)
+    hi = lo + table.size - 1
+    assert 0 <= lo <= hi <= n and not table.flags.writeable
+    # the window's CDF starts below the least uniform and reaches the largest
+    assert table[0] >= 0.0 and (np.diff(table) >= 0.0).all()
+    assert (lo == 0 or table[0] < 2.0**-53) and table[-1] >= 1.0 - 2.0**-53
     pmf = [math.comb(n, c) * p**c * (1.0 - p) ** (n - c) for c in range(n + 1)]
-    np.testing.assert_allclose(table, np.minimum(np.cumsum(pmf), 1.0), rtol=1e-9, atol=1e-15)
+    np.testing.assert_allclose(table, np.minimum(np.cumsum(pmf), 1.0)[lo : hi + 1], rtol=1e-9, atol=1e-15)
     # the extreme words invert to the least count whose CDF reaches their uniform
     extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
-    want = [next(c for c in range(n + 1) if table[c] >= u) for u in _uniforms(extremes)]
+    want = [lo + next(c for c in range(table.size) if table[c] >= u) for u in _uniforms(extremes)]
     assert _binomial_counts(extremes, n, p).tolist() == want
+
+
+def test_windowed_binomial_counts_equal_the_full_table_bitwise():
+    words = np.concatenate([
+        np.array([0, 1, 2**12 - 1, 2**12, 2**13, 2**63, 2**64 - 2**12 - 1, 2**64 - 2**12, 2**64 - 1],
+                 dtype=np.uint64),
+        np.random.default_rng(8).integers(0, 2**64 - 1, 512, dtype=np.uint64, endpoint=True),
+    ])
+    uniforms = _uniforms(words)
+    for n in [*range(2, 400), 4097, 123457, 10**6]:
+        for p in (1e-9, 1e-3, 0.02, 0.3, 0.5, 0.999, 1.0 - 1e-6):
+            full = np.searchsorted(bdtr(np.arange(n + 1), n, p), uniforms)
+            assert _binomial_counts(words, n, p).tobytes() == full.tobytes(), (n, p)
+
+
+def test_binomial_table_memory_grows_as_the_root_of_n():
+    # a full table at n = 10^7 would hold 80 MB of CDF values
+    words = np.array([0, 2**64 - 1], dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        _binomial_counts(words, 10**7, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 def _chi_square_pvalue(observed, expected):
