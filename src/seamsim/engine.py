@@ -7,14 +7,12 @@ are processed in fixed-size chunks of 4096, whose streams one vectorised pass
 computes; ``threads`` only distributes the chunks over a process pool, and
 every tally is an integer count, so a run is bit-for-bit reproducible at any
 parallelism. The README's "Reproducibility contract, version 2" states this
-guarantee, the draw order and how raw words become draws.
+guarantee, the draw order, how raw words become draws and draws statistics.
 
 A run or a sweep maps the chunks of all its scenarios through one ``map``, a
 process pool's above one worker. A task carries ``(scenario, start, stop)``,
 under 1 KB; workers read the Dunnett grids and spending boundaries from caches
-they inherit warm under fork. The one matrix product per chunk goes in row
-blocks small enough that OpenBLAS never starts its own threads, so workers do
-not contend.
+they inherit warm under fork.
 
 Both designs tally alike: a row's outcome code holds one base-3 digit per
 comparison, 0 dropped, 1 continued, 2 rejected, plus 3^K if the intersection of
@@ -102,9 +100,6 @@ _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
 _BLOCK_CELLS = 1 << 17  # intersections x rows per block of the closed test
-# rows per statistics product: 256 x (3K)^2 stays within the M*N*K = 4 * 65536
-# up to which OpenBLAS runs a dgemm on the calling thread, for every K <= 8
-_BLAS_ROWS = 256
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
 # subgroup selection branches: subgroup only, full population only, both
@@ -208,7 +203,7 @@ class Scenario:
         for tau in (self.prevalence,) if self.prevalence_fixed else (1 / n, (n - 1) / n):
             at = "" if tau is None else f" at a prevalence of {tau:g}"
             try:
-                mean, _, shift = _model_parts(self.effects, self.plan, tau)
+                _, mean, shift = _model_parts(self.effects, self.plan, tau)
             except ValueError as exc:
                 raise _FieldError("effects", f"effects{at}: {exc}") from exc
             if not np.isfinite(np.append(mean, shift)).all():
@@ -278,18 +273,16 @@ def _dunnett_grids(k: int):
 
 @lru_cache(maxsize=8192)
 def _model_parts(spec: EffectSpec, plan: SampleSizePlan, prevalence: float | None):
-    """The score model's mean and factor, and how far its stage-2 subgroup mean,
-    entry 4, moves when only the subgroup continues (0 in treatment designs),
-    oriented so that larger favours treatment in every block: each statistic
-    drawn is the natural one times its block's sign, exactly."""
+    """Each block's sign, +1 where larger favours treatment; then, times its block's sign,
+    the score model's mean and how far its stage-2 subgroup mean, entry 4, moves when only
+    the subgroup continues (0 in treatment designs)."""
     model = build_score_model(spec, plan, prevalence)
-    early, final = (1.0 if larger_is_better(spec.design, code) else -1.0
-                    for code in (spec.early_outcome, spec.final_outcome))
-    sign = np.repeat([early, final, final], spec.comparisons)
+    codes = (spec.early_outcome, spec.final_outcome, spec.final_outcome)
+    signs = np.array([1.0 if larger_is_better(spec.design, code) else -1.0 for code in codes])
     shift = 0.0
     if model.subgroup_only is not None:
-        shift = final * (model.subgroup_only - float(model.mean[4]))  # inf - inf: NaN, no warning
-    return sign * model.mean, sign[:, None] * model.cholesky, shift
+        shift = signs[2] * (model.subgroup_only - float(model.mean[4]))  # inf - inf: NaN, no warning
+    return signs, np.repeat(signs, spec.comparisons) * model.mean, shift
 
 
 def _prepare(scenario: Scenario) -> None:
@@ -336,32 +329,30 @@ def _draw_chunk(scenario: Scenario, start: int, stop: int):
 
 
 def _statistics(scenario: Scenario, eps, taus):
-    """Oriented statistic matrix (n, 3k) plus each row's subgroup shift.
-
-    Rows are grouped by prevalence; a fixed prevalence is one group. The shift
-    moves a subgroup design's stage-2 subgroup mean to that of the cohort
-    recruited when only the subgroup continues.
-    """
-    if taus is None:
-        groups = [(scenario.prevalence, slice(None))]
-    else:
-        groups = [(float(tau), taus == tau) for tau in np.unique(taus)]
-    z = np.empty_like(eps)
-    shift = np.empty(eps.shape[0])
-    for tau, rows in groups:
-        mean, chol, shift[rows] = _model_parts(scenario.effects, scenario.plan, tau)
-        # nearly equal blocks of at most _BLAS_ROWS rows, so OpenBLAS keeps each
-        # product on this thread; no block has the one row numpy would give to
-        # dgemv, so every row is bitwise that of one product over all of them
-        group = eps[rows]
-        blocks = -(-len(group) // _BLAS_ROWS)
-        edges = [len(group) * i // blocks for i in range(blocks + 1)]
-        product = np.empty_like(group)
-        for a, b in zip(edges, edges[1:]):
-            np.matmul(group[a:b], chol.T, out=product[a:b])
-        product += mean
-        z[rows] = product
-    return z, shift
+    """Oriented statistic matrix (n, 3k) and each row's subgroup shift, from the row's own normals
+    and prevalence alone by the README contract's rule. The shift moves a subgroup design's stage-2
+    subgroup mean to that of the cohort recruited when only the subgroup continues."""
+    spec, n, k = scenario.effects, eps.shape[0], scenario.effects.comparisons
+    if taus is None:  # one model, whose mean broadcasts
+        r = ARM_CORRELATION if scenario.prevalence is None else math.sqrt(scenario.prevalence)
+        signs, mean, shift = _model_parts(spec, scenario.plan, scenario.prevalence)
+        shift = np.full(n, shift)
+    else:  # one model per distinct prevalence, gathered to its rows
+        values, at = np.unique(taus, return_inverse=True)
+        signs, means, shifts = zip(*(_model_parts(spec, scenario.plan, tau) for tau in values.tolist()))
+        signs, r, mean, shift = signs[0], np.sqrt(taus), np.array(means)[at], np.array(shifts)[at]
+    # chol(U), U equicorrelated at r, has d_j on its diagonal and c_j below it in column j
+    e, a = eps.reshape(n, 3, k).transpose(1, 2, 0), np.empty((3, k, n))  # (block, column, row)
+    d, total, prefix = 1.0, 0.0, 0.0  # d_j, sum_{l<j} c_l^2 and sum_{l<j} c_l e_l
+    for j in range(k):
+        a[:, j] = prefix + d * e[:, j]
+        c = (r - total) / d  # c_j
+        prefix, total = prefix + c * e[:, j], total + c * c
+        d = np.sqrt(1.0 - total)
+    rho = spec.correlation
+    a[1] = rho * a[0] + math.sqrt(1.0 - rho * rho) * a[1]  # early and final on the stage-1 patients
+    a *= signs[:, None, None]
+    return np.add(a.reshape(3 * k, n).T, mean, out=np.empty_like(eps)), shift
 
 
 def _select_chunk(scenario: Scenario, z, rand_pick):

@@ -291,10 +291,14 @@ class ScoreModel:
     [[1, rho, 0], [rho, 1, 0], [0, 0, 1]], the covariance is kron(S, U) and
     its factor kron(chol(S), chol(U)), where chol(S) is the closed form
     [[1, 0, 0], [rho, sqrt(1 - rho^2), 0], [0, 0, 1]], exact at rho = +-1.
+    chol(U) has a closed form too (Dunnett 1955): with U's off-diagonal r and
+    s_j = c_0^2 + ... + c_{j-1}^2, column j holds d_j = sqrt(1 - s_j) on the
+    diagonal and c_j = (r - s_j) / d_j below it. The engine draws by that form.
 
     Attributes:
         mean: expected statistics, natural sign conventions.
-        cholesky: lower-triangular factor of the correlation-scale covariance.
+        cholesky: lower-triangular factor of the correlation-scale covariance,
+            by LAPACK; the scalar reference the engine's statistics are held to.
         subgroup_only: the stage-2 subgroup mean when only the subgroup continues,
             at the enriched size if the plan has one; None for treatment designs.
     """

@@ -23,7 +23,6 @@ from seamsim.closedtest import (
     spending_boundaries,
 )
 from seamsim.engine import (
-    _BLAS_ROWS,
     _GRID,
     _YMAX,
     _YMIN,
@@ -53,6 +52,7 @@ from seamsim.simmodel import (
     ScoreModel,
     _FieldError,
     build_score_model,
+    larger_is_better,
     resolve_prevalence,
     sample_replication,
 )
@@ -166,24 +166,21 @@ def test_scenario_validation():
     ],
 )
 def test_model_parts_orient_the_natural_model_exactly(design, early, final, signs):
-    # larger favours treatment in every block; negation is exact, so each
-    # statistic drawn from the parts is its natural value times its block's sign
+    # larger favours treatment in every block; negation is exact, so the mean
+    # and the sub-only shift are their natural values times their block's sign
     effects = (0.0, 0.2, 0.4) if design == "treatment" else (0.7, 0.9)
     spec = EffectSpec(design, effects, effects, early, final, correlation=0.4)
     plan = SampleSizePlan(60, 120, enrich_per_arm=None if design == "treatment" else 90)
     tau = None if design == "treatment" else 0.3
     model = build_score_model(spec, plan, tau)
-    mean, chol, shift = _model_parts(spec, plan, tau)
+    block_signs, mean, shift = _model_parts(spec, plan, tau)
+    assert tuple(block_signs) == signs
     sign = np.repeat(signs, spec.comparisons)
     assert mean.tobytes() == (sign * model.mean).tobytes()
-    assert chol.tobytes() == (sign[:, None] * model.cholesky).tobytes()
     if design == "treatment":
         assert shift == 0.0
     else:
         assert shift == signs[2] * (model.subgroup_only - model.mean[4]) != 0.0
-    eps = np.random.default_rng(8).standard_normal((500, mean.size))
-    natural = model.mean + eps @ model.cholesky.T
-    assert (mean + eps @ chol.T).tobytes() == (sign * natural).tobytes()
 
 
 def test_ptest_arms_are_normalised():
@@ -337,35 +334,48 @@ def test_pool_tasks_carry_the_scenario_not_its_grids(pool_log):
     assert max(pool_log["task_bytes"]) < 4096
 
 
-def _blocked_product_cases():
+def _row_cases():
     for k in range(1, 9):
         effects = EffectSpec(design="treatment", early=tuple(0.1 * i for i in range(k + 1)),
                              final=tuple(0.05 * i for i in range(k + 1)), correlation=0.4)
-        scn = replace(treatment_scenario(SelectionRule("all"), reps=4096 + 17), effects=effects)
-        for rows in (4096, 4096 + 17):
-            yield pytest.param(scn, rows, id=f"K{k}-{rows}")
-    # a small stage-1 cohort puts hundreds of rows at each redrawn prevalence
+        yield pytest.param(replace(treatment_scenario(SelectionRule("all"), reps=4096 + 17), effects=effects),
+                           id=f"K{k}")
+    # an N early and a T final outcome orient the blocks apart
     scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=4096 + 17,
                             prevalence_fixed=False)
-    scn = replace(scn, plan=SampleSizePlan(stage1_per_arm=5, stage2_per_arm=300, enrich_per_arm=200))
-    yield pytest.param(scn, 4096 + 17, id="varying-prevalence")
+    yield pytest.param(replace(scn, effects=replace(scn.effects, early_outcome="N")), id="varying-prevalence")
 
 
-@pytest.mark.parametrize("scn, rows", _blocked_product_cases())
-def test_blocked_statistics_product_equals_one_product_bitwise(scn, rows):
+@pytest.mark.parametrize("scn", _row_cases())
+def test_each_row_statistics_come_from_its_own_normals_alone(scn):
+    rows = scn.replications
     eps, taus, _, _ = _draw_chunk(scn, 0, rows)
-    z, _ = _statistics(scn, eps, taus)
-    expected = np.empty_like(eps)
+
+    def statistics(at):  # the rows ``at`` computed without the others
+        return _statistics(scn, eps[at], None if taus is None else taus[at])
+
+    z, shift = statistics(slice(None))
+    cut = int(np.random.default_rng(scn.effects.comparisons).integers(1, rows))
+    halves = [statistics(slice(None, cut)), statistics(slice(cut, None))]
+    assert np.vstack([h[0] for h in halves]).tobytes() == z.tobytes()
+    assert np.concatenate([h[1] for h in halves]).tobytes() == shift.tobytes()
+    for i in range(rows):
+        alone = statistics(slice(i, i + 1))
+        assert alone[0].tobytes() == z[i].tobytes() and alone[1].tobytes() == shift[i:i + 1].tobytes()
+
+    spec = scn.effects
+    sign = np.repeat([1.0 if larger_is_better(spec.design, code) else -1.0
+                      for code in (spec.early_outcome, spec.final_outcome, spec.final_outcome)],
+                     spec.comparisons)
     if taus is None:
         groups = [(scn.prevalence, slice(None))]
     else:
-        groups = [(float(tau), taus == tau) for tau in np.unique(taus)]
+        values, counts = np.unique(taus, return_counts=True)
+        assert counts.min() == 1  # some prevalence is held by one row of the chunk
+        groups = [(float(tau), taus == tau) for tau in values]
     for tau, at in groups:
-        mean, chol, _ = _model_parts(scn.effects, scn.plan, tau)
-        expected[at] = mean + eps[at] @ chol.T  # one product per prevalence
-    assert np.array_equal(z, expected)
-    if taus is not None:  # some prevalence spans several blocks
-        assert np.unique(taus, return_counts=True)[1].max() > 2 * _BLAS_ROWS
+        model = build_score_model(spec, scn.plan, tau)
+        np.testing.assert_allclose(z[at], sign * (model.mean + eps[at] @ model.cholesky.T), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,15 @@ selected independently, so the threshold rule's selection-size histogram is a
 Poisson-binomial law integrated over U by Gauss-Hermite quadrature. The exact
 side is computed here from the config's numbers alone, with nothing taken from
 the engine or the score model.
+
+Under the global null a Dunnett closed test rejects the intersection of all
+hypotheses at exactly the level alpha, when the rule always continues an arm and
+dropped arms have no follow-up (Bauer and Koehne 1994). Its stage-1 p-value,
+Dunnett's for the largest of K statistics equicorrelated at 1/2, is uniform
+(Dunnett 1955). Given the arms selected, the stage-2 p-value is Dunnett's over
+those arms' stage-2 statistics: uniform again, and independent of stage 1,
+because the stage-2 cohort is. Both combination tests, inverse normal with or
+without stage-1 spending and Fisher, then reject with probability alpha.
 """
 
 import math
@@ -18,8 +27,9 @@ from statistics import NormalDist
 import numpy as np
 from scipy.special import ndtr
 
-from seamsim import run_scenario
+from seamsim import CombinationConfig, EffectSpec, SampleSizePlan, Scenario, SelectionRule, TestSpec, run_scenario
 from seamsim.cli import parse_config
+from seamsim.engine import CHUNK_SIZE, _simulate_chunk
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -65,3 +75,25 @@ def test_threshold_rule_selection_matches_its_exact_law():
         for count, p in zip(counts, [*hist, *arms]):
             worst = max(worst, abs(count / reps - p) / math.sqrt(p * (1.0 - p) / reps))
     assert worst <= bound, f"worst |z| {worst:.2f} above {bound:.2f}"
+
+
+def test_dunnett_rejects_the_global_null_intersection_at_exactly_alpha():
+    # fixed before running: one seed per design at 64 chunks of replications,
+    # each two-sided |z| bound its Bonferroni share of a 0.001 family error
+    alpha, reps = 0.025, 64 * CHUNK_SIZE
+    designs = (  # (K, rule, combination)
+        (4, "best-1", CombinationConfig.from_sample_sizes(100, 300)),
+        (4, "best-2", CombinationConfig.from_sample_sizes(100, 300, method="fisher")),
+        (8, "best-2", CombinationConfig.from_sample_sizes(100, 300, alpha1=0.005)),
+        (8, "random-1", CombinationConfig.from_sample_sizes(100, 300)),
+    )
+    bound = NormalDist().inv_cdf(1.0 - 0.001 / (2 * len(designs)))
+    for seed, (k, rule, config) in enumerate(designs, start=1):
+        assert config.alpha == alpha
+        null = EffectSpec("treatment", (0.0,) * (k + 1), (0.0,) * (k + 1), correlation=0.4)
+        scenario = Scenario(null, SampleSizePlan(100, 300), SelectionRule(rule), TestSpec("dunnett", config),
+                            replications=reps, master_seed=seed)
+        tally = sum(_simulate_chunk(scenario, a, a + CHUNK_SIZE) for a in range(0, reps, CHUNK_SIZE))
+        rate = tally[3**k : -2].sum() / reps  # the codes from 3^K on reject the intersection of all
+        z = (rate - alpha) / math.sqrt(alpha * (1.0 - alpha) / reps)
+        assert abs(z) <= bound, f"K = {k} {rule}: rate {rate:.5f}, |z| {abs(z):.2f} above {bound:.2f}"
