@@ -156,7 +156,7 @@ def intersection_pvalue(
     if method == "bonferroni":
         return float(min(1.0, m * p[0]))
     ranks = np.arange(1, m + 1, dtype=float)
-    return float(np.min(m * p / ranks))
+    return float(m * np.min(p / ranks))  # the engine's order: m times the least p / rank
 
 
 def fisher_critical_value(alpha: float) -> float:

@@ -20,20 +20,16 @@ all is rejected. A chunk's tally is the histogram of its codes, 2 * 3^K bins,
 then its prevalence redraws and clamped p-values. A scenario's tallies merge as
 a running sum, one chunk at a time; every operating characteristic sums bins.
 
-The closed test runs on the subset lattice, the bitmasks 1 .. 2^K - 1, in
-blocks of about 2^17 cells (intersections x rows), 1 MB per array at any K.
-Both stages take one path, given the members with stage data (at stage 1,
-all). Each row ranks its members once, best first and no data last, and one
-pass per member gives each cell its image, the bitmask of its data members'
-ranks: image(S) = image(S without top) | image(top). The cell reads
-Phi^-1(1 - p) from the row's table at its image; an empty image reads p = 1,
-which rejects nothing and counts no clamp. Dunnett's table is indexed by the
-member count m and the image's lowest rank, the best member's. The
-subgroup/full test fills such a table in closed form, at a fixed or per-row
-tau. Bonferroni's p, m times the best member's, comes from such a table too.
-Simes's table, ranked by p, holds every set of ranks T at m * least(T), where
-least(T) = min(least(T without top), p_top / |T|). An elementary hypothesis
-falls when every intersection holding it does.
+The closed test (Marcus, Peritz & Gabriel 1976) rejects a hypothesis when
+every intersection holding it rejects, and evaluates only those that can
+decide (Hommel, Bretz & Maurer 2007). With C a row's members with stage-2
+data and D the rest, an intersection S's stage-2 p-value depends on S & C
+alone, and its rejection never falls as its stage-1 quantile Phi^-1(1 - p)
+rises. That quantile rises with S's best statistic at a fixed |S| (Dunnett,
+Bonferroni, subgroup/full) or as a member's p falls (Simes), so the
+candidates T | W_d, T within C and W_d the d worst members of D, decide:
+(2^c - 1)(K - c + 1) per row, the whole lattice under follow-up. Clamped
+p-values still count every intersection at both stages.
 
 Dunnett's map from a maximum statistic to Phi^-1(1 - p) is precomputed on a fine
 grid once per process for each number of arms K, every m from one quadrature
@@ -99,7 +95,7 @@ _YMIN = float(ndtri(P_CLAMP))
 _YMAX = float(ndtri(1.0 - P_CLAMP))
 _GRID_STEP = 1.0 / 512.0
 _GRID = np.arange(-8.5, 8.5 + 0.5 * _GRID_STEP, _GRID_STEP)
-_BLOCK_CELLS = 1 << 17  # intersections x rows per block of the closed test
+_BLOCK_CELLS = 1 << 17  # 2^K x rows per block of the closed test
 
 SWEEP_AXES = ("stage1-allocation", "threshold", "futility-limits-grid")
 # subgroup selection branches: subgroup only, full population only, both
@@ -393,106 +389,110 @@ def _select_chunk(scenario: Scenario, z, rand_pick):
 
 @lru_cache(maxsize=None)  # one per K, built on first use
 def _lattice(k: int):
-    """Tables over the bitmasks below 2^K, as sets of members or of ranks.
-
-    Returns (popcount, slot, member): a bitmask's member count, and its place
-    popcount * K + lowest member in an (m, rank) table of K ranks, as uint8;
-    the (K, 2^K - 1) membership of the intersections, bitmasks 1 .. 2^K - 1.
-    """
+    """Per bitmask s < 2^K, a set of ranks: popcount, (m, rank) table slot m * K + lowest rank, and worst[d, s],
+    the d highest ranks outside s; weight[m * K + r]: the C(K - 1 - r, m - 1) sets of m ranks, r the lowest."""
     popcount = np.array([bin(s).count("1") for s in range(1 << k)], dtype=np.uint8)
-    # the empty set has no lowest member; its slot, 0, is that of m = 0
     lowest = np.array([max((s & -s).bit_length() - 1, 0) for s in range(1 << k)], dtype=np.uint8)
-    member = (np.arange(1, 1 << k) >> np.arange(k)[:, None]) & 1 == 1
-    return _read_only(popcount), _read_only(popcount * k + lowest), _read_only(member)
+    outside = [[1 << r for r in reversed(range(k)) if not s >> r & 1] for s in range(1 << k)]
+    worst = np.array([[sum(bits[:d]) for bits in outside] for d in range(k + 1)], dtype=np.uint8)
+    weight = np.array([math.comb(k - 1 - r, m - 1) if m else 0 for m in range(k + 1) for r in range(k)])
+    return tuple(map(_read_only, (popcount, popcount * k + lowest, worst, weight)))
 
 
-def _lattice_quantiles(scenario: Scenario, z, contrib, taus):
-    """Phi^-1(1 - p) of one stage's (intersection, row) cells as (table, index, image).
+def _quantile(p):  # Phi^-1(1 - p), p clipped to the p-value clamp
+    return ndtri(1.0 - np.clip(p, P_CLAMP, 1.0 - P_CLAMP))
 
-    ``contrib`` marks each row's members with stage data (all of them at
-    stage 1). A cell's image is the bitmask of its data members' ranks, 0
-    without data; its value is ``table[index]``, the row's table at the image.
-    """
-    method = scenario.test.intersection
-    rows, k = z.shape
-    popcount, slot, _ = _lattice(k)
+
+def _saturated(y):
+    return (y <= _YMIN) | (y >= _YMAX)
+
+
+def _stage_table(scenario: Scenario, z, contrib, cmax: int, tau):
+    """One stage's table, a column per row, and each row's members best first, no data last, as flat
+    indices; ``contrib`` marks members with data, at most ``cmax``. A set of ranks reads its column at its
+    bitmask: Phi^-1(1 - p) by m and lowest rank, or, for Simes, least p / rank, times m for its p-value."""
+    method, (rows, k) = scenario.test.intersection, z.shape
     scores = z if method in ("dunnett", "spiessens-debois") else 1.0 - ndtr(z)
-    # rank each row's members best first, no data last: by p for Simes, by z
-    # for the others (ndtr is not monotone in the last bit near 1/sqrt(2))
+    # ndtr is not monotone in the last bit near 1/sqrt(2): rank by z unless Simes
     key = np.where(contrib, scores if method == "simes" else -z, np.inf)
-    order = np.argsort(key, axis=1, kind="stable")
-    # image(S) = image(S without top) | image(top), from the empty set on
-    bits = np.where(contrib, 1 << np.argsort(order, axis=1, kind="stable"), 0).astype(np.uint8)
-    image = np.zeros((1 << k, rows), dtype=np.uint8)
-    for b in range(k):
-        np.bitwise_or(image[: 1 << b], bits[:, b], out=image[1 << b : 2 << b])
-    image = image[1:]
-    cmax = int(popcount[image[-1]].max())  # the most members with data
-    ranked = np.take_along_axis(scores, order[:, :cmax], axis=1)
+    order = np.argsort(key, axis=1, kind="stable") + k * np.arange(rows)[:, None]
+    ranked = np.take(scores, order[:, :cmax]).T
     if method == "simes":
         # the least p / rank over each set of ranks T, whose top has its largest p
-        least = np.full((rows, 1 << cmax), np.inf)  # the empty set: no stage data
+        least, popcount = np.full((1 << cmax, rows), np.inf), _lattice(k)[0]
         for b in range(cmax):
-            np.minimum(least[:, : 1 << b], ranked[:, b, None] / popcount[1 << b : 2 << b],
-                       out=least[:, 1 << b : 2 << b])
-        # m * least, with m = 1 for the empty set, whose least stays inf (p = 1)
-        simes = np.maximum(popcount[: 1 << cmax], 1) * least
-        table, columns = ndtri(1.0 - np.clip(simes, P_CLAMP, 1.0 - P_CLAMP)), image
-    else:
-        # (m, rank) table: the best of m members with data ranks at most cmax - m
-        table = np.full((rows, cmax + 1, k), _YMIN)  # m = 0: no stage data, p = 1
-        for size in range(1, cmax + 1):
-            cut = cmax - size + 1
-            if method == "bonferroni":
-                pm = np.clip(np.minimum(1.0, size * ranked[:, :cut]), P_CLAMP, 1.0 - P_CLAMP)
-                table[:, size, :cut] = ndtri(1.0 - pm)
-            elif size == 1:
-                table[:, 1, :cut] = np.clip(ranked[:, :cut], _YMIN, _YMAX)
-            elif method == "dunnett":
-                table[:, size, :cut] = np.interp(ranked[:, :cut], _GRID, _dunnett_grids(k)[size - 2])
-            else:  # the subgroup/full test, at a fixed or per-row prevalence
-                tau = scenario.prevalence if taus is None else taus[:, None]
-                p = np.clip(bvn_max_sf(ranked[:, :cut], np.sqrt(tau)), P_CLAMP, 1.0 - P_CLAMP)
-                table[:, size, :cut] = ndtri(1.0 - p)
-        columns = np.take(slot, image)
-    return table.ravel(), np.arange(rows) * (table.size // rows) + columns, image
+            np.minimum(least[: 1 << b], ranked[b] / popcount[1 << b : 2 << b, None], out=least[1 << b : 2 << b])
+        return least, order
+    # (m, rank) table: the best of m members with data ranks at most cmax - m
+    table = np.full((cmax + 1, k, rows), _YMIN)  # m = 0: no stage data, p = 1
+    for size in range(1, cmax + 1):
+        cut = cmax - size + 1
+        if method == "bonferroni":
+            table[size, :cut] = _quantile(np.minimum(1.0, size * ranked[:cut]))
+        elif size == 1:
+            table[1, :cut] = np.clip(ranked[:cut], _YMIN, _YMAX)
+        elif method == "dunnett":
+            table[size, :cut] = np.interp(ranked[:cut], _GRID, _dunnett_grids(k)[size - 2])
+        else:  # the subgroup/full test, at a fixed or per-row prevalence
+            table[size, :cut] = _quantile(bvn_max_sf(ranked[:cut], np.sqrt(tau)))
+    return table.reshape(-1, rows), order
 
 
 def _test_chunk(scenario: Scenario, z1, z2, cont, taus):
     """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
     n, k = z1.shape
-    member = _lattice(k)[2]
-    every = np.ones_like(cont)
-    if scenario.follow_up:
-        # arms dropped at the interim contribute their stage-1 final statistic
-        contrib, z2 = every, np.where(cont, z2, z1)
-    else:
-        contrib = cont
-    config = scenario.test.config
-    if config.method == "inverse-normal":
-        u1, u2 = spending_boundaries(config)
-    else:
-        crit = fisher_critical_value(config.alpha)
-    rejected, full_reject, clamps = np.empty_like(cont), np.empty(n, dtype=bool), 0
-    step = max(1, _BLOCK_CELLS // member.shape[1])
-    for a in range(0, n, step):
-        b = min(a + step, n)
-        tau = None if taus is None else taus[a:b]
-        y1, i1, _ = _lattice_quantiles(scenario, z1[a:b], every[a:b], tau)
-        y2, i2, image2 = _lattice_quantiles(scenario, z2[a:b], contrib[a:b], tau)
-        # clamp saturation; stage-2 cells without data are structural, not counted
-        clamps += int(np.count_nonzero(np.take((y1 <= _YMIN) | (y1 >= _YMAX), i1)))
-        clamps += int(np.count_nonzero(np.take((y2 <= _YMIN) | (y2 >= _YMAX), i2) & (image2 > 0)))
-        if config.method == "inverse-normal":
-            reject = np.take(config.w1 * y1, i1) + np.take(config.w2 * y2, i2) >= u2
-            if math.isfinite(u1):
-                reject |= np.take(y1, i1) >= u1
+    popcount, slot, worst, weight = _lattice(k)
+    simes, config, every = scenario.test.intersection == "simes", scenario.test.config, np.ones_like(cont)
+    # under follow-up, arms dropped at the interim contribute their stage-1 final statistic
+    contrib, z2 = (every, np.where(cont, z2, z1)) if scenario.follow_up else (cont, z2)
+    crit, fisher, ones = fisher_critical_value(config.alpha), config.method == "fisher", np.ones(k, np.uint8)
+    u1, u2 = (None, None) if fisher else spending_boundaries(config)
+    by_size = np.argsort(contrib @ ones, kind="stable")  # the rows in order of c
+    z1, z2, contrib = (np.take(x, by_size, axis=0) for x in (z1, z2, contrib))
+    taus, size_of = None if taus is None else taus[by_size], contrib @ ones
+    rejected, full_reject, clamps = np.zeros_like(cont), np.zeros(n, dtype=bool), 0
+    for a in range(0, n, max(1, _BLOCK_CELLS >> k)):
+        b = min(a + max(1, _BLOCK_CELLS >> k), n)
+        tau, c, cmax = scenario.prevalence if taus is None else taus[a:b], size_of[a:b], int(size_of[b - 1])
+        table1, order1 = _stage_table(scenario, z1[a:b], every[a:b], k, tau)
+        table2, order2 = _stage_table(scenario, z2[a:b], contrib[a:b], cmax, tau)
+        if simes:  # only a row with a p-value within 1e-12 of 0 or 1 can saturate a Simes set
+            edge = (table1[1] < 1e-12) | (table1[1 << (k - 1)] > 1.0 - 1e-12)
+            clamps += int(np.count_nonzero(_saturated(_quantile(popcount[1:, None] * table1[1:, edge]))))
         else:
-            reject = np.take(ndtr(-y1), i1) * np.take(ndtr(-y2), i2) <= crit
-        # an elementary hypothesis falls when every intersection holding it does
-        rejected[a:b] = cont[a:b] & ~(member @ ~reject).T
-        full_reject[a:b] = reject[-1] & cont[a:b].any(axis=1)
-    return rejected, full_reject, clamps
+            clamps += int(np.count_nonzero(_saturated(table1), axis=1) @ weight)
+            # under Fisher, each (m, rank) entry's p-value, once
+            table1, p2 = (ndtr(-table1), ndtr(-table2)) if fisher else (table1, None)
+        # the stage-1 image of each set T of positions, C's members in stage-2 rank order
+        bits = np.empty((b - a, k), dtype=np.uint8)
+        np.put(bits, order1, 1 << np.arange(k))
+        placed, image = np.take(bits, order2[:, :cmax]).T, np.zeros((1 << cmax, b - a), dtype=np.uint8)
+        for p in range(cmax):
+            np.bitwise_or(image[: 1 << p], placed[p], out=image[1 << p : 2 << p])
+        bounds = np.searchsorted(c, np.arange(cmax + 2))
+        # the rows of each c > 0 in the block test every T | W_d at once, as (T, d, row)
+        for size in (np.flatnonzero(bounds[2:] > bounds[1:-1]) + 1).tolist():
+            rows, sets = slice(bounds[size], bounds[size + 1]), slice(1, 1 << size)
+            upper, d = image[sets, rows], np.arange(k + 1 - size)[:, None]
+            image1, columns = upper[:, None] | worst[: k + 1 - size, upper[-1]], np.arange(upper.shape[1])
+            if simes:
+                y1 = _quantile((popcount[sets, None, None] + d) * table1[:, rows][image1, columns])
+                y2 = _quantile(popcount[sets, None] * table2[sets, rows])
+            else:
+                y1, y2 = table1[:, rows][slot[image1], columns], table2[slot[sets], rows]
+            clamps += int(np.count_nonzero(_saturated(y2))) << (k - size)  # T stands for 2^(K - c) sets
+            if fisher:
+                reject = (ndtr(-y1) * ndtr(-y2)[:, None] if simes else y1 * p2[slot[sets, None], rows]) <= crit
+            else:  # u1 is infinite without stage-1 spending
+                reject = (config.w1 * y1 + (config.w2 * y2)[:, None] >= u2) | (y1 >= u1)
+            # a continued hypothesis falls when every candidate holding it rejects
+            t = np.arange(1, 1 << size, dtype=np.uint8)[:, None]
+            kept = np.bitwise_or.reduce(t * ~reject.all(axis=1), axis=0)
+            np.put(rejected[a:b], order2[rows, :size], (kept >> np.arange(size)[:, None] & 1 == 0).T)
+            full_reject[a:b][rows] = reject[-1, -1]  # the intersection of all: T = C, d = K - c
+    back = np.empty_like(by_size)
+    back[by_size] = np.arange(n)  # to the chunk's row order
+    return np.take(rejected, back, axis=0) & cont, np.take(full_reject, back) & (cont @ ones > 0), clamps
 
 
 def _simulate_chunk(scenario: Scenario, start: int, stop: int):

@@ -5,9 +5,17 @@ on ``seamsim`` and returns the tallies ``run_scenario`` reports, keyed by
 ``OperatingCharacteristics`` field name. It matches the engine bit for bit with
 the exactly evaluated Bonferroni, Simes and subgroup/full tests; Dunnett
 quantiles the engine interpolates on a grid.
+
+``clamped_pvalues`` is counted by brute force over every one of the 2^K - 1
+intersections at each stage, stage-2 intersections without data left out: a
+p-value counts when Phi^-1(1 - p), p clipped to [1e-15, 1 - 1e-15], reaches the
+clamp's -7.9413 or +7.9414.
 """
 
+from itertools import combinations
+
 import numpy as np
+from scipy.special import ndtri
 
 from seamsim import (
     build_score_model,
@@ -22,9 +30,30 @@ from seamsim import (
     select_population,
     select_treatments,
 )
+from seamsim.closedtest import P_CLAMP
 
 _BRANCH_OF = {frozenset({1}): "sub", frozenset({2}): "full", frozenset({1, 2}): "both"}
 _EVENTS = ("n", "hs", "hf", "both", "intersection")
+_YMIN, _YMAX = ndtri(P_CLAMP), ndtri(1.0 - P_CLAMP)
+
+
+def _clamps(z1, z2, contributors, method, tau=None) -> int:
+    """Saturated p-values over every intersection of arms 0 .. K - 1 at both stages;
+    stage 2 reads only the ``contributors``' statistics and skips intersections without any."""
+    saturated = {}  # by stage and arms: intersections share their stage-2 arms
+
+    def clamped(stage, z, arms):
+        if (stage, arms) not in saturated:
+            p = min(max(intersection_pvalue(z[list(arms)], method, tau=tau), P_CLAMP), 1.0 - P_CLAMP)
+            saturated[stage, arms] = not _YMIN < ndtri(1.0 - p) < _YMAX
+        return saturated[stage, arms]
+
+    count = 0
+    for size in range(1, len(z1) + 1):
+        for members in combinations(range(len(z1)), size):
+            alive = tuple(i for i in members if i in contributors)
+            count += clamped(1, z1, members) + (clamped(2, z2, alive) if alive else 0)
+    return count
 
 
 def replay(scn) -> dict:
@@ -40,22 +69,23 @@ def _treatment(scn, early, final) -> dict:
     k = spec.comparisons
     model = build_score_model(spec, plan)
     sizes, arms, hyps = np.zeros((3, k), int)
-    futility = any_count = ptest_count = 0
+    futility = any_count = ptest_count = clamps = 0
     for rep in range(scn.replications):
         stream = replication_stream(scn.master_seed, rep)
         x = sample_replication(model, stream).values
         outcome = select_treatments(early * x[:k], scn.rule, stream)
-        if outcome.stopped_for_futility:
-            futility += 1
-            continue
         cont = sorted(outcome.continued)
-        sizes[len(cont) - 1] += 1
-        arms[[a - 1 for a in cont]] += 1
         z1, z2 = final * x[k : 2 * k], final * x[2 * k :]
         contributors = None
         if scn.follow_up:  # dropped arms carry their stage-1 cohort's final statistic
             z2 = np.where(np.isin(np.arange(1, k + 1), cont), z2, z1)
             contributors = range(1, k + 1)
+        clamps += _clamps(z1, z2, {a - 1 for a in contributors or cont}, method)
+        if outcome.stopped_for_futility:
+            futility += 1
+            continue
+        sizes[len(cont) - 1] += 1
+        arms[[a - 1 for a in cont]] += 1
         rejected = closed_test(z1, z2, outcome, method, config, stage2_contributors=contributors)
         hyps[[a - 1 for a in rejected]] += 1
         any_count += bool(rejected)
@@ -66,6 +96,7 @@ def _treatment(scn, early, final) -> dict:
         "arm_selected_counts": tuple(map(int, arms)),
         "hypothesis_rejected_counts": tuple(map(int, hyps)),
         "any_rejected_count": any_count,
+        "clamped_pvalues": clamps,
     }
     if scn.ptest is not None:
         out["ptest_rejected_count"] = ptest_count
@@ -77,7 +108,7 @@ def _subgroup(scn, early, final) -> dict:
     cohort = "stage2-enriched" if plan.enrich_per_arm is not None else "stage2-subgroup-only"
     sub_only_mean = float(effect_to_expectation(spec, plan, "final", cohort)[0])
     branches = {name: np.zeros(len(_EVENTS), int) for name in _BRANCH_OF.values()}
-    futility = union = redraws = 0
+    futility = union = redraws = clamps = 0
     stage1 = 2 * plan.stage1_per_arm
     for rep in range(scn.replications):
         stream = replication_stream(scn.master_seed, rep)
@@ -86,14 +117,15 @@ def _subgroup(scn, early, final) -> dict:
         model = build_score_model(spec, plan, tau)
         x = sample_replication(model, stream).values
         outcome = select_population(-early * x[0], -early * x[1], scn.rule)  # smaller is better
+        z2 = x[4:6].copy()
+        if outcome.continued == {1}:  # the model carries the both-populations stage-2 mean
+            z2[0] += sub_only_mean - model.mean[4]
+        z1, z2 = final * x[2:4], final * z2
+        clamps += _clamps(z1, z2, {a - 1 for a in outcome.continued}, method, tau)
         if outcome.stopped_for_futility:
             futility += 1
             continue
         name = _BRANCH_OF[outcome.continued]
-        z2 = x[4:6].copy()
-        if name == "sub":  # the model carries the both-populations stage-2 mean
-            z2[0] += sub_only_mean - model.mean[4]
-        z1, z2 = final * x[2:4], final * z2
         rejected = closed_test(z1, z2, outcome, method, config, tau=tau)
         p1 = intersection_pvalue(z1, method, tau=tau)
         p2 = intersection_pvalue(z2[[i - 1 for i in sorted(outcome.continued)]], method, tau=tau)
@@ -105,4 +137,5 @@ def _subgroup(scn, early, final) -> dict:
         "subgroup_counts": {name: dict(zip(_EVENTS, map(int, row))) for name, row in branches.items()},
         "union_rejected_count": union,
         "prevalence_redraws": redraws,
+        "clamped_pvalues": clamps,
     }

@@ -34,11 +34,12 @@ from seamsim.engine import (
     _draw_chunk,
     _dunnett_grids,
     _keep_quantile,
-    _lattice_quantiles,
     _model_parts,
     _pool_size,
     _prepare,
+    _quantile,
     _select_chunk,
+    _stage_table,
     _statistics,
     _test_chunk,
     run_scenario,
@@ -467,8 +468,8 @@ def test_saturated_subgroup_full_pvalue_counts_as_clamped(per_row):
                             method="spiessens-debois", prevalence_fixed=not per_row)
     z1, z2, cont = np.full((1, 2), 9.0), np.zeros((1, 2)), np.ones((1, 2), dtype=bool)
     taus = np.array([0.3]) if per_row else None
-    y1, i1, _ = _lattice_quantiles(scn, z1, cont, taus)
-    assert y1[i1[-1, 0]] == _YMAX
+    table, _ = _stage_table(scn, z1, cont, 2, scn.prevalence if taus is None else taus)
+    assert table[2 * 2, 0] == _YMAX  # the intersection of all: m = 2, its best at rank 0
     # three stage-1 cells at the clamp; the stage-2 cells, at statistics of 0, are not
     assert _test_chunk(scn, z1, z2, cont, taus)[2] == 3
 
@@ -742,25 +743,47 @@ def _near_a_boundary(scn, z1, z2, contributors, tau):
     return False
 
 
+def _drawn_chunk(rule, per_size):
+    """Eight arms' stage statistics and continued masks from real draws selected by ``rule``
+    on null early effects: up to ``per_size`` rows of each number of continued arms."""
+    final = (0.0, 0.05, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20)
+    scn = replace(_k8_scenario("bonferroni"), rule=rule,
+                  effects=EffectSpec(design="treatment", early=(0.0,) * 9, final=final, correlation=0.4))
+    eps, taus, rand_pick, _ = _draw_chunk(scn, 0, 4096)
+    z, _ = _statistics(scn, eps, taus)
+    cont = _select_chunk(scn, z, rand_pick)
+    size = cont.sum(axis=1)
+    rows = np.concatenate([np.flatnonzero(size == c)[:per_size] for c in range(9)])
+    return z[rows, 8:16], z[rows, 16:], cont[rows]
+
+
 COMBINATIONS = ("inverse-normal", "fisher", "alpha1")
-# ids "<follow-up>-<combination>-<test>" at K = 5, "k8-..." at K = 8, and
-# "<fixed or per-row tau>-..." for CT-SD at K = 2
+DRAWN_RULES = {"best-2": (SelectionRule("best-2"), 96),
+               "threshold": (SelectionRule("threshold", threshold=0.5), 12)}
+# ids "<follow-up>-<combination>-<test>" at K = 5, "k8-..." at K = 8, "<fixed or
+# per-row tau>-..." for CT-SD at K = 2, and "k8-<rule>-..." for eight arms whose
+# masks come from real draws: best-2 continues two arms in every row, threshold
+# 0.5 from none to all eight (12 rows of each count)
 KERNEL_CASES = {
-    **{f"{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 5)
+    **{f"{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 5, None)
        for method in ("dunnett", "bonferroni", "simes")
        for combination in COMBINATIONS for follow_up in (False, True)},
-    **{f"{tau}-tau-{combination}-spiessens-debois": ("spiessens-debois", combination, False, tau == "per-row", 2)
+    **{f"{tau}-tau-{combination}-spiessens-debois":
+       ("spiessens-debois", combination, False, tau == "per-row", 2, None)
        for tau in ("fixed", "per-row") for combination in COMBINATIONS},
-    **{f"k8-{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 8)
+    **{f"k8-{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 8, None)
        for method, combination, follow_up in (("simes", "inverse-normal", False),
                                               ("simes", "inverse-normal", True),
                                               ("bonferroni", "fisher", False))},
+    **{f"k8-{rule}-{follow_up}-{combination}-{method}": (method, combination, follow_up, False, 8, rule)
+       for rule in DRAWN_RULES for method in ("bonferroni", "simes")
+       for combination in COMBINATIONS for follow_up in (False, True)},
 }
 
 
 @pytest.mark.parametrize("case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys())
 def test_chunk_kernel_matches_the_scalar_closed_test(case):
-    method, combination, follow_up, per_row, k = case
+    method, combination, follow_up, per_row, k, drawn = case
     config = CombinationConfig.from_sample_sizes(
         60, 120, method="fisher" if combination == "fisher" else "inverse-normal",
         alpha1=0.005 if combination == "alpha1" else 0.0,
@@ -772,8 +795,10 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
         scn = replace(treatment_scenario(SelectionRule("all"), method=method, follow_up=follow_up),
                       effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)))
     scn = replace(scn, test=TestSpec(method, config))
-    # K = 2 rows are cheap; at K = 8 the chunk holds the 514-row block edge
-    z1, z2, cont = _hand_built_chunk(k, rows={2: 400, 5: 64, 8: 520}[k])
+    if drawn:
+        z1, z2, cont = _drawn_chunk(*DRAWN_RULES[drawn])
+    else:  # K = 2 rows are cheap; at K = 8 the chunk holds the 512-row block edge
+        z1, z2, cont = _hand_built_chunk(k, rows={2: 400, 5: 64, 8: 520}[k])
     rows = z1.shape[0]
     taus = np.random.default_rng(5).uniform(0.05, 0.95, rows) if per_row else None
     rejected, _, _ = _test_chunk(scn, z1, z2, cont, taus)
@@ -820,6 +845,56 @@ def test_permuting_the_arms_permutes_the_rejections(method, fixed):
     # a chunk in which every row stops for futility rejects nothing
     rejected, full, _ = _test_chunk(scn, z1, z2, np.zeros_like(cont), taus)
     assert not rejected.any() and not full.any()
+
+
+@pytest.mark.parametrize("k, follow_up", [(4, False), (8, False), (8, True)])
+def test_a_row_tests_only_its_candidate_intersections(monkeypatch, k, follow_up):
+    # with Simes and Fisher the kernel's only three-dimensional ndtr calls turn the
+    # candidates' stage-1 quantiles, shaped (T, d, row), into p-values
+    scn = replace(_k8_scenario("simes", "fisher", follow_up=follow_up), ptest=None,
+                  effects=EffectSpec(design="treatment", early=(0.0,) * (k + 1), final=(0.0,) * (k + 1)))
+    candidates = []
+    monkeypatch.setattr(engine, "ndtr", lambda x: candidates.append(np.ndim(x) == 3 and np.size(x)) or ndtr(x))
+    z1, z2, _ = _hand_built_chunk(k, rows=12, seed=3)
+    arms = np.random.default_rng(4).permutation(k)
+    for c in range(k + 1):  # row c continues c arms
+        cont = np.zeros((1, k), dtype=bool)
+        cont[0, arms[:c]] = True
+        candidates.clear()
+        _test_chunk(scn, z1[c : c + 1], z2[c : c + 1], cont, None)
+        have = k if follow_up else c  # members with stage-2 data
+        assert sum(candidates) == (2**have - 1) * (k - have + 1)
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_dunnett_quantiles_fall_with_the_statistic_and_the_member_count(k):
+    # the closed test's candidates stand for the other intersections only if an
+    # intersection's quantile never rises as its best statistic falls: each
+    # grid, row m - 2, is nondecreasing, and no higher than the one of m - 1
+    grids = _dunnett_grids(k)
+    assert (np.diff(grids, axis=1) >= 0).all()
+    assert (grids[1:] <= grids[:-1]).all()
+    assert (grids[0] <= np.clip(_GRID, _YMIN, _YMAX)).all()
+
+
+def test_bonferroni_and_simes_quantiles_fall_as_a_p_value_rises():
+    # a dense p grid, through the clamp band at both ends and each Bonferroni edge 1/m
+    edges = 1.0 / np.arange(1, 9)
+    p = np.unique(np.concatenate([
+        np.linspace(0.0, 1.0, 20001), np.logspace(-20, 0, 20001), 1.0 - np.logspace(-20, -0.3, 20001),
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges, 1.0)]))
+
+    previous = None
+    for m in range(1, 9):
+        bonferroni = _quantile(np.minimum(1.0, m * p))
+        assert (np.diff(bonferroni) <= 0).all()
+        if previous is not None:
+            assert (bonferroni <= previous).all()
+        previous = bonferroni
+        for j in range(1, m + 1):  # Simes: m times p_(j) / j, the engine's order
+            simes = m * (p / j)
+            assert (np.diff(simes) >= 0).all() and (simes >= (m - 1) * (p / j)).all()
+            assert (np.diff(_quantile(simes)) <= 0).all()
 
 
 def test_chunk_kernel_memory_is_bounded_by_the_block():
