@@ -525,6 +525,8 @@ def _usable_cpus() -> int:
 
 def _simulate(scenarios: list, threads: int) -> list:
     """Each scenario's OperatingCharacteristics; all their chunks go through one pool at most."""
+    if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):  # a pool needs a whole count
+        raise ValueError(f"threads must be an integer, not {threads!r}")
     chunks = [range(0, s.replications, CHUNK_SIZE) for s in scenarios]
     for s in scenarios:
         _prepare(s)

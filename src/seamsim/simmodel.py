@@ -30,19 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statdist import _binomial_counts, _normals
-
 __all__ = [
     "TREATMENT",
     "SUBGROUP",
     "EffectSpec",
     "SampleSizePlan",
     "ScoreModel",
-    "StageStatistics",
     "effect_to_expectation",
     "build_score_model",
-    "sample_replication",
-    "resolve_prevalence",
     "larger_is_better",
 ]
 
@@ -338,23 +333,6 @@ def build_score_model(
     return ScoreModel(mean, np.kron(stages_chol, np.linalg.cholesky(unit)), subgroup_only)
 
 
-@dataclass(frozen=True)
-class StageStatistics:
-    """Sampled standardized statistics for a single replication."""
-
-    values: np.ndarray
-
-
-def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
-    """Draw one replication's statistic vector from its stream.
-
-    Consumes exactly ``model.mean.size`` raw words, one standard normal each,
-    so results are reproducible from the stream state alone.
-    """
-    eps = _normals(stream.bit_generator.random_raw(model.mean.size))
-    return StageStatistics(values=model.mean + model.cholesky @ eps)
-
-
 # A varying-prevalence replication keeps a binomial subgroup count only when
 # both populations are non-empty, which happens with probability
 # q = 1 - (1 - tau)^N - tau^N, so it discards (1 - q)/q draws on average.
@@ -363,10 +341,14 @@ def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageS
 # it rejects almost never recruit both populations (tau = 1e-9 with N = 200
 # keeps about 2e-7 of draws: five million redraws per replication).
 _MIN_KEEP_PROBABILITY = 0.1
+_MAX_REDRAWN_STAGE1 = 10_000_000  # per arm, as replications: a count's CDF table is 10 sqrt(2 n) entries
 
 
 def _check_redraw_rate(prevalence: float, total_stage1: int) -> None:
-    """Reject a varying prevalence whose redraw loop would rarely end."""
+    """Reject a varying prevalence whose redraw loop would rarely end, or whose count table would not fit."""
+    if total_stage1 > 2 * _MAX_REDRAWN_STAGE1:
+        raise _FieldError("stage1_per_arm", f"a varying prevalence allows at most {_MAX_REDRAWN_STAGE1} "
+                                            "stage-1 patients per arm")
     keep = -math.expm1(total_stage1 * math.log1p(-prevalence)) - prevalence**total_stage1
     if keep < _MIN_KEEP_PROBABILITY:
         raise _FieldError(
@@ -375,41 +357,3 @@ def _check_redraw_rate(prevalence: float, total_stage1: int) -> None:
             f"leaves both populations non-empty in only {keep:.3g} of draws "
             f"(at least {_MIN_KEEP_PROBABILITY:g} needed)"
         )
-
-
-def resolve_prevalence(
-    prevalence: float,
-    fixed: bool,
-    stream: np.random.Generator,
-    total_stage1: int,
-) -> tuple[float, int]:
-    """Stage-1 subgroup prevalence for one replication.
-
-    With ``fixed`` the configured value is used as-is. Otherwise the realised
-    prevalence is a binomial draw, one raw word, over the stage-1 recruitment;
-    draws in which the subgroup or its complement would be empty describe a
-    trial the design cannot run, so they are discarded and redrawn. A prevalence
-    for which fewer than one draw in ten is kept is rejected before drawing.
-
-    Args:
-        prevalence: configured prevalence in (0, 1).
-        fixed: whether the prevalence is treated as known.
-        stream: the replication's random stream.
-        total_stage1: total stage-1 recruitment across arms.
-
-    Returns:
-        (effective prevalence, number of discarded draws).
-    """
-    if not 0.0 < prevalence < 1.0:
-        raise ValueError("prevalence must lie strictly in (0, 1)")
-    if fixed:
-        return prevalence, 0
-    if total_stage1 < 2:
-        raise ValueError("total stage-1 recruitment must be at least 2")
-    _check_redraw_rate(prevalence, total_stage1)
-    redraws = 0
-    while True:
-        count = int(_binomial_counts(stream.bit_generator.random_raw(1), total_stage1, prevalence)[0])
-        if 0 < count < total_stage1:
-            return count / total_stage1, redraws
-        redraws += 1

@@ -1,10 +1,11 @@
 """Normal-theory numerics shared by the simulation and testing code.
 
 Everything in here is deterministic: Owen's closed forms and a fixed-node
-Gauss-Hermite rule for the normal probabilities, and the random streams: each
-replication's own counter-based Philox stream, a vectorised Philox4x64-10 that
-computes the raw words of many replications at once, and three recipes that
-turn words into normals, random-1 picks and binomial counts.
+Gauss-Hermite rule for the normal probabilities, and the random streams: a
+vectorised Philox4x64-10 that computes the raw words of many replications at
+once, each replication's words those of NumPy's ``Philox`` keyed by (master
+seed, replication), and three recipes that turn words into normals, random-1
+picks and binomial counts.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import accumulate, repeat
 import numpy as np
 from scipy.special import bdtr, ndtr, ndtri, owens_t
 
-__all__ = ["bvn_cdf", "bvn_max_sf", "equicorr_max_cdf", "replication_stream"]
+__all__ = ["bvn_cdf", "bvn_max_sf", "equicorr_max_cdf"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,27 +125,6 @@ def equicorr_max_cdf(m, r, z):
     return float(out) if out.ndim == 0 else out
 
 
-def replication_stream(master_seed: int, replication_index: int) -> np.random.Generator:
-    """Independent random generator for one simulation replication.
-
-    Streams are produced by keying a counter-based Philox generator with the
-    pair ``(master_seed, replication_index)``, so the draws consumed by a
-    replication depend only on that pair -- never on execution order, chunking
-    or worker count. A replication's draws read its raw words by the recipes below.
-
-    Args:
-        master_seed: scenario-level seed (any python int; taken mod 2**64).
-        replication_index: zero-based replication number.
-
-    Returns:
-        numpy Generator backed by Philox.
-    """
-    if replication_index < 0:
-        raise ValueError("replication_index must be non-negative")
-    key = np.array([int(master_seed) & _MASK64, int(replication_index) & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _read_only(array):
     array.flags.writeable = False
     return array
@@ -168,8 +148,9 @@ def _philox_words(master_seed: int, replications, base, blocks: int) -> np.ndarr
     """Words 4 * base .. 4 * (base + blocks) - 1 of each replication's raw stream, (rows, 4 * blocks).
 
     Block b is Philox4x64-10 of the counter (b + 1, 0, 0, 0) under the key (master_seed, r),
-    as in ``replication_stream``; ``base`` is one block index or one per replication. uint64
-    arrays wrap silently; the key's scalar half is a python int (a numpy scalar warns).
+    as in NumPy's ``Philox(key=[master_seed, r])``; ``base`` is one block index or one per
+    replication. uint64 arrays wrap silently; the key's scalar half is a python int (a numpy
+    scalar warns).
     """
     key1 = np.asarray(replications, dtype=np.uint64).reshape(-1, 1)
     c0 = np.asarray(base, dtype=np.uint64).reshape(-1, 1) + np.arange(1, blocks + 1, dtype=np.uint64)

@@ -1,7 +1,7 @@
 """Scalar replay of a scenario: the reference the vectorised engine must equal.
 
-``replay`` walks a scenario one replication at a time through the scalar names
-on ``seamsim`` and returns the tallies ``run_scenario`` reports, keyed by
+``replay`` walks a scenario one replication at a time through the scalar
+reference path in ``seamsim._reference`` and returns the tallies ``run_scenario`` reports, keyed by
 ``OperatingCharacteristics`` field name. It matches the engine bit for bit with
 the exactly evaluated Bonferroni, Simes and subgroup/full tests; Dunnett
 quantiles the engine interpolates on a grid.
@@ -17,13 +17,10 @@ from itertools import combinations
 import numpy as np
 from scipy.special import ndtri
 
-from seamsim import (
-    build_score_model,
+from seamsim._reference import (
     closed_test,
     combine,
-    effect_to_expectation,
     intersection_pvalue,
-    larger_is_better,
     replication_stream,
     resolve_prevalence,
     sample_replication,
@@ -31,6 +28,7 @@ from seamsim import (
     select_treatments,
 )
 from seamsim.closedtest import P_CLAMP
+from seamsim.simmodel import build_score_model, effect_to_expectation, larger_is_better
 
 _BRANCH_OF = {frozenset({1}): "sub", frozenset({2}): "full", frozenset({1, 2}): "both"}
 _EVENTS = ("n", "hs", "hf", "both", "intersection")

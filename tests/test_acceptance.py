@@ -23,7 +23,8 @@ from seamsim import (
     TestSpec,
     run_scenario,
 )
-from seamsim.closedtest import intersection_pvalue, spending_boundaries
+from seamsim._reference import intersection_pvalue
+from seamsim.closedtest import spending_boundaries
 from seamsim.cli import (
     _expectation_lines,
     export_csv,

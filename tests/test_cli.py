@@ -503,16 +503,24 @@ def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
         ("ptest", "treatsel", treat_config(ptest=[9]), "subset of 1..K"),
         ("seed", "treatsel", treat_config(seed=-1), "0..2**64 - 1"),
         ("sprev", "subpop", subpop_config(sprev=1.0e-9, sprev_fixed=False), "non-empty"),
+        # a redrawn count's CDF table grows as sqrt(n.stage1)
+        ("n.stage1", "subpop", subpop_config(n={"stage1": 10_000_001, "stage2": 300, "enrich": 200},
+                                             sprev_fixed=False), "at most 10000000 stage-1 patients per arm"),
         ("effect", "subpop", subpop_config(effect={"early": [0.6, 0.9], "final": [5.0e-324, 0.9]},
                                            outcome={"early": "T", "final": "B"}, sprev=0.001),
          "effects at a prevalence of 0.001: binary outcome is degenerate"),
     ],
-    ids=["nsim", "ptest", "seed", "sprev", "effect"],
+    ids=["nsim", "ptest", "seed", "sprev", "n.stage1", "effect"],
 )
 def test_scenario_errors_name_their_config_key(tmp_path, capsys, key, command, doc, message):
     assert main([command, "run", "--config", write_config(tmp_path, doc)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: key '{key}': ") and message in err, err
+
+
+def test_a_fixed_prevalence_keeps_any_stage1_size():
+    n = {"stage1": 10_000_001, "stage2": 300, "enrich": 200}
+    assert parse_config(subpop_config(n=n), "subgroup").plan.stage1_per_arm == 10_000_001
 
 
 # one bad value for each design field a config sets; the design class names the field

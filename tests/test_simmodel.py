@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from seamsim._reference import replication_stream, resolve_prevalence, sample_replication
 from seamsim.closedtest import CombinationConfig
 from seamsim.engine import Scenario, TestSpec, run_scenario
 from seamsim.selection import SelectionRule
@@ -22,10 +23,7 @@ from seamsim.simmodel import (
     build_score_model,
     effect_to_expectation,
     larger_is_better,
-    resolve_prevalence,
-    sample_replication,
 )
-from seamsim.statdist import replication_stream
 
 COPD_EARLY = (0.0, 0.68, 0.82, 0.95, 0.91)
 COPD_FINAL = (0.0, 0.13, 0.17, 0.23, 0.20)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import bdtr, chdtrc, ndtr
 
+from seamsim._reference import replication_stream
 from seamsim.engine import _GRID, MAX_REPLICATIONS
 from seamsim.simmodel import ARM_CORRELATION
 from seamsim.statdist import (
@@ -28,7 +29,6 @@ from seamsim.statdist import (
     bvn_cdf,
     bvn_max_sf,
     equicorr_max_cdf,
-    replication_stream,
 )
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
