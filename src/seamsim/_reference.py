@@ -33,7 +33,8 @@ def replication_stream(master_seed: int, replication_index: int) -> np.random.Ge
     Streams are produced by keying a counter-based Philox generator with the
     pair ``(master_seed, replication_index)``, so the draws consumed by a
     replication depend only on that pair -- never on execution order, chunking
-    or worker count. A replication's draws read its raw words by the recipes below.
+    or worker count. A replication's draws read its raw words by ``statdist``'s recipes
+    ``_normals``, ``_picks`` and ``_binomial_counts``.
 
     Args:
         master_seed: scenario-level seed (any python int; taken mod 2**64).

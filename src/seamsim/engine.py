@@ -6,19 +6,27 @@ on the scenario and seed -- never on chunking or worker count. Replications
 are processed in fixed-size chunks of 4096, whose streams one vectorised pass
 computes; ``threads`` only distributes the chunks over a process pool, and
 every tally is an integer count, so a run is bit-for-bit reproducible at any
-parallelism. The README's "Reproducibility contract, version 2" states this
+parallelism. The README's "Reproducibility contract, version 3" states this
 guarantee, the draw order, how raw words become draws and draws statistics.
 
-A run or a sweep maps the chunks of all its scenarios through one ``map``, a
-process pool's above one worker. A task carries ``(scenario, start, stop)``,
-under 1 KB; workers read the Dunnett grids and spending boundaries from caches
-they inherit warm under fork.
+A run is a sweep of one point. Every point of a sweep runs at the configured
+seed, so the points share each replication's draws (common random numbers) and
+point i equals ``run_scenario`` of its own scenario. A task carries
+``(scenarios, start, stop)``: one chunk range for every point, whose shared
+settings pickle once, so the bundled 13-point sweep's task takes under 2 KB.
+The chunk draws once, computes the statistics once per distinct effects
+and plan (once in all, except along the stage-1 allocation axis), and builds
+each closed-test block's stage-1 table once for the stage 2 of every point. All
+tasks go through one ``map``, a process pool's above one worker; workers read
+the Dunnett grids and spending boundaries from caches they inherit warm under
+fork.
 
 Both designs tally alike: a row's outcome code holds one base-3 digit per
 comparison, 0 dropped, 1 continued, 2 rejected, plus 3^K if the intersection of
 all is rejected. A chunk's tally is the histogram of its codes, 2 * 3^K bins,
-then its prevalence redraws and clamped p-values. A scenario's tallies merge as
-a running sum, one chunk at a time; every operating characteristic sums bins.
+then its prevalence redraws and clamped p-values; a task returns one such row
+per point. The rows merge as a running sum, one chunk at a time; every
+operating characteristic sums bins.
 
 The closed test (Marcus, Peritz & Gabriel 1976) rejects a hypothesis when
 every intersection holding it rejects, and evaluates only those that can
@@ -295,7 +303,7 @@ def _prepare(scenario: Scenario) -> None:
 
 
 def _draw_chunk(scenario: Scenario, start: int, stop: int):
-    """Per-replication draws, in the order the README's contract, version 2, fixes.
+    """Per-replication draws, in the order the README's contract, version 3, fixes.
 
     Row r reads replication r's own Philox words, computed for the whole chunk at once:
     one per prevalence try until both populations are non-empty, 3K normals, the random-1 pick.
@@ -438,78 +446,100 @@ def _stage_table(scenario: Scenario, z, contrib, cmax: int, tau):
     return table.reshape(-1, rows), order
 
 
-def _test_chunk(scenario: Scenario, z1, z2, cont, taus):
-    """Vectorised closed test. Returns (rejected mask, intersection-of-all mask, clamps)."""
+def _test_chunk(scenario: Scenario, z1, z2s, conts, taus):
+    """Vectorised closed test of one chunk's stage-1 statistics under each selection i, with stage-2
+    statistics z2s[i] and continued mask conts[i]. Returns, a row per selection, the rejected masks,
+    the intersection-of-all masks and the clamp counts."""
     n, k = z1.shape
     popcount, slot, worst, weight = _lattice(k)
-    simes, config, every = scenario.test.intersection == "simes", scenario.test.config, np.ones_like(cont)
-    # under follow-up, arms dropped at the interim contribute their stage-1 final statistic
-    contrib, z2 = (every, np.where(cont, z2, z1)) if scenario.follow_up else (cont, z2)
+    simes, config, every = scenario.test.intersection == "simes", scenario.test.config, np.ones((n, k), dtype=bool)
     crit, fisher, ones = fisher_critical_value(config.alpha), config.method == "fisher", np.ones(k, np.uint8)
     u1, u2 = (None, None) if fisher else spending_boundaries(config)
-    by_size = np.argsort(contrib @ ones, kind="stable")  # the rows in order of c
-    z1, z2, contrib = (np.take(x, by_size, axis=0) for x in (z1, z2, contrib))
-    taus, size_of = None if taus is None else taus[by_size], contrib @ ones
-    rejected, full_reject, clamps = np.zeros_like(cont), np.zeros(n, dtype=bool), 0
-    for a in range(0, n, max(1, _BLOCK_CELLS >> k)):
-        b = min(a + max(1, _BLOCK_CELLS >> k), n)
-        tau, c, cmax = scenario.prevalence if taus is None else taus[a:b], size_of[a:b], int(size_of[b - 1])
+    rejected, full_reject = np.zeros((len(conts), n, k), dtype=bool), np.zeros((len(conts), n), dtype=bool)
+    clamps, step = np.zeros(len(conts), dtype=np.int64), max(1, _BLOCK_CELLS >> k)
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        tau = scenario.prevalence if taus is None else taus[a:b]
+        # the stage-1 table, its clamps and each row's rank bits serve every selection
         table1, order1 = _stage_table(scenario, z1[a:b], every[a:b], k, tau)
-        table2, order2 = _stage_table(scenario, z2[a:b], contrib[a:b], cmax, tau)
         if simes:  # only a row with a p-value within 1e-12 of 0 or 1 can saturate a Simes set
             edge = (table1[1] < 1e-12) | (table1[1 << (k - 1)] > 1.0 - 1e-12)
             clamps += int(np.count_nonzero(_saturated(_quantile(popcount[1:, None] * table1[1:, edge]))))
         else:
             clamps += int(np.count_nonzero(_saturated(table1), axis=1) @ weight)
-            # under Fisher, each (m, rank) entry's p-value, once
-            table1, p2 = (ndtr(-table1), ndtr(-table2)) if fisher else (table1, None)
-        # the stage-1 image of each set T of positions, C's members in stage-2 rank order
+            table1 = ndtr(-table1) if fisher else table1  # under Fisher, each (m, rank) entry's p-value, once
         bits = np.empty((b - a, k), dtype=np.uint8)
         np.put(bits, order1, 1 << np.arange(k))
-        placed, image = np.take(bits, order2[:, :cmax]).T, np.zeros((1 << cmax, b - a), dtype=np.uint8)
-        for p in range(cmax):
-            np.bitwise_or(image[: 1 << p], placed[p], out=image[1 << p : 2 << p])
-        bounds = np.searchsorted(c, np.arange(cmax + 2))
-        # the rows of each c > 0 in the block test every T | W_d at once, as (T, d, row)
-        for size in (np.flatnonzero(bounds[2:] > bounds[1:-1]) + 1).tolist():
-            rows, sets = slice(bounds[size], bounds[size + 1]), slice(1, 1 << size)
-            upper, d = image[sets, rows], np.arange(k + 1 - size)[:, None]
-            image1, columns = upper[:, None] | worst[: k + 1 - size, upper[-1]], np.arange(upper.shape[1])
-            if simes:
-                y1 = _quantile((popcount[sets, None, None] + d) * table1[:, rows][image1, columns])
-                y2 = _quantile(popcount[sets, None] * table2[sets, rows])
+        for i, (z2, cont) in enumerate(zip(z2s, conts)):
+            # under follow-up, arms dropped at the interim contribute their stage-1 final statistic
+            if scenario.follow_up:
+                contrib, z2 = every[a:b], np.where(cont[a:b], z2[a:b], z1[a:b])
             else:
-                y1, y2 = table1[:, rows][slot[image1], columns], table2[slot[sets], rows]
-            clamps += int(np.count_nonzero(_saturated(y2))) << (k - size)  # T stands for 2^(K - c) sets
-            if fisher:
-                reject = (ndtr(-y1) * ndtr(-y2)[:, None] if simes else y1 * p2[slot[sets, None], rows]) <= crit
-            else:  # u1 is infinite without stage-1 spending
-                reject = (config.w1 * y1 + (config.w2 * y2)[:, None] >= u2) | (y1 >= u1)
-            # a continued hypothesis falls when every candidate holding it rejects
-            t = np.arange(1, 1 << size, dtype=np.uint8)[:, None]
-            kept = np.bitwise_or.reduce(t * ~reject.all(axis=1), axis=0)
-            np.put(rejected[a:b], order2[rows, :size], (kept >> np.arange(size)[:, None] & 1 == 0).T)
-            full_reject[a:b][rows] = reject[-1, -1]  # the intersection of all: T = C, d = K - c
-    back = np.empty_like(by_size)
-    back[by_size] = np.arange(n)  # to the chunk's row order
-    return np.take(rejected, back, axis=0) & cont, np.take(full_reject, back) & (cont @ ones > 0), clamps
+                contrib, z2 = cont[a:b], z2[a:b]
+            size_of = contrib @ ones
+            by_size = np.argsort(size_of, kind="stable")  # the block's rows in order of c
+            z2, contrib, c = (np.take(x, by_size, axis=0) for x in (z2, contrib, size_of))
+            cmax = int(c[-1])
+            table2, order2 = _stage_table(scenario, z2, contrib, cmax, tau if taus is None else tau[by_size])
+            p2 = ndtr(-table2) if fisher and not simes else None
+            # the stage-1 image of each set T of positions, C's members in stage-2 rank order
+            placed, image = np.take(bits[by_size], order2[:, :cmax]).T, np.zeros((1 << cmax, b - a), dtype=np.uint8)
+            for p in range(cmax):
+                np.bitwise_or(image[: 1 << p], placed[p], out=image[1 << p : 2 << p])
+            bounds = np.searchsorted(c, np.arange(cmax + 2))
+            rej, full = np.zeros((b - a, k), dtype=bool), np.zeros(b - a, dtype=bool)
+            # the rows of each c > 0 in the block test every T | W_d at once, as (T, d, row)
+            for size in (np.flatnonzero(bounds[2:] > bounds[1:-1]) + 1).tolist():
+                rows, sets = slice(bounds[size], bounds[size + 1]), slice(1, 1 << size)
+                upper, d, at = image[sets, rows], np.arange(k + 1 - size)[:, None], by_size[rows]
+                image1 = upper[:, None] | worst[: k + 1 - size, upper[-1]]
+                if simes:
+                    y1 = _quantile((popcount[sets, None, None] + d) * table1[image1, at])
+                    y2 = _quantile(popcount[sets, None] * table2[sets, rows])
+                else:
+                    y1, y2 = table1[slot[image1], at], table2[slot[sets], rows]
+                clamps[i] += int(np.count_nonzero(_saturated(y2))) << (k - size)  # T stands for 2^(K - c) sets
+                if fisher:
+                    reject = (ndtr(-y1) * ndtr(-y2)[:, None] if simes else y1 * p2[slot[sets, None], rows]) <= crit
+                else:  # u1 is infinite without stage-1 spending
+                    reject = (config.w1 * y1 + (config.w2 * y2)[:, None] >= u2) | (y1 >= u1)
+                # a continued hypothesis falls when every candidate holding it rejects
+                t = np.arange(1, 1 << size, dtype=np.uint8)[:, None]
+                kept = np.bitwise_or.reduce(t * ~reject.all(axis=1), axis=0)
+                np.put(rej, order2[rows, :size], (kept >> np.arange(size)[:, None] & 1 == 0).T)
+                full[rows] = reject[-1, -1]  # the intersection of all: T = C, d = K - c
+            rejected[i, a:b][by_size], full_reject[i, a:b][by_size] = rej, full  # to the chunk's row order
+    return rejected & conts, full_reject & np.any(conts, axis=-1), clamps
 
 
-def _simulate_chunk(scenario: Scenario, start: int, stop: int):
-    """One chunk's tally: its outcome-code histogram, then its redraws and clamps."""
-    k = scenario.effects.comparisons
-    eps, taus, rand_pick, redraws = _draw_chunk(scenario, start, stop)
-    z, shift = _statistics(scenario, eps, taus)
-    cont = _select_chunk(scenario, z, rand_pick)
+def _simulate_chunk(scenarios, start: int, stop: int):
+    """One chunk's tallies, a row per scenario: its outcome-code histogram, then its redraws and clamps.
 
-    z1, z2 = z[:, k : 2 * k], z[:, 2 * k :]
-    if scenario.design == SUBGROUP:
-        # re-centre the subgroup statistic when stage 2 recruits it alone
-        sub_only = cont[:, 0] & ~cont[:, 1]
-        z2[sub_only, 0] += shift[sub_only]
-    rejected, all_rejected, clamps = _test_chunk(scenario, z1, z2, cont, taus)
-    code = (cont + rejected.astype(np.int64)) @ 3 ** np.arange(k) + 3**k * all_rejected
-    return np.append(np.bincount(code, minlength=2 * 3**k), [redraws, clamps])
+    The scenarios, a sweep's points, share the draw. Those with the same effects and plan share
+    the statistics and, in the closed test, each block's stage-1 table.
+    """
+    first = scenarios[0]
+    k = first.effects.comparisons
+    eps, taus, rand_pick, redraws = _draw_chunk(first, start, stop)
+    groups = {}
+    for i, scenario in enumerate(scenarios):
+        groups.setdefault((scenario.effects, scenario.plan), []).append(i)
+    tally = np.empty((len(scenarios), 2 * 3**k + 2), dtype=np.int64)
+    for members in groups.values():
+        z, shift = _statistics(scenarios[members[0]], eps, taus)
+        conts = np.array([_select_chunk(scenarios[i], z, rand_pick) for i in members])
+        z1, z2s = z[:, k : 2 * k], [z[:, 2 * k :]] * len(members)
+        if first.design == SUBGROUP:
+            # re-centre the subgroup statistic when stage 2 recruits it alone, in each point's own copy
+            z2s = [z2.copy() for z2 in z2s]
+            for z2, cont in zip(z2s, conts):
+                sub_only = cont[:, 0] & ~cont[:, 1]
+                z2[sub_only, 0] += shift[sub_only]
+        rejected, all_rejected, clamps = _test_chunk(scenarios[members[0]], z1, z2s, conts, taus)
+        for i, cont, rejected_i, all_i, clamped in zip(members, conts, rejected, all_rejected, clamps.tolist()):
+            code = (cont + rejected_i.astype(np.int64)) @ 3 ** np.arange(k) + 3**k * all_i
+            tally[i] = np.append(np.bincount(code, minlength=2 * 3**k), [redraws, clamped])
+    return tally
 
 
 def _pool_size(threads: int, cpus: int, chunks: int) -> int:
@@ -524,18 +554,20 @@ def _usable_cpus() -> int:
 
 
 def _simulate(scenarios: list, threads: int) -> list:
-    """Each scenario's OperatingCharacteristics; all their chunks go through one pool at most."""
+    """Each scenario's OperatingCharacteristics. The scenarios are one sweep's points: they share the
+    seed, K, the rule kind, the prevalence settings and the replications, so they share the draw, and
+    one task per chunk range carries them all. The tasks go through one pool at most."""
     if isinstance(threads, bool) or not isinstance(threads, numbers.Integral):  # a pool needs a whole count
         raise ValueError(f"threads must be an integer, not {threads!r}")
-    chunks = [range(0, s.replications, CHUNK_SIZE) for s in scenarios]
     for s in scenarios:
         _prepare(s)
-    tasks = [(s, a, min(a + CHUNK_SIZE, s.replications)) for s, starts in zip(scenarios, chunks) for a in starts]
+    reps = scenarios[0].replications
+    tasks = [(scenarios, a, min(a + CHUNK_SIZE, reps)) for a in range(0, reps, CHUNK_SIZE)]
     workers = _pool_size(threads, _usable_cpus(), len(tasks))
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        done = (pool.map if pool else map)(_simulate_chunk, *zip(*tasks))
-        # a running sum holds one chunk's tally at a time
-        return [_characteristics(s, sum(next(done) for _ in starts)) for s, starts in zip(scenarios, chunks)]
+        # a running sum holds one chunk's tallies at a time
+        total = sum((pool.map if pool else map)(_simulate_chunk, *zip(*tasks)))
+    return [_characteristics(s, row) for s, row in zip(scenarios, total)]
 
 
 @lru_cache(maxsize=None)  # one per K, like _lattice
@@ -650,10 +682,11 @@ def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
 def sweep(base: Scenario, axis: str, values, threads: int = 1) -> list:
     """Re-run a scenario along one design axis.
 
-    Every grid point runs with an independently derived seed,
-    ``master_seed + point_index``, so the first point of a one-value sweep
-    reproduces ``run_scenario(base)`` exactly. Every point is built before
-    any is simulated, and the chunks of all points share one process pool.
+    Every grid point runs at the configured seed, so point i equals
+    ``run_scenario(points[i].scenario)`` exactly, and neighbouring points differ
+    by their settings alone, not by independent Monte Carlo noise. Every point is
+    built before any is simulated; each chunk draws once for all points, and the
+    chunks share one process pool.
 
     Args:
         base: scenario providing every non-swept setting.
@@ -673,12 +706,11 @@ def sweep(base: Scenario, axis: str, values, threads: int = 1) -> list:
     if not values:
         raise ValueError("sweep needs at least one axis value")
     scenarios = []
-    for index, value in enumerate(values):
+    for value in values:
         try:
-            scn = _apply_axis(base, axis, value)
+            scenarios.append(_apply_axis(base, axis, value))
         except (ValueError, TypeError, OverflowError) as exc:  # a design check, or a value of the wrong kind
             raise InfeasibleScenarioError(f"{axis} {value!r}: {exc}") from exc
-        scenarios.append(replace(scn, master_seed=(base.master_seed + index) & _MASK64))
     return [
         SweepPoint(axis=axis, value=value, scenario=scn, oc=oc)
         for value, scn, oc in zip(values, scenarios, _simulate(scenarios, threads))

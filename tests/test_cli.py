@@ -628,9 +628,9 @@ FROZEN_OUTPUTS = {
         "8ba1109ca4712070c234de93e56462ffc37a5448dc1a0aae58b628d7512ce6c5",
     ),
     "copd_threshold_sweep": (
-        "dce4e4731a0049e55b69ab9243c8308f99c88e253f8a6e02e2919fcb08536d94",
-        "6805bb37a9a7de3f703410882b975a67df0c418b7490a5752afc49656a17ad4c",
-        "39b381080c65404d172393baa7ded0443909d8d5ee5459b3b7419c99c146df2e",
+        "6856e530d15eb7990c9c7a580024ac613b5d576fdb865ba73ba41d90773e8bcf",
+        "cee30172aa00d3c6dbf8df9a63e683fca00ed41621d6eda73c94cab4cc04f778",
+        "32574b7dfa0e4b52dab0c49142da7e2a3daee69c46c851f76a4e4949a800fdf8",
     ),
     "oncology": (
         "ae8e2b0151ef57d3297d620a70df7ced2f2eb3bb9a9bf4db2d284ed881a6b368",
@@ -638,9 +638,9 @@ FROZEN_OUTPUTS = {
         "70b58ca8ead3477c0ca08a2d2a33c05e87c771b08515d8da5cb1fe400df95b1f",
     ),
     "oncology_limits_sweep": (
-        "d04502114c7093ac96970547abdf9522cb9336ba877efe7d014057b4964d45f7",
-        "d5277a62024cad980e8b03b3b2b2c8328fcaf3710f1b14e9eb4dbb89244a9094",
-        "c627aa95986358a89744819eb235f1a967d4c621a0c4ed39ff61cbb56a989709",
+        "ba689cf4a6a9fab37a5c74ec2a2b68a106d413f6c962395008f57aabca477ef4",
+        "b0537813c1e8ef797ab36c72d3b54dc2c1c441a2d733d3e26647b565cbfa0a01",
+        "62803efcb77e7fd9421a1694c704e148f68a78e91726be0c832a4e5ce0d5eeb9",
     ),
 }
 

@@ -337,7 +337,8 @@ def test_a_sweep_starts_one_pool_for_all_its_points(pool_log):
     assert pool_log["pools"] == 0
     parallel = sweep(base, axis, values, threads=2)
     assert pool_log["pools"] == 1
-    assert len(pool_log["task_bytes"]) == 13 * 3  # every chunk of every point
+    assert len(pool_log["task_bytes"]) == 3  # one per chunk range, carrying all 13 points
+    assert max(pool_log["task_bytes"]) < 4096  # the points' shared settings pickle once
     assert [p.oc for p in parallel] == [p.oc for p in serial]
 
 
@@ -487,6 +488,12 @@ def test_cold_prepare_builds_every_dunnett_grid_in_one_quadrature_call(monkeypat
         assert grids[m - 2].tobytes() == _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)).tobytes()
 
 
+def _test_one(scn, z1, z2, cont, taus):
+    """The closed test of one selection: its rejected mask, intersection-of-all mask and clamps."""
+    (rejected,), (full,), (clamps,) = _test_chunk(scn, z1, [z2], [cont], taus)
+    return rejected, full, clamps
+
+
 @pytest.mark.parametrize("per_row", [False, True], ids=["fixed-tau", "per-row-tau"])
 def test_saturated_subgroup_full_pvalue_counts_as_clamped(per_row):
     # stage-1 statistics of 9 put every stage-1 p-value below the clamp: the
@@ -498,7 +505,7 @@ def test_saturated_subgroup_full_pvalue_counts_as_clamped(per_row):
     table, _ = _stage_table(scn, z1, cont, 2, scn.prevalence if taus is None else taus)
     assert table[2 * 2, 0] == _YMAX  # the intersection of all: m = 2, its best at rank 0
     # three stage-1 cells at the clamp; the stage-2 cells, at statistics of 0, are not
-    assert _test_chunk(scn, z1, z2, cont, taus)[2] == 3
+    assert _test_one(scn, z1, z2, cont, taus)[2] == 3
 
 
 def _dunnett(k):
@@ -828,7 +835,7 @@ def test_chunk_kernel_matches_the_scalar_closed_test(case):
         z1, z2, cont = _hand_built_chunk(k, rows={2: 400, 5: 64, 8: 520}[k])
     rows = z1.shape[0]
     taus = np.random.default_rng(5).uniform(0.05, 0.95, rows) if per_row else None
-    rejected, _, _ = _test_chunk(scn, z1, z2, cont, taus)
+    rejected, _, _ = _test_one(scn, z1, z2, cont, taus)
     everyone = range(1, k + 1) if follow_up else None
     if follow_up:  # the scalar test takes the followed-up stage-2 statistics as given
         z2 = np.where(cont, z2, z1)
@@ -862,15 +869,15 @@ def test_permuting_the_arms_permutes_the_rejections(method, fixed):
         k = 8
     z1, z2, cont = _hand_built_chunk(k, rows=600, seed=k)  # two blocks at K = 8
     taus = None if fixed else np.full(z1.shape[0], 0.3)
-    expected = _test_chunk(scn, z1, z2, cont, taus)
+    expected = _test_one(scn, z1, z2, cont, taus)
     assert expected[0].any() and expected[1].any()
     for perm in np.random.default_rng(1).permutation(np.tile(np.arange(k), (3, 1)), axis=1):
-        rejected, full, clamps = _test_chunk(scn, z1[:, perm], z2[:, perm], cont[:, perm], taus)
+        rejected, full, clamps = _test_one(scn, z1[:, perm], z2[:, perm], cont[:, perm], taus)
         np.testing.assert_array_equal(rejected, expected[0][:, perm])
         np.testing.assert_array_equal(full, expected[1])
         assert clamps == expected[2]
     # a chunk in which every row stops for futility rejects nothing
-    rejected, full, _ = _test_chunk(scn, z1, z2, np.zeros_like(cont), taus)
+    rejected, full, _ = _test_one(scn, z1, z2, np.zeros_like(cont), taus)
     assert not rejected.any() and not full.any()
 
 
@@ -888,7 +895,7 @@ def test_a_row_tests_only_its_candidate_intersections(monkeypatch, k, follow_up)
         cont = np.zeros((1, k), dtype=bool)
         cont[0, arms[:c]] = True
         candidates.clear()
-        _test_chunk(scn, z1[c : c + 1], z2[c : c + 1], cont, None)
+        _test_one(scn, z1[c : c + 1], z2[c : c + 1], cont, None)
         have = k if follow_up else c  # members with stage-2 data
         assert sum(candidates) == (2**have - 1) * (k - have + 1)
 
@@ -929,10 +936,10 @@ def test_chunk_kernel_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(2)
     z1, z2 = rng.normal(size=(2, 4096, 8))
     cont = rng.random((4096, 8)) < 0.25
-    _test_chunk(scn, z1, z2, cont, None)  # build the lattice outside the measurement
+    _test_one(scn, z1, z2, cont, None)  # build the lattice outside the measurement
     tracemalloc.start()
     try:
-        _test_chunk(scn, z1, z2, cont, None)
+        _test_one(scn, z1, z2, cont, None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -943,9 +950,9 @@ def test_chunk_kernel_memory_is_bounded_by_the_block():
 def test_merging_holds_one_chunk_tally_at_a_time(monkeypatch):
     scn = replace(_k8_scenario("bonferroni"), replications=10**6)  # 245 chunks
 
-    def fresh_tally(scn, start, stop):  # a 2 * 3^8-bin histogram, redraws and clamps
-        tally = np.zeros(2 * 3**8 + 2, dtype=np.int64)
-        tally[0] = stop - start  # every row stops for futility
+    def fresh_tally(scenarios, start, stop):  # per scenario a 2 * 3^8-bin histogram, redraws and clamps
+        tally = np.zeros((len(scenarios), 2 * 3**8 + 2), dtype=np.int64)
+        tally[:, 0] = stop - start  # every row stops for futility
         return tally
 
     monkeypatch.setattr(engine, "_simulate_chunk", fresh_tally)
@@ -1084,11 +1091,73 @@ def test_single_point_sweep_equals_run_scenario():
     assert point.oc == run_scenario(base)
 
 
-def test_sweep_points_use_consecutive_seeds():
+def test_sweep_points_share_the_configured_seed():
     base = treatment_scenario(SelectionRule("threshold", threshold=1.0), reps=3000)
     first, second = sweep(base, "threshold", [1.0, 1.0])
-    assert first.oc != second.oc  # same settings, independent draws
-    assert second.oc == run_scenario(replace(base, master_seed=base.master_seed + 1))
+    assert first.oc == second.oc == run_scenario(base)  # same settings, same draws
+
+
+def _sweep_cases():
+    reps = engine.CHUNK_SIZE + 100  # two chunks, so that two workers start a pool
+    yield pytest.param(treatment_scenario(SelectionRule("threshold", threshold=0.0), reps=reps),
+                       "threshold", [0.0, 0.5, 1.0, 3.0], id="threshold")
+    yield pytest.param(treatment_scenario(SelectionRule("best-2"), reps=reps),
+                       "stage1-allocation", [30, 60, 90], id="stage1-allocation")
+    limits = [(0.0, 0.0), (-1.0, 0.0), (0.0, -1.0), (-1.0, -1.0)]
+    for fixed in (True, False):
+        yield pytest.param(subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=reps,
+                                             prevalence_fixed=fixed),
+                           "futility-limits-grid", limits, id=f"futility-limits-{'fixed' if fixed else 'redrawn'}")
+
+
+@pytest.mark.parametrize("base, axis, values", _sweep_cases())
+def test_every_sweep_point_equals_its_own_run(pool_log, base, axis, values):
+    # the points share the configured seed: common random numbers, computed once per chunk
+    serial = sweep(base, axis, values, threads=1)
+    parallel = sweep(base, axis, values, threads=2)
+    assert pool_log["pools"] == 1
+    assert [p.oc for p in serial] == [p.oc for p in parallel]
+    for point in serial:
+        assert point.scenario.master_seed == base.master_seed
+        assert point.oc == run_scenario(point.scenario)
+
+
+def test_a_threshold_sweep_selects_monotonically():
+    base, axis, _ = parse_sweep_config((CONFIG_DIR / "copd_threshold_sweep.yaml").read_text())
+    # steps of 0.02 move each count by less than its Monte Carlo error: only shared draws keep it monotone
+    points = sweep(replace(base, replications=3000), axis, [3.0 + 0.02 * i for i in range(21)])
+    for lower, higher in itertools.pairwise(p.oc for p in points):
+        # a higher threshold continues a subset of the arms in every replication
+        assert higher.futility_count >= lower.futility_count
+        assert all(h <= lo for h, lo in zip(higher.arm_selected_counts, lower.arm_selected_counts))
+    assert points[-1].oc.futility_count > points[0].oc.futility_count
+
+
+@pytest.mark.parametrize("fixed", [True, False], ids=["fixed-tau", "redrawn-tau"])
+def test_lowering_a_futility_limit_never_lowers_futility(fixed):
+    base = subgroup_scenario(SelectionRule("futility-pair", limits=(0.0, 0.0)), reps=3000, prevalence_fixed=fixed)
+    # steps of 0.05 move the count by less than its Monte Carlo error: only shared draws keep it monotone
+    limits = [-0.05 * i for i in range(5)]
+    points = sweep(base, "futility-limits-grid", [(ls, lf) for ls in limits for lf in limits])
+    futility = np.array([p.oc.futility_count for p in points]).reshape(5, 5)  # [subgroup, full limit]
+    assert (np.diff(futility, axis=0) >= 0).all() and (np.diff(futility, axis=1) >= 0).all()
+    assert futility[-1, -1] > futility[0, 0]
+
+
+def test_a_sweep_chunk_memory_is_bounded_by_the_block():
+    # the 13 points of a K = 8 Simes threshold sweep share one chunk's draw, statistics and
+    # stage-1 tables; each point's stage 2 runs in turn inside the same block loop
+    base = replace(_k8_scenario("simes"), rule=SelectionRule("threshold", threshold=0.0), ptest=None)
+    points = [replace(base, rule=SelectionRule("threshold", threshold=0.5 * i)) for i in range(13)]
+    engine._simulate_chunk(points, 0, engine.CHUNK_SIZE)  # build the lattice outside the measurement
+    tracemalloc.start()
+    try:
+        engine._simulate_chunk(points, 0, engine.CHUNK_SIZE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the kernel test's bound for one point
+    assert peak < 16 * 2**20
 
 
 def test_stage1_allocation_sweep_preserves_the_budget():

@@ -102,7 +102,7 @@ def test_dunnett_rejects_the_global_null_intersection_at_exactly_alpha():
         null = EffectSpec("treatment", (0.0,) * (k + 1), (0.0,) * (k + 1), correlation=0.4)
         scenario = Scenario(null, SampleSizePlan(100, 300), SelectionRule(rule), TestSpec("dunnett", config),
                             replications=reps, master_seed=seed)
-        tally = sum(_simulate_chunk(scenario, a, a + CHUNK_SIZE) for a in range(0, reps, CHUNK_SIZE))
+        tally = sum(_simulate_chunk([scenario], a, a + CHUNK_SIZE)[0] for a in range(0, reps, CHUNK_SIZE))
         rate = tally[3**k : -2].sum() / reps  # the codes from 3^K on reject the intersection of all
         z = (rate - alpha) / math.sqrt(alpha * (1.0 - alpha) / reps)
         assert abs(z) <= bound, f"K = {k} {rule}: rate {rate:.5f}, |z| {abs(z):.2f} above {bound:.2f}"
