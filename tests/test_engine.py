@@ -5,6 +5,7 @@ import pickle
 import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from seamsim.engine import (
     _pool_size,
     _prepare,
     _quantile,
+    _read_grid,
     _select_chunk,
     _stage_table,
     _statistics,
@@ -423,7 +425,7 @@ def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(m):
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
     inside = np.abs(exact) <= 6.0
     assert inside.sum() > 1000
-    interpolated = np.interp(GRID_MIDPOINTS, _GRID, grid)
+    interpolated = _read_grid(grid, GRID_MIDPOINTS)
     assert np.max(np.abs(interpolated - exact)[inside]) < 1e-6
 
 
@@ -434,7 +436,7 @@ GRID_TAIL_BOUNDS = ((6.0, 7.0, 3e-5), (7.0, 7.8, 5e-3), (7.8, np.inf, 2e-2))
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_interpolation_error_past_quantile_6_meets_each_stated_bound(m):
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
-    error = np.abs(np.interp(GRID_MIDPOINTS, _GRID, _dunnett_grids(max(DUNNETT_M))[m - 2]) - exact)
+    error = np.abs(_read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], GRID_MIDPOINTS) - exact)
     for lo, hi, bound in GRID_TAIL_BOUNDS:
         regime = (np.abs(exact) > lo) & (np.abs(exact) <= hi)
         assert regime.sum() > 500, (lo, hi)
@@ -446,11 +448,42 @@ TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
 
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_tails_beyond_8_5_match_direct_evaluation(m):
-    # np.interp holds the end values past the grid's +-8.5; both sit at the p-value clamp
+    # the read holds the end values past the grid's +-8.5; both sit at the p-value clamp
     exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, TAIL_POINTS))
-    interpolated = np.interp(TAIL_POINTS, _GRID, _dunnett_grids(max(DUNNETT_M))[m - 2])
+    interpolated = _read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], TAIL_POINTS)
     np.testing.assert_array_equal(interpolated, exact)
     np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
+
+
+@lru_cache(maxsize=None)
+def _dense_grid_points():
+    """Every grid point and its 1 .. 64-ulp neighbours each way, the midpoints, points past +-8.5,
+    +-inf, and the statistics the engine reads the Dunnett grids at in one K = 8 chunk (read-only)."""
+    near, below, above = [_GRID], _GRID, _GRID
+    for _ in range(64):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        near += [below, above]
+    read = []
+
+    def recording(values, x):
+        read.append(np.ravel(x))
+        return _read_grid(values, x)
+
+    # threshold 0.5 continues from none to all eight arms: stage-2 reads of every m
+    scn = replace(_k8_scenario("dunnett"), rule=SelectionRule("threshold", threshold=0.5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(engine, "_read_grid", recording)
+        engine._simulate_chunk([scn], 0, engine.CHUNK_SIZE)
+    points = np.concatenate(near + [GRID_MIDPOINTS, TAIL_POINTS, [-np.inf, np.inf]] + read)
+    points.flags.writeable = False
+    return points
+
+
+@pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
+def test_grid_read_is_bitwise_np_interp(m):
+    x = _dense_grid_points()
+    grid = _dunnett_grids(max(DUNNETT_M))[m - 2]
+    assert _read_grid(grid, x).tobytes() == np.interp(x, _GRID, grid).tobytes()
 
 
 def test_cached_grids_are_read_only_fresh_builds():
@@ -909,6 +942,16 @@ def test_dunnett_quantiles_fall_with_the_statistic_and_the_member_count(k):
     assert (np.diff(grids, axis=1) >= 0).all()
     assert (grids[1:] <= grids[:-1]).all()
     assert (grids[0] <= np.clip(_GRID, _YMIN, _YMAX)).all()
+
+
+def test_dunnett_grid_reads_fall_with_the_statistic_and_the_member_count():
+    # the same premise between the grid nodes: what the closed test reads at a
+    # statistic never falls as it rises, and never rises with m
+    x = np.unique(_dense_grid_points())
+    reads = np.array([_read_grid(grid, x) for grid in _dunnett_grids(max(DUNNETT_M))])
+    assert (np.diff(reads, axis=1) >= 0).all()
+    assert (reads[1:] <= reads[:-1]).all()
+    assert (reads[0] <= np.clip(x, _YMIN, _YMAX)).all()  # m = 1 reads the clipped statistic
 
 
 def test_bonferroni_and_simes_quantiles_fall_as_a_p_value_rises():
