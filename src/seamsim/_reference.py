@@ -2,9 +2,10 @@
 
 These names replay a replication's stream, statistics, interim selection and
 closed test with scalar loops, as ``tests/oracle.py`` does to check the
-vectorised engine. They take from the product only its draw recipes, numerics,
-boundaries, selection rule and score model, never the engine or the CLI, so the
-oracle stays an independent implementation.
+vectorised engine; ``equicorr_max_cdf``, a Gauss-Hermite quadrature at any
+correlation, checks the engine's Dunnett grids. They take from the product only
+its draw recipes, numerics, boundaries, selection rule and score model, never
+the engine or the CLI, so the oracle stays an independent implementation.
 
 The closed test combines the stage-wise p-values of every non-empty intersection
 of the elementary hypotheses, at stage 2 over the intersection's arms that have
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -24,7 +25,62 @@ from scipy.special import ndtr, ndtri
 from .closedtest import INTERSECTION_METHODS, P_CLAMP, CombinationConfig, fisher_critical_value, spending_boundaries
 from .selection import SelectionRule
 from .simmodel import ScoreModel, _check_redraw_rate
-from .statdist import _MASK64, _binomial_counts, _normals, _picks, bvn_max_sf, equicorr_max_cdf
+from .statdist import _MASK64, _binomial_counts, _normals, _picks, bvn_max_sf
+
+# Gauss-Hermite rule for integrals against exp(-x^2); 192 nodes keeps the
+# equicorrelated-maximum CDF below 1e-9 absolute error for correlations up to
+# 0.8 (validated against composite Simpson in the test suite), which covers
+# the designs' 1/2.
+_GH_NODES, _GH_WEIGHTS = np.polynomial.hermite.hermgauss(192)
+_INV_SQRT_PI = 1.0 / np.sqrt(np.pi)
+
+# The quadrature runs over the points in slices of 256, 384 KB per points x nodes array of Phi
+# or a running power of it; a point's sums never depend on its batch or the other m asked for.
+_SLICE_POINTS = 256
+
+
+def equicorr_max_cdf(m, r, z):
+    """CDF of the maximum of m equicorrelated standard normals, for one m or many.
+
+    Evaluates ``P(max_i Z_i <= z)`` for ``Z`` multivariate normal with unit
+    variances and common correlation ``r`` using the one-factor representation
+    ``Z_i = sqrt(r) U + sqrt(1-r) E_i`` and a 192-node Gauss-Hermite rule,
+
+        P = E_U[ Phi((z - sqrt(r) U) / sqrt(1-r))^m ].
+
+    Phi is evaluated once per point and node for all m, its powers as a running product
+    (Phi^3 = Phi^2 * Phi): for m <= 8 the CDF is within 1.5 eps (3.3e-16) of that of
+    ``Phi ** m`` at r = 1/2, 2.5 eps at r = 0, and equal to it for m <= 2.
+
+    Args:
+        m: number of coordinates (positive integer), or a sequence of them.
+        r: common correlation in [0, 1).
+        z: threshold; scalar or array (vectorised over z).
+
+    Returns:
+        Probability in [0, 1] of shape m.shape + z.shape (a float for scalar m
+        and z), with absolute error below 1e-9 for r <= 0.8. Beyond that the
+        fixed rule loses digits: against mpmath for m in {2, 4, 8} and z in
+        {-1, 0, 1, 2, 3} the worst error is 6e-9 at r = 0.85, 9e-7 at 0.9,
+        5e-5 at 0.95 and 4e-3 at 0.99.
+    """
+    ms = np.asarray(m, dtype=float)
+    if ms.size == 0 or not np.all(np.isfinite(ms) & (ms >= 1) & (ms == np.floor(ms))):
+        raise ValueError("m must be a positive integer or a non-empty sequence of them")
+    if not 0.0 <= r < 1.0:
+        raise ValueError("common correlation must lie in [0, 1)")
+    zz = np.asarray(z, dtype=float)
+    x, powers = zz.ravel(), ms.ravel()
+    out = np.empty((powers.size, x.size))
+    for lo in range(0, x.size, _SLICE_POINTS):
+        sl = slice(lo, lo + _SLICE_POINTS)
+        cdf = ndtr((x[sl, None] - np.sqrt(2.0 * r) * _GH_NODES) / np.sqrt(1.0 - r))
+        for p, power in enumerate(accumulate(repeat(cdf, int(powers.max())), np.multiply), 1):
+            if p in powers:  # power = Phi^p, as Phi^(p - 1) * Phi
+                out[powers == p, sl] = (power * _GH_WEIGHTS).sum(axis=-1) * _INV_SQRT_PI
+        del cdf, power  # before the next slice's, so that at most three 384 KB arrays are live
+    out = np.clip(out, 0.0, 1.0, out=out).reshape(ms.shape + zz.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def replication_stream(master_seed: int, replication_index: int) -> np.random.Generator:

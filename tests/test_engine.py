@@ -1,5 +1,6 @@
 """Tests for the replication engine, its tallies and parameter sweeps."""
 
+import hashlib
 import itertools
 import pickle
 import tracemalloc
@@ -8,14 +9,17 @@ from dataclasses import asdict, astuple, replace
 from functools import lru_cache
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
 from oracle import replay
 from seamsim import engine
+from seamsim import statdist
 from seamsim._reference import (
     closed_test,
+    equicorr_max_cdf,
     intersection_pvalue,
     replication_stream,
     resolve_prevalence,
@@ -27,6 +31,7 @@ from seamsim.cli import parse_config, parse_sweep_config
 from seamsim.closedtest import P_CLAMP, CombinationConfig, fisher_critical_value, spending_boundaries
 from seamsim.engine import (
     _GRID,
+    _GRID_STEP,
     _YMAX,
     _YMIN,
     InfeasibleScenarioError,
@@ -36,7 +41,6 @@ from seamsim.engine import (
     TestSpec,
     _draw_chunk,
     _dunnett_grids,
-    _keep_quantile,
     _model_parts,
     _pool_size,
     _prepare,
@@ -45,6 +49,7 @@ from seamsim.engine import (
     _select_chunk,
     _stage_table,
     _statistics,
+    _tail_quantile,
     _test_chunk,
     run_scenario,
     sweep,
@@ -59,7 +64,7 @@ from seamsim.simmodel import (
     build_score_model,
     larger_is_better,
 )
-from seamsim.statdist import _binomial_cdf, equicorr_max_cdf
+from seamsim.statdist import _binomial_cdf, dunnett_tails
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -418,29 +423,85 @@ DUNNETT_M = range(2, 9)
 DUNNETT_IDS = [f"dunnett-{m}-{ARM_CORRELATION}" for m in DUNNETT_M]
 
 
+def _oracle_quantile(m, x):
+    """Phi^-1(P(max <= x)) by the Gauss-Hermite oracle, held to the p-value clamp."""
+    return ndtri(np.clip(equicorr_max_cdf(m, ARM_CORRELATION, x), P_CLAMP, 1.0 - P_CLAMP))
+
+
+@lru_cache(maxsize=None)
+def _midpoint_rule():
+    """The grids' own rule evaluated half a step over, at every midpoint, row m - 2 (read-only)."""
+    rule = _tail_quantile(*dunnett_tails(DUNNETT_M, _GRID[0] + 0.5 * _GRID_STEP, _GRID_STEP, _GRID.size - 1))
+    rule.flags.writeable = False
+    return rule
+
+
+def _clamp_intervals(grid):
+    """The midpoints of the interval at each end where the grid reaches the p-value clamp."""
+    return ((grid[:-1] == _YMIN) & (grid[1:] > _YMIN)) | ((grid[:-1] < _YMAX) & (grid[1:] == _YMAX))
+
+
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_interpolation_error_is_below_1e_6_for_quantiles_up_to_6(m):
-    # midpoints are where linear interpolation is worst
-    grid = _dunnett_grids(max(DUNNETT_M))[m - 2]
-    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
+    # midpoints are where linear interpolation is worst: within 1e-6 of the independent oracle, and
+    # within the stated 2e-8 of the grids' rule evaluated there
+    exact = _oracle_quantile(m, GRID_MIDPOINTS)
     inside = np.abs(exact) <= 6.0
     assert inside.sum() > 1000
-    interpolated = _read_grid(grid, GRID_MIDPOINTS)
-    assert np.max(np.abs(interpolated - exact)[inside]) < 1e-6
-
-
-# the engine's stated bounds past |q| = 6, by regime (lo, hi] of the exact quantile q
-GRID_TAIL_BOUNDS = ((6.0, 7.0, 3e-5), (7.0, 7.8, 5e-3), (7.8, np.inf, 2e-2))
+    read = _read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], GRID_MIDPOINTS)
+    assert np.max(np.abs(read - exact)[inside]) < 1e-6
+    assert np.max(np.abs(read - _midpoint_rule()[m - 2])[inside]) < 2e-8
 
 
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_interpolation_error_past_quantile_6_meets_each_stated_bound(m):
-    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, GRID_MIDPOINTS))
-    error = np.abs(_read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], GRID_MIDPOINTS) - exact)
-    for lo, hi, bound in GRID_TAIL_BOUNDS:
-        regime = (np.abs(exact) > lo) & (np.abs(exact) <= hi)
-        assert regime.sum() > 500, (lo, hi)
-        assert np.max(error[regime]) < bound, (lo, hi)
+    # out to the p-value clamp the read stays within 2e-8 of the rule, except in the interval at each
+    # end where the quantile reaches the clamp: the straight line cuts its corner, by under 1e-3
+    grid, exact = _dunnett_grids(max(DUNNETT_M))[m - 2], _midpoint_rule()[m - 2]
+    error = np.abs(_read_grid(grid, GRID_MIDPOINTS) - exact)
+    corner, past = _clamp_intervals(grid), np.abs(exact) > 6.0
+    assert corner.sum() == 2 and (past & ~corner).sum() > 500
+    assert np.max(error[past & ~corner]) < 2e-8
+    assert np.max(error[corner]) < 1e-3
+
+
+# every 112th grid point, -8.5 .. 8.34: both clamps, both tails and the middle
+MPMATH_POINTS = np.arange(0, _GRID.size, 112)
+MPMATH_M = (2, 4, 8)
+
+
+def _mpmath_quantiles(c, ms):
+    """Phi^-1(1 - p), p = P(max > c) of m standard normals equicorrelated at 1/2, for each m in ``ms``, p
+    held to the p-value clamp as the engine holds it; in mpmath at 30 digits, P(max <= c) being
+    E_U[Phi(sqrt(2) c - U)^m]: 20-point Gauss-Legendre on 12 panels over |u| <= 12, each tail summed
+    apart, the quantile from the smaller by Newton's method."""
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    with mpmath.workdps(30):
+        a, cdf, sf = mpmath.sqrt(2) * mpmath.mpf(float(c)), [0] * len(ms), [0] * len(ms)
+        for panel in range(-6, 6):
+            for x, w in zip(nodes, weights):
+                u = mpmath.mpf(2 * panel + 1 + float(x))
+                phi, density = mpmath.ncdf(a - u), float(w) * mpmath.npdf(u)
+                powers = [density * phi**i for i in range(max(ms) + 1)]
+                for i, m in enumerate(ms):
+                    cdf[i] += powers[m]
+                    sf[i] += (1 - phi) * sum(powers[:m])
+        quantiles = []
+        for low, high in zip(cdf, sf):
+            p = max(low, P_CLAMP) if low < high else max(high, 1.0 - (1.0 - P_CLAMP))
+            q = mpmath.mpf(float(ndtri(float(p))))
+            for _ in range(2):
+                q -= (mpmath.ncdf(q) - p) / mpmath.npdf(q)
+            quantiles.append(float(q) if low < high else -float(q))
+    return quantiles
+
+
+def test_dunnett_grid_points_are_within_1e_11_of_mpmath():
+    grids = _dunnett_grids(max(DUNNETT_M))[[m - 2 for m in MPMATH_M]]
+    exact = np.array([_mpmath_quantiles(_GRID[i], MPMATH_M) for i in MPMATH_POINTS]).T
+    for covered in (exact < _YMIN + 1e-9, np.abs(exact) < 1.0, exact > _YMAX - 1e-9):  # both clamps, the middle
+        assert covered.any()
+    assert np.max(np.abs(grids[:, MPMATH_POINTS] - exact)) < 1e-11
 
 
 TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
@@ -448,11 +509,10 @@ TAIL_POINTS = np.array([-40.0, -12.0, -9.0, -8.6, 8.6, 9.0, 12.0, 40.0])
 
 @pytest.mark.parametrize("m", DUNNETT_M, ids=DUNNETT_IDS)
 def test_grid_tails_beyond_8_5_match_direct_evaluation(m):
-    # the read holds the end values past the grid's +-8.5; both sit at the p-value clamp
-    exact = _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, TAIL_POINTS))
-    interpolated = _read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], TAIL_POINTS)
-    np.testing.assert_array_equal(interpolated, exact)
-    np.testing.assert_array_equal(exact, np.repeat([_YMIN, _YMAX], 4))
+    # the read holds the end values past the grid's +-8.5: both sit at the p-value clamp, as does the oracle
+    clamps = np.repeat([_YMIN, _YMAX], 4)
+    np.testing.assert_array_equal(_read_grid(_dunnett_grids(max(DUNNETT_M))[m - 2], TAIL_POINTS), clamps)
+    np.testing.assert_array_equal(_oracle_quantile(m, TAIL_POINTS), clamps)
 
 
 @lru_cache(maxsize=None)
@@ -486,6 +546,19 @@ def test_grid_read_is_bitwise_np_interp(m):
     assert _read_grid(grid, x).tobytes() == np.interp(x, _GRID, grid).tobytes()
 
 
+def _one_grid(m):
+    """Grid row m - 2, built alone."""
+    return _tail_quantile(*dunnett_tails([m], _GRID[0], _GRID_STEP, _GRID.size))[0]
+
+
+def _assert_near_the_oracle(grids):
+    """Grid row m - 2 within 1e-6 of the Gauss-Hermite oracle wherever its quantile lies in [-6, 6]."""
+    for m, grid in enumerate(grids, 2):
+        exact = _oracle_quantile(m, _GRID)
+        inside = np.abs(exact) <= 6.0
+        assert np.max(np.abs(grid - exact)[inside]) < 1e-6, m
+
+
 def test_cached_grids_are_read_only_fresh_builds():
     _dunnett_grids.cache_clear()
     dunnett = _dunnett_grids(4)
@@ -495,17 +568,18 @@ def test_cached_grids_are_read_only_fresh_builds():
         dunnett[0, 0] = 0.0
     assert dunnett.shape == (3, _GRID.size)  # m = 2, 3, 4
     for m in (2, 3, 4):
-        assert dunnett[m - 2].tobytes() == _keep_quantile(equicorr_max_cdf(m, 0.5, _GRID)).tobytes()
+        assert dunnett[m - 2].tobytes() == _one_grid(m).tobytes()
+    _assert_near_the_oracle(dunnett)
 
 
 def test_cold_prepare_builds_every_dunnett_grid_in_one_quadrature_call(monkeypatch):
     calls = []
 
-    def counted(m, r, z):
+    def counted(m, start, step, count):
         calls.append(m)
-        return equicorr_max_cdf(m, r, z)
+        return dunnett_tails(m, start, step, count)
 
-    monkeypatch.setattr(engine, "equicorr_max_cdf", counted)
+    monkeypatch.setattr(engine, "dunnett_tails", counted)
     _dunnett_grids.cache_clear()
     effects = EffectSpec(design="treatment", early=(0.0, 0.2, 0.3, 0.4, 0.45, 0.5, 0.55, 0.6, 0.7),
                          final=(0.0, 0.05, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18, 0.20), correlation=0.4)
@@ -518,7 +592,32 @@ def test_cold_prepare_builds_every_dunnett_grid_in_one_quadrature_call(monkeypat
     run_scenario(replace(scn, effects=one_arm, rule=SelectionRule("best-1")))  # no m >= 2 to build
     assert len(calls) == 1
     for m in range(2, 9):
-        assert grids[m - 2].tobytes() == _keep_quantile(equicorr_max_cdf(m, ARM_CORRELATION, _GRID)).tobytes()
+        assert grids[m - 2].tobytes() == _one_grid(m).tobytes()
+    _assert_near_the_oracle(grids)
+
+
+def test_a_dunnett_grid_build_evaluates_ndtr_once_per_lattice_point(monkeypatch):
+    points = []
+
+    def counted(x):
+        points.append(np.size(x))
+        return ndtr(x)
+
+    monkeypatch.setattr(statdist, "ndtr", counted)
+    _dunnett_grids.cache_clear()
+    _dunnett_grids(8)
+    _dunnett_grids.cache_clear()
+    # one lattice of 8705 + 2 x 90 x 42 points, where a point-by-node rule evaluates 8705 x 192
+    assert len(points) == 1 and sum(points) < 2 * _GRID.size
+
+
+# SHA-256 of _dunnett_grids(8).tobytes(): the grids' bytes, pinned under every SIMD dispatch and BLAS kernel
+DUNNETT_GRIDS_SHA256 = "8d89c1ecedccb0324eaaad27f16a736c062d97fa752a4572dfb5d71e104f0222"
+
+
+def test_dunnett_grids_are_frozen():
+    _dunnett_grids.cache_clear()
+    assert hashlib.sha256(_dunnett_grids(8).tobytes()).hexdigest() == DUNNETT_GRIDS_SHA256
 
 
 def _test_one(scn, z1, z2, cont, taus):

@@ -13,13 +13,10 @@ import numpy as np
 import pytest
 from scipy.special import bdtr, chdtrc, ndtr
 
-from seamsim._reference import replication_stream
+from seamsim._reference import _GH_NODES, _GH_WEIGHTS, _INV_SQRT_PI, equicorr_max_cdf, replication_stream
 from seamsim.engine import _GRID, MAX_REPLICATIONS
 from seamsim.simmodel import ARM_CORRELATION
 from seamsim.statdist import (
-    _GH_NODES,
-    _GH_WEIGHTS,
-    _INV_SQRT_PI,
     _binomial_cdf,
     _binomial_counts,
     _normals,
@@ -28,7 +25,7 @@ from seamsim.statdist import (
     _uniforms,
     bvn_cdf,
     bvn_max_sf,
-    equicorr_max_cdf,
+    dunnett_tails,
 )
 
 # 10^7-sample Monte Carlo freezes (value, standard error)
@@ -174,6 +171,19 @@ def test_bvn_cdf_rejects_bad_correlation():
     for bad in (1.5, 1.0, -1.0, np.nan):
         with pytest.raises(ValueError):
             bvn_cdf(0.0, 0.0, bad)
+
+
+def test_dunnett_tails_are_complements_and_match_the_gauss_hermite_oracle():
+    # both tails of the one lattice rule, rows in the order asked, against the oracle at the arms' correlation
+    ms, start, count = (8, 2, 5), -3.0, 3073  # c = -3 .. 3
+    cdf, sf = dunnett_tails(ms, start, 1 / 512, count)
+    assert cdf.shape == sf.shape == (3, count)
+    assert np.max(np.abs(cdf + sf - 1.0)) <= 4 * np.finfo(float).eps
+    c = start + np.arange(count) / 512
+    np.testing.assert_allclose(cdf, equicorr_max_cdf(ms, ARM_CORRELATION, c), rtol=0, atol=1e-9)
+    for row, m in enumerate(ms):
+        single = dunnett_tails([m], start, 1 / 512, count)
+        assert single[0][0].tobytes() == cdf[row].tobytes() and single[1][0].tobytes() == sf[row].tobytes()
 
 
 def test_equicorr_max_cdf_frozen_monte_carlo():
