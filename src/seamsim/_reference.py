@@ -112,6 +112,15 @@ class StageStatistics:
     values: np.ndarray
 
 
+def model_factor(model: ScoreModel) -> np.ndarray:
+    """The model's covariance factor kron(chol(S), chol(U)), chol(U) by LAPACK: the engine's closed form's reference."""
+    unit = np.full((model.mean.size // 3,) * 2, model.r)
+    np.fill_diagonal(unit, 1.0)
+    rho = model.rho
+    stages_chol = np.array([[1.0, 0.0, 0.0], [rho, math.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
+    return np.kron(stages_chol, np.linalg.cholesky(unit))
+
+
 def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageStatistics:
     """Draw one replication's statistic vector from its stream.
 
@@ -119,7 +128,7 @@ def sample_replication(model: ScoreModel, stream: np.random.Generator) -> StageS
     so results are reproducible from the stream state alone.
     """
     eps = _normals(stream.bit_generator.random_raw(model.mean.size))
-    return StageStatistics(values=model.mean + model.cholesky @ eps)
+    return StageStatistics(values=model.mean + model_factor(model) @ eps)
 
 
 def resolve_prevalence(

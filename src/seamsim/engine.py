@@ -71,7 +71,6 @@ from .closedtest import (
     spending_boundaries,
 )
 from .simmodel import (
-    ARM_CORRELATION,
     SUBGROUP,
     TREATMENT,
     EffectSpec,
@@ -196,7 +195,7 @@ class Scenario:
             if not self.prevalence_fixed:
                 raise ValueError("prevalence_fixed applies to subgroup designs only")
             if self.ptest is not None:
-                if not all(float(i).is_integer() for i in self.ptest):
+                if not all(not isinstance(i, (bool, np.bool_)) and float(i).is_integer() for i in self.ptest):
                     raise _FieldError("ptest", "ptest arms must be whole numbers")
                 arms = tuple(sorted({int(i) for i in self.ptest}))
                 if not arms or arms[0] < 1 or arms[-1] > self.effects.comparisons:
@@ -209,7 +208,7 @@ class Scenario:
         for tau in (self.prevalence,) if self.prevalence_fixed else (1 / n, (n - 1) / n):
             at = "" if tau is None else f" at a prevalence of {tau:g}"
             try:
-                _, mean, shift = _model_parts(self.effects, self.plan, tau)
+                _, _, mean, shift = _model_parts(self.effects, self.plan, tau)
             except ValueError as exc:
                 raise _FieldError("effects", f"effects{at}: {exc}") from exc
             if not np.isfinite(np.append(mean, shift)).all():
@@ -296,16 +295,16 @@ def _read_grid(values, x):
 
 @lru_cache(maxsize=8192)
 def _model_parts(spec: EffectSpec, plan: SampleSizePlan, prevalence: float | None):
-    """Each block's sign, +1 where larger favours treatment; then, times its block's sign,
-    the score model's mean and how far its stage-2 subgroup mean, entry 4, moves when only
-    the subgroup continues (0 in treatment designs)."""
+    """Each block's sign, +1 where larger favours treatment; the score model's r; then, times
+    its block's sign, the model's mean and how far its stage-2 subgroup mean, entry 4, moves
+    when only the subgroup continues (0 in treatment designs)."""
     model = build_score_model(spec, plan, prevalence)
     codes = (spec.early_outcome, spec.final_outcome, spec.final_outcome)
     signs = np.array([1.0 if larger_is_better(spec.design, code) else -1.0 for code in codes])
     shift = 0.0
     if model.subgroup_only is not None:
         shift = signs[2] * (model.subgroup_only - float(model.mean[4]))  # inf - inf: NaN, no warning
-    return signs, np.repeat(signs, spec.comparisons) * model.mean, shift
+    return signs, model.r, np.repeat(signs, spec.comparisons) * model.mean, shift
 
 
 def _prepare(scenario: Scenario) -> None:
@@ -357,14 +356,13 @@ def _statistics(scenario: Scenario, eps, taus):
     subgroup mean to that of the cohort recruited when only the subgroup continues."""
     spec, n, k = scenario.effects, eps.shape[0], scenario.effects.comparisons
     if taus is None:  # one model, whose mean broadcasts
-        r = ARM_CORRELATION if scenario.prevalence is None else math.sqrt(scenario.prevalence)
-        signs, mean, shift = _model_parts(spec, scenario.plan, scenario.prevalence)
+        signs, r, mean, shift = _model_parts(spec, scenario.plan, scenario.prevalence)
         shift = np.full(n, shift)
     else:  # one model per distinct prevalence, gathered to its rows
         values, at = np.unique(taus, return_inverse=True)
-        signs, means, shifts = zip(*(_model_parts(spec, scenario.plan, tau) for tau in values.tolist()))
-        signs, r, mean, shift = signs[0], np.sqrt(taus), np.array(means)[at], np.array(shifts)[at]
-    # chol(U), U equicorrelated at r, has d_j on its diagonal and c_j below it in column j
+        signs, rs, means, shifts = zip(*(_model_parts(spec, scenario.plan, tau) for tau in values.tolist()))
+        signs, r, mean, shift = signs[0], np.array(rs)[at], np.array(means)[at], np.array(shifts)[at]
+    # chol(U), U equicorrelated at r, has d_j on its diagonal and c_j below it in column j (Dunnett 1955)
     e, a = eps.reshape(n, 3, k).transpose(1, 2, 0), np.empty((3, k, n))  # (block, column, row)
     d, total, prefix = 1.0, 0.0, 0.0  # d_j, sum_{l<j} c_l^2 and sum_{l<j} c_l e_l
     for j in range(k):
@@ -687,7 +685,7 @@ def _apply_axis(base: Scenario, axis: str, value) -> Scenario:
     m = min(base.rule.best_count, k)
     total = (k + 1) * base.plan.stage1_per_arm + (m + 1) * base.plan.stage2_per_arm
     n1 = int(value)
-    if n1 != value or n1 <= 0:
+    if isinstance(value, (bool, np.bool_)) or n1 != value or n1 <= 0:
         raise InfeasibleScenarioError("stage-1 sizes must be positive integers")
     n2_raw = (total - (k + 1) * n1) / (m + 1)
     n2 = round(n2_raw)

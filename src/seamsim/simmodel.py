@@ -154,8 +154,8 @@ class SampleSizePlan:
             v = getattr(self, name)
             if v is None and name == "enrich_per_arm":
                 continue
-            if int(v) != v or v <= 0:
-                raise _FieldError(name, f"{name} must be a positive integer")
+            if isinstance(v, (bool, np.bool_)) or not (math.isfinite(v) and v > 0 and int(v) == v):
+                raise _FieldError(name, f"{name} must be a positive integer, not {v!r}")
             object.__setattr__(self, name, int(v))
 
     @property
@@ -282,24 +282,24 @@ class ScoreModel:
     models carry the "both populations continue" stage-2 means, and apart
     from them the stage-2 subgroup mean when only the subgroup continues.
 
-    With U the equicorrelated comparison block and S the block pattern
-    [[1, rho, 0], [rho, 1, 0], [0, 0, 1]], the covariance is kron(S, U) and
-    its factor kron(chol(S), chol(U)), where chol(S) is the closed form
-    [[1, 0, 0], [rho, sqrt(1 - rho^2), 0], [0, 0, 1]], exact at rho = +-1.
-    chol(U) has a closed form too (Dunnett 1955): with U's off-diagonal r and
-    s_j = c_0^2 + ... + c_{j-1}^2, column j holds d_j = sqrt(1 - s_j) on the
-    diagonal and c_j = (r - s_j) / d_j below it. The engine draws by that form.
+    The statistics have unit variances. Within a block the comparisons are
+    equicorrelated at r: the block U. An early and a stage-1 final statistic
+    share patients and correlate at rho times their entry of U; the stage-2
+    block, on new patients, is independent of both. So the covariance is
+    kron(S, U), S = [[1, rho, 0], [rho, 1, 0], [0, 0, 1]].
 
     Attributes:
         mean: expected statistics, natural sign conventions.
-        cholesky: lower-triangular factor of the correlation-scale covariance,
-            by LAPACK; the scalar reference the engine's statistics are held to.
+        r: U's off-diagonal, 1/2 for comparisons sharing a control (equal
+            allocation) and sqrt(tau) for the subgroup and the full population.
+        rho: the early/final outcome correlation.
         subgroup_only: the stage-2 subgroup mean when only the subgroup continues,
             at the enriched size if the plan has one; None for treatment designs.
     """
 
     mean: np.ndarray
-    cholesky: np.ndarray
+    r: float
+    rho: float
     subgroup_only: float | None
 
 
@@ -308,11 +308,7 @@ def build_score_model(
     plan: SampleSizePlan,
     prevalence: float | None = None,
 ) -> ScoreModel:
-    """Assemble the joint normal model for one replication's statistics.
-
-    U's off-diagonal is 1/2 for comparisons sharing a control (equal
-    allocation) and sqrt(tau) for the subgroup and the full population, so U
-    is positive definite.
+    """Assemble the joint normal law of one replication's statistics.
 
     Args:
         spec: effect assumptions.
@@ -326,11 +322,7 @@ def build_score_model(
         subgroup_only = _expected_statistic(SUBGROUP, spec.final_outcome, spec.final[0], 0.0,
                                             plan.subgroup_only_per_arm)
     r = ARM_CORRELATION if spec.design == TREATMENT else math.sqrt(prevalence)
-    unit = np.full((spec.comparisons, spec.comparisons), r)
-    np.fill_diagonal(unit, 1.0)
-    rho = spec.correlation
-    stages_chol = np.array([[1.0, 0.0, 0.0], [rho, math.sqrt(1.0 - rho * rho), 0.0], [0.0, 0.0, 1.0]])
-    return ScoreModel(mean, np.kron(stages_chol, np.linalg.cholesky(unit)), subgroup_only)
+    return ScoreModel(mean, r, spec.correlation, subgroup_only)
 
 
 # A varying-prevalence replication keeps a binomial subgroup count only when

@@ -3,8 +3,8 @@
 Each test exercises one headline guarantee of the package against reference
 values for the bundled example configurations, with the Monte Carlo tolerance
 stated next to every comparison. Every run is seeded, so the whole module is
-deterministic. On a 2-core machine the familywise-error sweep (criterion 7)
-takes about 45 s of the whole test suite's 85 s.
+deterministic. On a 2-core AMD EPYC machine the familywise-error sweep
+(criterion 7) takes about 13 s of the whole test suite's 57 s.
 """
 
 import math
@@ -33,7 +33,6 @@ from seamsim.cli import (
     parse_sweep_config,
 )
 from seamsim.engine import sweep
-from seamsim.simmodel import build_score_model
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -375,19 +374,9 @@ def test_exports_do_not_depend_on_worker_count(criterion):
     criterion(9, ok, "CSV and JSON exports byte-identical at 1, 4 and 16 workers for both designs")
 
 
-def test_patient_level_simulation_reproduces_model(criterion):
-    # Simulate raw patient outcomes for two active arms and a control with
-    # correlated normal early/final measurements, form the six standardized
-    # comparisons, and check the joint model's mean and covariance.
-    k, rho = 2, 0.4
-    n1, n2 = 16, 24
-    replications = 100_000
-    effects = EffectSpec(
-        design="treatment", early=(0.0, 0.3, 0.5), final=(0.0, 0.2, 0.4), correlation=rho
-    )
-    model = build_score_model(effects, SampleSizePlan(n1, n2))
-    cov = model.cholesky @ model.cholesky.T
-    rng = np.random.default_rng(31415)
+def _patients(rng, rho, replications):
+    """``cohort_means(theta_early, theta_final, size)``: per replication, the early and final means of
+    ``size`` patients whose unit-variance normal measurements correlate at rho within a patient."""
 
     def cohort_means(theta_early, theta_final, size):
         early = theta_early + rng.standard_normal((replications, size))
@@ -398,6 +387,33 @@ def test_patient_level_simulation_reproduces_model(criterion):
         )
         return early.mean(axis=1), final.mean(axis=1)
 
+    return cohort_means
+
+
+def _worst_of_3se(stats, mean, cov):
+    """Worst |empirical - law| of the mean and of the covariance, each over its 3*SE tolerance."""
+    replications = stats.shape[0]
+    mean_tol = 3.0 * np.sqrt(np.diag(cov) / replications)
+    cov_tol = 3.0 * np.sqrt(
+        (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / replications
+    )
+    return (float(np.max(np.abs(stats.mean(axis=0) - mean) / mean_tol)),
+            float(np.max(np.abs(np.cov(stats, rowvar=False) - cov) / cov_tol)))
+
+
+def test_patient_level_simulation_reproduces_model(criterion, engine_law):
+    # Simulate raw patient outcomes with correlated normal early/final
+    # measurements, form the standardized statistics of both stages, and check
+    # their mean and covariance against the law the engine draws them from.
+    replications = 100_000
+
+    # Treatment design: two active arms and a control, six comparisons.
+    k, rho = 2, 0.4
+    n1, n2 = 16, 24
+    effects = EffectSpec(
+        design="treatment", early=(0.0, 0.3, 0.5), final=(0.0, 0.2, 0.4), correlation=rho
+    )
+    cohort_means = _patients(np.random.default_rng(31415), rho, replications)
     stats = np.empty((replications, 3 * k))
     early0, final0 = cohort_means(0.0, 0.0, n1)
     early0_s2, final0_s2 = cohort_means(0.0, 0.0, n2)
@@ -407,19 +423,40 @@ def test_patient_level_simulation_reproduces_model(criterion):
         stats[:, k + j] = (final - final0) * math.sqrt(n1 / 2)
         early_s2, final_s2 = cohort_means(theta_early, theta_final, n2)
         stats[:, 2 * k + j] = (final_s2 - final0_s2) * math.sqrt(n2 / 2)
+    mean, factor = engine_law(effects, SampleSizePlan(n1, n2))
+    treatment = _worst_of_3se(stats, mean, factor @ factor.T)
 
-    emp_mean = stats.mean(axis=0)
-    emp_cov = np.cov(stats, rowvar=False)
-    mean_tol = 3.0 * np.sqrt(np.diag(cov) / replications)
-    cov_tol = 3.0 * np.sqrt(
-        (np.outer(np.diag(cov), np.diag(cov)) + cov**2) / replications
-    )
-    worst_mean = float(np.max(np.abs(emp_mean - model.mean) / mean_tol))
-    worst_cov = float(np.max(np.abs(emp_cov - cov) / cov_tol))
-    ok = worst_mean <= 1.0 and worst_cov <= 1.0
+    # Subgroup design at a fixed prevalence tau: per arm and stage, tau * n
+    # patients of the subgroup and (1 - tau) * n of its complement, both
+    # populations continued; the full population's effect is the mixture.
+    tau, rho = 0.3, 0.5
+    n1, n2 = 20, 30
+    sub, rest = (0.5, 0.4), (0.2, 0.1)  # (early, final) effects in the subgroup and its complement
+    full = tuple(tau * a + (1.0 - tau) * b for a, b in zip(sub, rest))
+    effects = EffectSpec(design="subgroup", early=(sub[0], full[0]), final=(sub[1], full[1]), correlation=rho)
+    cohort_means = _patients(np.random.default_rng(27182), rho, replications)
+
+    def population_means(theta_sub, theta_rest, n):  # (subgroup, full) early and final means of one arm
+        sub_early, sub_final = cohort_means(*theta_sub, round(tau * n))
+        rest_early, rest_final = cohort_means(*theta_rest, round((1.0 - tau) * n))
+        return [(sub_early, tau * sub_early + (1.0 - tau) * rest_early),
+                (sub_final, tau * sub_final + (1.0 - tau) * rest_final)]
+
+    def stage(n):  # the (subgroup, full) early and final statistics of one stage's cohort
+        control, treated = population_means((0.0, 0.0), (0.0, 0.0), n), population_means(sub, rest, n)
+        scale = np.array([math.sqrt(tau * n / 2), math.sqrt(n / 2)])
+        return [(np.column_stack(t) - np.column_stack(c)) * scale for t, c in zip(treated, control)]
+
+    early1, final1 = stage(n1)
+    stats = np.hstack([early1, final1, stage(n2)[1]])  # stage 2 reports the final outcome only
+    mean, factor = engine_law(effects, SampleSizePlan(n1, n2), tau)
+    subgroup = _worst_of_3se(stats, mean, factor @ factor.T)
+
+    ok = max(treatment + subgroup) <= 1.0
     criterion(
         10,
         ok,
-        f"patient-level simulation matches model mean/covariance within 3*SE "
-        f"(worst mean {worst_mean:.2f}, covariance {worst_cov:.2f} of tolerance)",
+        "patient-level simulation matches the engine's mean/covariance within 3*SE "
+        f"(worst mean {treatment[0]:.2f}, covariance {treatment[1]:.2f} of tolerance; "
+        f"subgroup design {subgroup[0]:.2f}, {subgroup[1]:.2f})",
     )

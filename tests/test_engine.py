@@ -21,6 +21,7 @@ from seamsim._reference import (
     closed_test,
     equicorr_max_cdf,
     intersection_pvalue,
+    model_factor,
     replication_stream,
     resolve_prevalence,
     sample_replication,
@@ -181,14 +182,21 @@ def test_model_parts_orient_the_natural_model_exactly(design, early, final, sign
     plan = SampleSizePlan(60, 120, enrich_per_arm=None if design == "treatment" else 90)
     tau = None if design == "treatment" else 0.3
     model = build_score_model(spec, plan, tau)
-    block_signs, mean, shift = _model_parts(spec, plan, tau)
-    assert tuple(block_signs) == signs
+    block_signs, r, mean, shift = _model_parts(spec, plan, tau)
+    assert tuple(block_signs) == signs and r == model.r
     sign = np.repeat(signs, spec.comparisons)
     assert mean.tobytes() == (sign * model.mean).tobytes()
     if design == "treatment":
         assert shift == 0.0
     else:
         assert shift == signs[2] * (model.subgroup_only - model.mean[4]) != 0.0
+
+
+@pytest.mark.parametrize("ptest", [(True,), (2, True), (np.bool_(True),), (float("inf"),), (float("nan"),)], ids=repr)
+def test_ptest_rejects_bools_and_non_finite_arms(ptest):
+    with pytest.raises(_FieldError, match="ptest") as caught:
+        treatment_scenario(SelectionRule("all"), ptest=ptest)
+    assert caught.value.field == "ptest"
 
 
 def test_ptest_arms_are_normalised():
@@ -411,7 +419,7 @@ def test_each_row_statistics_come_from_its_own_normals_alone(scn):
         groups = [(float(tau), taus == tau) for tau in values]
     for tau, at in groups:
         model = build_score_model(spec, scn.plan, tau)
-        np.testing.assert_allclose(z[at], sign * (model.mean + eps[at] @ model.cholesky.T), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(z[at], sign * (model.mean + eps[at] @ model_factor(model).T), rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -679,8 +687,8 @@ def _replay_draws(scn, rep, k):
     if scn.design == "subgroup":
         n = 2 * scn.plan.stage1_per_arm
         tau, redraws = resolve_prevalence(scn.prevalence, scn.prevalence_fixed, stream, n)
-    # under a zero mean and a unit factor the statistics are the normals themselves
-    eps = sample_replication(ScoreModel(np.zeros(3 * k), np.eye(3 * k), None), stream).values
+    # under a zero mean and uncorrelated statistics (r = rho = 0) the statistics are the normals themselves
+    eps = sample_replication(ScoreModel(np.zeros(3 * k), 0.0, 0.0, None), stream).values
     if scn.rule.kind == "random-1":
         pick = min(select_treatments(np.zeros(k), scn.rule, stream).continued) - 1
     return eps, tau, redraws, pick
@@ -1337,8 +1345,9 @@ def test_sweep_validation_errors():
         sweep(base, "futility-limits-grid", [(0.0, 0.0)])
     with pytest.raises(InfeasibleScenarioError, match="budget"):
         sweep(base, "stage1-allocation", [61])
-    with pytest.raises(InfeasibleScenarioError, match="positive integers"):
-        sweep(base, "stage1-allocation", [0])
+    for value in (0, True, np.bool_(True)):  # a bool is not a size, though int(True) == 1
+        with pytest.raises(InfeasibleScenarioError, match="positive integers"):
+            sweep(base, "stage1-allocation", [value])
     thresh = treatment_scenario(SelectionRule("threshold", threshold=1.0), reps=100)
     with pytest.raises(InfeasibleScenarioError, match="best-m"):
         sweep(thresh, "stage1-allocation", [30])

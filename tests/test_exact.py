@@ -5,9 +5,13 @@ allocation, so they are equicorrelated at 1/2 and have the one-factor form
 Z_i = mu_i + sqrt(1/2) U + sqrt(1/2) E_i with U, E_i independent standard
 normals and mu_i = sqrt(n1/2) delta_i (Dunnett 1955). Given U the arms are
 selected independently, so the threshold rule's selection-size histogram is a
-Poisson-binomial law integrated over U by Gauss-Hermite quadrature. The exact
-side is computed here from the config's numbers alone, with nothing taken from
-the engine or the score model.
+Poisson-binomial law integrated over U by Gauss-Hermite quadrature. Arm j beats
+arm i exactly when E_j > E_i + (mu_i - mu_j) / sqrt(1/2), in which U cancels;
+given E_i the other arms beat arm i independently. So arm i's rate under best-m,
+fewer than m arms beating it, is a Poisson-binomial tail integrated over E_i,
+and under the epsilon rule, no arm beating it by more than epsilon, a product of
+normal CDFs integrated over E_i. The exact side is computed here from the
+config's numbers alone, with nothing taken from the engine or the score model.
 
 Under the global null a Dunnett closed test rejects the intersection of all
 hypotheses at exactly the level alpha, when the rule always continues an arm and
@@ -43,23 +47,53 @@ from seamsim.engine import CHUNK_SIZE, _simulate_chunk
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
+def normal_nodes():
+    """Gauss-Hermite nodes and weights for an expectation over one standard normal; 200 nodes
+    change no rate below by 1e-15."""
+    x, w = np.polynomial.hermite.hermgauss(64)
+    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+
+
+def poisson_binomial(p):
+    """Per row of p, the law (columns 0..n) of how many of n independent events of probabilities p occur."""
+    sizes = np.zeros((p.shape[0], p.shape[1] + 1))
+    sizes[:, 0] = 1.0
+    for i in range(p.shape[1]):
+        sizes[:, 1:] = sizes[:, 1:] * (1.0 - p[:, i:i + 1]) + sizes[:, :-1] * p[:, i:i + 1]
+        sizes[:, 0] *= 1.0 - p[:, i]
+    return sizes
+
+
 def threshold_rule_exact(means, threshold):
     """Exact selection-size histogram (0..K) and per-arm selection rates.
 
     An arm is kept when its early statistic lies above ``threshold``.
     """
-    x, w = np.polynomial.hermite.hermgauss(64)  # 200 nodes change no value by 1e-15
-    u = math.sqrt(2.0) * x  # standard-normal nodes, weights w / sqrt(pi)
+    u, weights = normal_nodes()
     half = math.sqrt(0.5)
     # P(arm i kept | U = u) for every node (rows) and arm (columns)
     p = ndtr((np.asarray(means)[None, :] + half * u[:, None] - threshold) / half)
-    sizes = np.zeros((u.size, len(means) + 1))
-    sizes[:, 0] = 1.0
-    for i in range(len(means)):  # Poisson-binomial recursion over the arms
-        sizes[:, 1:] = sizes[:, 1:] * (1.0 - p[:, i:i + 1]) + sizes[:, :-1] * p[:, i:i + 1]
-        sizes[:, 0] *= 1.0 - p[:, i]
-    weights = w / math.sqrt(math.pi)
-    return weights @ sizes, weights @ p
+    return weights @ poisson_binomial(p), weights @ p
+
+
+def best_m_rule_exact(means, m):
+    """Each arm's rate of being among the m largest early statistics."""
+    e, weights = normal_nodes()
+    means = np.asarray(means)
+    rates = []
+    for i, mean in enumerate(means):
+        # P(arm j beats arm i | E_i = e), for every node (rows) and other arm j (columns)
+        beats = ndtr(-(e[:, None] + (mean - np.delete(means, i)) / math.sqrt(0.5)))
+        rates.append(weights @ poisson_binomial(beats)[:, :m].sum(axis=1))
+    return np.array(rates)
+
+
+def epsilon_rule_exact(means, epsilon):
+    """Each arm's rate of lying within epsilon of the largest early statistic."""
+    e, weights = normal_nodes()
+    means = np.asarray(means)
+    return np.array([weights @ ndtr(e[:, None] + (mean - np.delete(means, i) + epsilon) / math.sqrt(0.5)).prod(axis=1)
+                     for i, mean in enumerate(means)])
 
 
 def test_threshold_rule_selection_matches_its_exact_law():
@@ -83,6 +117,35 @@ def test_threshold_rule_selection_matches_its_exact_law():
         counts = [oc.futility_count, *oc.selected_size_counts, *oc.arm_selected_counts]
         for count, p in zip(counts, [*hist, *arms]):
             worst = max(worst, abs(count / reps - p) / math.sqrt(p * (1.0 - p) / reps))
+    assert worst <= bound, f"worst |z| {worst:.2f} above {bound:.2f}"
+
+
+def test_best_m_and_epsilon_rules_select_at_their_exact_rates():
+    doc = yaml.safe_load(CONFIG_DIR.joinpath("copd_setting1.yaml").read_text())
+    cases = []
+    for base, exact, want in (
+        (parse_config(doc, "treatment"), best_m_rule_exact, [0.03886, 0.33229, 0.86624, 0.76262]),
+        (parse_config({**doc, "select": "epsilon", "epsilon": 0.5}, "treatment"), epsilon_rule_exact,
+         [0.02651, 0.22544, 0.74800, 0.55247]),
+    ):
+        n1, effects = base.plan.stage1_per_arm, base.effects.early
+        means = [math.sqrt(n1 / 2.0) * (d - effects[0]) for d in effects[1:]]
+        rates = exact(means, base.rule.best_count or base.rule.epsilon)
+        np.testing.assert_allclose(rates, want, atol=5e-6)
+        cases.append((base, rates))
+    assert cases[0][0].rule.best_count == 2 and abs(cases[0][1].sum() - 2.0) < 1e-12
+
+    # fixed before running: two seeds at 5e5 replications, 16 cells in all (four arm rates per
+    # rule and seed), each two-sided |z| bound its Bonferroni share of a 0.001 family error
+    seeds, reps = (11, 12), 500_000
+    bound = NormalDist().inv_cdf(1.0 - 0.001 / 32)
+    worst = 0.0
+    for base, rates in cases:
+        for seed in seeds:
+            oc = run_scenario(replace(base, replications=reps, master_seed=seed))
+            assert oc.futility_count == 0
+            for count, p in zip(oc.arm_selected_counts, rates):
+                worst = max(worst, abs(count / reps - p) / math.sqrt(p * (1.0 - p) / reps))
     assert worst <= bound, f"worst |z| {worst:.2f} above {bound:.2f}"
 
 

@@ -86,6 +86,25 @@ def test_the_reference_path_is_imported_by_the_package_alone_and_imports_no_engi
         assert not {f"seamsim.{name}" for name in ORACLE_NAMES} & _imports(path), path.name
 
 
+def _dotted(node) -> str:
+    """``np.linalg.cholesky`` for the attribute chain of that name; '' for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_no_product_module_calls_linalg_or_kron():
+    # the reference path alone factors a covariance, by LAPACK; the engine walks chol(U)'s closed form
+    banned = ("np.linalg", "numpy.linalg", "scipy.linalg", "np.kron", "numpy.kron")
+    for path in SRC.glob("*.py"):
+        if path.name != "_reference.py":
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            used = {_dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)} | _imports(path)
+            assert not sorted(name for name in used if name.startswith(banned)), path.name
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

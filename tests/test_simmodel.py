@@ -2,8 +2,9 @@
 
 Expected-statistic anchors are the console values from published runs of
 the designs simulated here (rounded to the precision they were printed at);
-the covariance its factor implies is checked entry-by-entry against the
-model's defining correlations and by brute-force sampling moments.
+the covariance the engine draws by is checked entry-by-entry against the
+model's defining correlations, against kron(S, U) as the reference's LAPACK
+factor is, and by brute-force sampling moments.
 """
 
 import math
@@ -13,13 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from seamsim._reference import replication_stream, resolve_prevalence, sample_replication
+from seamsim._reference import model_factor, replication_stream, resolve_prevalence, sample_replication
 from seamsim.closedtest import CombinationConfig
 from seamsim.engine import Scenario, TestSpec, run_scenario
 from seamsim.selection import SelectionRule
 from seamsim.simmodel import (
     EffectSpec,
     SampleSizePlan,
+    _FieldError,
     build_score_model,
     effect_to_expectation,
     larger_is_better,
@@ -203,6 +205,17 @@ def test_sample_size_plan_validation():
         SampleSizePlan(100, -1)
     with pytest.raises(ValueError):
         SampleSizePlan(100, 300, enrich_per_arm=0)
+    plan = SampleSizePlan(100.0, np.int64(300), 200)  # whole numbers of any numeric type count
+    assert (plan.stage1_per_arm, plan.stage2_per_arm) == (100, 300) and type(plan.stage2_per_arm) is int
+
+
+@pytest.mark.parametrize("field", ["stage1_per_arm", "stage2_per_arm", "enrich_per_arm"])
+@pytest.mark.parametrize("value", [True, False, math.inf, -math.inf, math.nan, np.bool_(True)], ids=repr)
+def test_sample_sizes_reject_bools_and_non_finite_values(field, value):
+    sizes = {"stage1_per_arm": 100, "stage2_per_arm": 300, "enrich_per_arm": 200, field: value}
+    with pytest.raises(_FieldError, match=f"{field} must be a positive integer") as caught:
+        SampleSizePlan(**sizes)
+    assert caught.value.field == field
 
 
 def test_larger_is_better_orientation():
@@ -213,25 +226,44 @@ def test_larger_is_better_orientation():
     assert not larger_is_better("subgroup", "B")
 
 
-def assert_factor_reproduces_covariance(spec, plan, prevalence=None):
-    """chol @ chol.T is kron(S, U): S the endpoint/stage pattern, U the comparison block."""
-    unit = np.full((spec.comparisons,) * 2, 0.5 if prevalence is None else math.sqrt(prevalence))
+def kron_law(k, r, rho):
+    """kron(S, U): S the endpoint/stage pattern, U the k x k comparison block equicorrelated at r."""
+    unit = np.full((k, k), r)
     np.fill_diagonal(unit, 1.0)
-    for rho in (-1.0, 0.0, 0.4, 1.0):
-        model = build_score_model(replace(spec, correlation=rho), plan, prevalence)
-        np.testing.assert_array_equal(model.cholesky, np.tril(model.cholesky))
-        stages = np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        np.testing.assert_allclose(
-            model.cholesky @ model.cholesky.T, np.kron(stages, unit), rtol=0, atol=1e-14
-        )
+    return np.kron(np.array([[1.0, rho, 0.0], [rho, 1.0, 0.0], [0.0, 0.0, 1.0]]), unit)
 
 
-def test_treatment_model_covariance_structure():
-    plan = SampleSizePlan(100, 300)
-    model = build_score_model(copd_spec(), plan)
-    cov = model.cholesky @ model.cholesky.T
+MODEL_CASES = [
+    pytest.param(copd_spec(), SampleSizePlan(100, 300), None, id="treatment"),
+    pytest.param(oncology_spec(), SampleSizePlan(100, 300, enrich_per_arm=200), 0.3, id="subgroup"),
+]
+
+
+@pytest.mark.parametrize("spec, plan, prevalence", MODEL_CASES)
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.4, 1.0])
+def test_reference_factor_reproduces_kron_of_stages_and_comparisons(spec, plan, prevalence, rho):
+    model = build_score_model(replace(spec, correlation=rho), plan, prevalence)
+    assert model.r == (0.5 if prevalence is None else math.sqrt(prevalence)) and model.rho == rho
+    factor = model_factor(model)
+    np.testing.assert_array_equal(factor, np.tril(factor))
+    np.testing.assert_allclose(factor @ factor.T, kron_law(spec.comparisons, model.r, rho), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("spec, plan, prevalence", MODEL_CASES)
+@pytest.mark.parametrize("rho", [-1.0, 0.0, 0.4, 1.0])
+def test_the_engine_draws_the_model_law(engine_law, spec, plan, prevalence, rho):
+    spec = replace(spec, correlation=rho)
+    model = build_score_model(spec, plan, prevalence)
+    mean, factor = engine_law(spec, plan, prevalence)
+    assert mean.tobytes() == model.mean.tobytes()
+    np.testing.assert_allclose(factor @ factor.T, kron_law(spec.comparisons, model.r, rho), rtol=0, atol=1e-14)
+
+
+def test_treatment_model_covariance_structure(engine_law):
+    _, factor = engine_law(copd_spec(), SampleSizePlan(100, 300))
+    cov = factor @ factor.T
     k = 4
-    assert model.mean.size == 3 * k
+    assert cov.shape == (3 * k, 3 * k)
     np.testing.assert_allclose(np.diag(cov), 1.0, atol=1e-14)
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
     # a shared, equally allocated control induces 1/2 between arms within a block
@@ -243,13 +275,11 @@ def test_treatment_model_covariance_structure():
     # the stage-2 cohort is new patients, independent of stage 1
     np.testing.assert_allclose(cov[e, f2], 0.0, atol=1e-14)
     np.testing.assert_allclose(cov[f1, f2], 0.0, atol=1e-14)
-    assert_factor_reproduces_covariance(copd_spec(), plan)
 
 
-def test_subgroup_model_covariance_structure():
-    plan = SampleSizePlan(100, 300, enrich_per_arm=200)
-    model = build_score_model(oncology_spec(), plan, prevalence=0.3)
-    cov = model.cholesky @ model.cholesky.T
+def test_subgroup_model_covariance_structure(engine_law):
+    _, factor = engine_law(oncology_spec(), SampleSizePlan(100, 300, enrich_per_arm=200), 0.3)
+    cov = factor @ factor.T
     root_tau = math.sqrt(0.3)
     k = 2
     e, f1, f2 = slice(0, k), slice(k, 2 * k), slice(2 * k, 3 * k)
@@ -259,7 +289,6 @@ def test_subgroup_model_covariance_structure():
     assert cov[e, f1][0, 0] == pytest.approx(0.5)
     assert cov[e, f1][0, 1] == pytest.approx(0.5 * root_tau)
     np.testing.assert_allclose(cov[f1, f2], 0.0, atol=1e-14)
-    assert_factor_reproduces_covariance(oncology_spec(), plan, prevalence=0.3)
 
 
 def test_perfect_correlation_ties_endpoints():
@@ -279,12 +308,14 @@ def test_perfect_correlation_ties_endpoints():
                 np.testing.assert_allclose(stats.values[:2], stats.values[2:4], atol=1e-10)
 
 
-def test_sampling_moments_match_model():
+def test_sampling_moments_match_model(engine_law):
+    # the reference's draws against the law the engine draws by
     model = build_score_model(copd_spec(), SampleSizePlan(100, 300))
     stream = replication_stream(17, 0)
     draws = np.array([sample_replication(model, stream).values for _ in range(200_000)])
-    np.testing.assert_allclose(draws.mean(axis=0), model.mean, atol=0.02)
-    np.testing.assert_allclose(np.cov(draws.T), model.cholesky @ model.cholesky.T, atol=0.02)
+    mean, factor = engine_law(copd_spec(), SampleSizePlan(100, 300))
+    np.testing.assert_allclose(draws.mean(axis=0), mean, atol=0.02)
+    np.testing.assert_allclose(np.cov(draws.T), factor @ factor.T, atol=0.02)
 
 
 def test_subgroup_stage2_mean_uses_both_branch():
